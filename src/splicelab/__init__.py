@@ -62,7 +62,6 @@ from .decider import (
     alphabetic_generability,
     all_alphabetic_rules,
     decide_equal,
-    language_witness,
     splice_image,
 )
 from .fileformat import (
@@ -143,7 +142,6 @@ __all__ = [
     "iter_splice_cuts",
     "kral_eliminate",
     "kral_single",
-    "language_witness",
     "matches_pattern",
     "member",
     "normalize_sequence",

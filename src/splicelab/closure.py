@@ -4,13 +4,19 @@ backtracking tape decomposition, and derivation witnesses.
 The bounded closure is exact, not an approximation: every production's
 result is as long as both operands together, so the words of the language
 up to length n can only ever be built from other words up to length n.
+Saturation therefore pairs each word only with the earlier words that fit
+beside it under the bound.  Flat splice rules, whatever their handle
+lengths, go through one matcher that serves both forward saturation and
+backward search.
+
+A trace from ``witness`` or ``derivation`` is one valid derivation of the
+word, guaranteed to replay; which one is not fixed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 from .core import (
     CIRCULAR,
@@ -25,105 +31,73 @@ from .core import (
     StepRef,
     UnsupportedError,
     apply_concat,
-    canonical_rotation,
     iter_circular_splices,
-    iter_splice_cuts,
     matches_pattern,
 )
 
 DEFAULT_BUDGET = 10**6
 
-Parent = Union[None, tuple]
+# (alpha, beta) -> rule for the rules an inserted word matches, and the
+# distinct (len alpha, len beta) shapes among those keys
+_Contexts = tuple[dict[tuple[str, str], SplicingRule], list[tuple[int, int]]]
 
 
-def _alphabetic_splice_tables(rules: list[SplicingRule]):
-    """Lookup tables for alphabetic splice rules: the set of handle tuples,
-    and per-(gamma, delta) the available (alpha, beta) flanks."""
-    tuples = set()
-    by_gd: dict[tuple[str, str], set[tuple[str, str]]] = defaultdict(set)
-    for r in rules:
-        tuples.add(r.handles)
-        by_gd[(r.gamma, r.delta)].add((r.alpha, r.beta))
-    return tuples, by_gd
-
-
-def _gd_combos(v: str) -> list[tuple[str, str]]:
-    """The (gamma, delta) handle pairs an inserted word ``v`` can satisfy
-    (alphabetic rules): empty handles always, letter handles matching the
-    ends, both-letter handles only when v has two positions."""
-    out = [("", "")]
-    if v:
-        out.append(("", v[-1]))
-        out.append((v[0], ""))
-        if len(v) >= 2:
-            out.append((v[0], v[-1]))
-    return list(dict.fromkeys(out))
-
-
-def _ab_combos(x: str, y: str) -> list[tuple[str, str]]:
-    """The (alpha, beta) flank pairs available at a cut with letter ``x``
-    on the left (or '' at the word start) and ``y`` on the right."""
-    out = [("", "")]
-    if y:
-        out.append(("", y))
-    if x:
-        out.append((x, ""))
-    if x and y:
-        out.append((x, y))
-    return out
+def _rule_at(contexts: _Contexts, s: str, p: int, q: int) -> SplicingRule | None:
+    """A rule whose alpha ends ``s[:p]`` and whose beta starts ``s[q:]``,
+    or None: the cut context of an insertion at ``p`` (forward, ``q == p``)
+    or of the span ``s[p:q]`` (backward)."""
+    ctx, shapes = contexts
+    for la, lb in shapes:
+        # near an end of s a slice comes out short, but it is still a suffix
+        # of s[:p] or a prefix of s[q:], so any key it equals fits here too
+        rule = ctx.get((s[p - la : p], s[q : q + lb]))
+        if rule is not None:
+            return rule
+    return None
 
 
 class _FlatProducer:
-    """Enumerates productions between two flat words for a fixed system."""
+    """Enumerates productions between two flat words for a fixed system.
+
+    Splice rules are indexed by (gamma, delta); each inserted word gets, once,
+    the merged cut contexts of the rules it matches, so a cut costs one dict
+    lookup per context shape whatever the handle lengths."""
 
     def __init__(self, system: SplicingSystem):
-        self.splice = system.splice_rules
         self.concat = system.concat_rules
-        self.fast = all(r.is_alphabetic for r in self.splice)
-        if self.fast:
-            self.tuples, self.by_gd = _alphabetic_splice_tables(self.splice)
-            self._ab_cache: dict[str, frozenset] = {}
+        self.by_gd: dict[tuple[str, str], list[SplicingRule]] = defaultdict(list)
+        for rule in system.splice_rules:
+            self.by_gd[(rule.gamma, rule.delta)].append(rule)
+        self._by_word: dict[str, _Contexts] = {}
+        # words that match the same (gamma, delta) pairs share one table
+        self._by_gds: dict[tuple, _Contexts] = {}
 
-    def _merged_ab(self, v: str) -> frozenset:
-        got = self._ab_cache.get(v)
+    def contexts(self, v: str) -> _Contexts:
+        """The merged cut contexts of the splice rules whose gamma and delta
+        ``v`` matches."""
+        got = self._by_word.get(v)
         if got is None:
-            merged: set[tuple[str, str]] = set()
-            for gd in _gd_combos(v):
-                merged |= self.by_gd.get(gd, set())
-            got = frozenset(merged)
-            self._ab_cache[v] = got
+            gds = tuple(gd for gd in self.by_gd if matches_pattern(v, *gd))
+            got = self._by_gds.get(gds)
+            if got is None:
+                ctx: dict[tuple[str, str], SplicingRule] = {}
+                for gd in gds:
+                    for rule in self.by_gd[gd]:
+                        ctx.setdefault((rule.alpha, rule.beta), rule)
+                got = (ctx, sorted({(len(a), len(b)) for a, b in ctx}))
+                self._by_gds[gds] = got
+            self._by_word[v] = got
         return got
 
     def splice_results(self, u: str, v: str):
         """Yield (result, rule, cut) for every insertion of v into u."""
-        if not u or not v:
+        contexts = self.contexts(v)
+        if not contexts[0]:
             return
-        if self.fast:
-            ab = self._merged_ab(v)
-            if not ab:
-                return
-            gds = _gd_combos(v)
-            for i in range(len(u) + 1):
-                x = u[i - 1] if i else ""
-                y = u[i] if i < len(u) else ""
-                if not any(p in ab for p in _ab_combos(x, y)):
-                    continue
-                hit = None
-                for a, b in _ab_combos(x, y):
-                    for g, d in gds:
-                        if (a, b, g, d) in self.tuples:
-                            hit = SplicingRule(a, b, g, d)
-                            break
-                    if hit:
-                        break
-                if hit is not None:
-                    yield u[:i] + v + u[i:], hit, i
-        else:
-            for rule in self.splice:
-                if not matches_pattern(v, rule.gamma, rule.delta):
-                    continue
-                for i in iter_splice_cuts(rule, u):
-                    yield u[:i] + v + u[i:], rule, i
+        for i in range(len(u) + 1):
+            rule = _rule_at(contexts, u, i, i)
+            if rule is not None:
+                yield u[:i] + v + u[i:], rule, i
 
     def concat_results(self, u: str, v: str):
         """Yield at most one (result, rule, cut) for the concatenation uv."""
@@ -133,74 +107,46 @@ class _FlatProducer:
                 return
 
 
-def _initial_circular(system: SplicingSystem, max_len: int) -> list[CircularWord]:
-    reps: dict[CircularWord, None] = {}
-    for w in system.initial.enumerate(max_len):
-        reps.setdefault(CircularWord(w), None)
-    return sorted(reps, key=CircularWord.sort_key)
+def _saturate(system: SplicingSystem, max_len: int) -> dict:
+    """Parent pointers of every word up to ``max_len``: None for an axiom,
+    else (rule, u, v, cut) of the production that first reached it."""
+    if system.mode == CIRCULAR:
+        if system.concat_rules:
+            raise UnsupportedError("circular systems take splice rules only")
+        splice = system.splice_rules
+        starts = map(CircularWord, system.initial.enumerate(max_len))
 
+        def results(u, v):
+            for rule in splice:
+                for i, j, w in iter_circular_splices(rule, u, v):
+                    yield w, (rule, u, v, (i, j))
 
-def _saturate_flat(system: SplicingSystem, max_len: int):
-    produce = _FlatProducer(system)
-    order: list[str] = []
-    index: dict[str, int] = {}
-    parents: dict[str, Parent] = {}
-    agenda: deque[str] = deque()
+    else:
+        produce = _FlatProducer(system)
+        starts = system.initial.enumerate(max_len)
 
-    def add(w: str, parent: Parent) -> None:
-        if len(w) > max_len or w in index:
-            return
-        index[w] = len(order)
-        order.append(w)
-        parents[w] = parent
-        agenda.append(w)
+        def results(u, v):
+            for w, rule, cut in produce.splice_results(u, v):
+                yield w, (rule, u, v, cut)
+            for w, rule, cut in produce.concat_results(u, v):
+                yield w, (rule, u, v, cut)
 
-    for w in system.initial.enumerate(max_len):
-        add(w, None)
+    parents: dict = dict.fromkeys(starts)
+    agenda = deque(parents)
+    # words off the agenda by length; z pairs with each of them (itself
+    # included) that fits beside it under the bound, so every result does
+    done: list[list] = [[] for _ in range(max_len + 1)]
     while agenda:
         z = agenda.popleft()
-        peers = order[: index[z] + 1]
-        for y in peers:
-            if len(z) + len(y) > max_len:
-                continue
-            for u, v in ((z, y), (y, z)):
-                for w, rule, cut in produce.splice_results(u, v):
-                    add(w, (rule, u, v, cut))
-                for w, rule, cut in produce.concat_results(u, v):
-                    add(w, (rule, u, v, cut))
-    return index, parents
-
-
-def _saturate_circular(system: SplicingSystem, max_len: int):
-    splice = system.splice_rules
-    if system.concat_rules:
-        raise UnsupportedError("circular systems take splice rules only")
-    order: list[CircularWord] = []
-    index: dict[CircularWord, int] = {}
-    parents: dict[CircularWord, Parent] = {}
-    agenda: deque[CircularWord] = deque()
-
-    def add(w: CircularWord, parent: Parent) -> None:
-        if len(w) > max_len or w in index:
-            return
-        index[w] = len(order)
-        order.append(w)
-        parents[w] = parent
-        agenda.append(w)
-
-    for cw in _initial_circular(system, max_len):
-        add(cw, None)
-    while agenda:
-        z = agenda.popleft()
-        peers = order[: index[z] + 1]
-        for y in peers:
-            if len(z) + len(y) > max_len:
-                continue
-            for cu, cv in ((z, y), (y, z)):
-                for rule in splice:
-                    for i, j, w in iter_circular_splices(rule, cu, cv):
-                        add(w, (rule, cu, cv, (i, j)))
-    return index, parents
+        done[len(z)].append(z)
+        for n in range(1, max_len - len(z) + 1):
+            for y in done[n]:
+                for u, v in ((z, y), (y, z)):
+                    for w, parent in results(u, v):
+                        if w not in parents:
+                            parents[w] = parent
+                            agenda.append(w)
+    return parents
 
 
 def closure_bounded(system: SplicingSystem, max_len: int):
@@ -210,24 +156,20 @@ def closure_bounded(system: SplicingSystem, max_len: int):
     which the loader records separately)."""
     if max_len < 1:
         raise ValueError("the length bound must be at least 1")
+    words = _saturate(system, max_len)
     if system.mode == CIRCULAR:
-        index, _ = _saturate_circular(system, max_len)
-        return sorted(index, key=CircularWord.sort_key)
-    index, _ = _saturate_flat(system, max_len)
-    return sorted(index, key=lambda w: (len(w), w))
+        return sorted(words, key=CircularWord.sort_key)
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
     """A replayable production sequence for ``word``, reconstructed from
     the bounded closure's parent pointers.  Raises SpliceError when the
     word is not in the closure within the bound."""
-    if system.mode == CIRCULAR:
-        if isinstance(word, str):
-            word = CircularWord(word)
-        index, parents = _saturate_circular(system, max_len)
-    else:
-        index, parents = _saturate_flat(system, max_len)
-    if word not in index:
+    if system.mode == CIRCULAR and isinstance(word, str):
+        word = CircularWord(word)
+    parents = _saturate(system, max_len)
+    if word not in parents:
         raise SpliceError(f"{word} is not in the closure within length {max_len}")
 
     steps: list[Production] = []
@@ -272,41 +214,14 @@ def _flat_undos(system: SplicingSystem, produce: _FlatProducer, seg: str):
     """Yield undo moves for the last tape segment: each forward production
     that could have produced ``seg``, as (kind, rule, left, right, cut)."""
     n = len(seg)
-    if produce.fast:
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                if p == 0 and q == n:
-                    continue
-                rest = seg[:p] + seg[q:]
-                v = seg[p:q]
-                x = seg[p - 1] if p else ""
-                y = seg[q] if q < n else ""
-                hit = None
-                for a, b in _ab_combos(x, y):
-                    for g, d in _gd_combos(v):
-                        if (a, b, g, d) in produce.tuples:
-                            hit = SplicingRule(a, b, g, d)
-                            break
-                    if hit:
-                        break
-                if hit is not None:
-                    yield ("splice", hit, rest, v, p)
-    else:
-        seen_spans = set()
-        for rule in system.splice_rules:
-            for p in range(n + 1):
-                for q in range(p + 1, n + 1):
-                    if (p == 0 and q == n) or (p, q) in seen_spans:
-                        continue
-                    v = seg[p:q]
-                    if not matches_pattern(v, rule.gamma, rule.delta):
-                        continue
-                    if rule.alpha and not seg[:p].endswith(rule.alpha):
-                        continue
-                    if rule.beta and not seg[q:].startswith(rule.beta):
-                        continue
-                    seen_spans.add((p, q))
-                    yield ("splice", rule, seg[:p] + seg[q:], v, p)
+    for p in range(n):
+        for q in range(p + 1, n + 1):
+            if p == 0 and q == n:
+                continue
+            v = seg[p:q]
+            rule = _rule_at(produce.contexts(v), seg, p, q)
+            if rule is not None:
+                yield ("splice", rule, seg[:p] + seg[q:], v, p)
     for p in range(1, n):
         u, v = seg[:p], seg[p:]
         for rule in system.concat_rules:

@@ -134,11 +134,6 @@ class CircularWord:
         return (len(self.representative), self.representative)
 
 
-def canonical_circular(word: str) -> CircularWord:
-    """Wrap a nonempty word as the circular word it represents."""
-    return CircularWord(word)
-
-
 Word = str
 AnyWord = Union[str, CircularWord]
 

@@ -30,7 +30,6 @@ from .automata import (
     dfa_intersect,
     dfa_is_finite,
     dfa_none,
-    dfa_shortest,
     dfa_subset,
     dfa_union,
     difference_witness,
@@ -203,8 +202,3 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
         rules=frozenset(admissible),
         mode=FLAT,
     )
-
-
-def language_witness(K: Dfa) -> str | None:
-    """Shortest accepted word; convenience re-export for reports."""
-    return dfa_shortest(K)

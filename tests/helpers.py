@@ -178,8 +178,15 @@ def random_word(rng: random.Random, letters: str, max_len: int = 3) -> str:
     return "".join(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
 
 
-def random_rule(rng: random.Random, letters: str, usage: str) -> SplicingRule:
-    handles = [rng.choice([""] * 2 + list(letters)) for _ in range(4)]
+def random_rule(
+    rng: random.Random, letters: str, usage: str, handle_len: int = 1
+) -> SplicingRule:
+    """A rule whose handles each join ``handle_len`` draws, each draw empty
+    with probability 2 / (2 + len(letters)), else one letter."""
+    handles = [
+        "".join(rng.choice([""] * 2 + list(letters)) for _ in range(handle_len))
+        for _ in range(4)
+    ]
     return SplicingRule(*handles, usage=usage)
 
 
@@ -192,6 +199,7 @@ def random_system(
     usages: tuple[str, ...] = (SPLICE,),
     mode: str = FLAT,
     max_word_len: int = 3,
+    handle_len: int = 1,
 ) -> SplicingSystem:
     letters = "abc"[: rng.randint(1, max_letters)]
     words = {
@@ -199,7 +207,7 @@ def random_system(
         for _ in range(rng.randint(1, max_initial))
     }
     rules = {
-        random_rule(rng, letters, rng.choice(usages))
+        random_rule(rng, letters, rng.choice(usages), handle_len)
         for _ in range(rng.randint(0, max_rules))
     }
     return SplicingSystem(

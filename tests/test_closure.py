@@ -28,6 +28,7 @@ from splicelab.examples import (
     mixed_system,
     nested_insertions,
 )
+from splicelab.transform import complete_system
 
 from helpers import (
     is_balanced,
@@ -111,6 +112,22 @@ class TestDifferential:
             got = set(closure_bounded(system, 6))
             assert got == naive_flat_closure(system, 6)
 
+    def test_two_letter_handles(self):
+        rng = random.Random(95)
+        for _ in range(300):
+            system = random_system(
+                rng, max_initial=3, max_rules=3, usages=(SPLICE, CONCAT), handle_len=2
+            )
+            got = set(closure_bounded(system, 6))
+            assert got == naive_flat_closure(system, 6), system
+
+    def test_completed_systems(self):
+        rng = random.Random(96)
+        for _ in range(40):
+            system = complete_system(random_system(rng, usages=(SPLICE, CONCAT)))
+            got = set(closure_bounded(system, 6))
+            assert got == naive_flat_closure(system, 6), system
+
     def test_circular_systems(self):
         rng = random.Random(93)
         for _ in range(40):
@@ -185,6 +202,22 @@ class TestDerivation:
                 seq = derivation(system, word)
                 assert seq is not None, (system, word)
                 assert replay_sequence(system, seq) == word
+                checked += 1
+        assert checked > 20
+
+    def test_two_letter_handles_round_trip(self):
+        rng = random.Random(97)
+        checked = 0
+        for _ in range(60):
+            system = random_system(
+                rng, max_initial=3, max_rules=3, usages=(SPLICE, CONCAT), handle_len=2
+            )
+            words = sorted(naive_flat_closure(system, 6), key=lambda w: (len(w), w))
+            for word in words[-4:]:
+                seq = derivation(system, word)
+                assert seq is not None, (system, word)
+                assert replay_sequence(system, seq) == word
+                assert replay_sequence(system, witness(system, word, 6)) == word
                 checked += 1
         assert checked > 20
 

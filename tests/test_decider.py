@@ -7,6 +7,7 @@ import pytest
 
 from splicelab.automata import (
     dfa_from_words,
+    dfa_shortest,
     enumerate_dfa,
     parse_regex,
     regex_to_dfa,
@@ -29,7 +30,6 @@ from splicelab.decider import (
     all_alphabetic_rules,
     alphabetic_generability,
     decide_equal,
-    language_witness,
     splice_image,
 )
 from splicelab.examples import anbn, anbn_circular, concat_chain
@@ -265,5 +265,5 @@ class TestDifferential:
 
 class TestLanguageWitness:
     def test_shortest_word(self):
-        assert language_witness(regex_to_dfa(parse_regex("a*b"), AB)) == "b"
-        assert language_witness(regex_to_dfa(parse_regex("a(a)*"), AB)) == "a"
+        assert dfa_shortest(regex_to_dfa(parse_regex("a*b"), AB)) == "b"
+        assert dfa_shortest(regex_to_dfa(parse_regex("a(a)*"), AB)) == "a"
