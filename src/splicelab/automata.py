@@ -335,7 +335,10 @@ def parse_regex(text: str) -> tuple:
             else:
                 return node
 
-    node = parse_alt()
+    try:
+        node = parse_alt()
+    except RecursionError:
+        raise ParseError("regex nested too deeply") from None
     if peek() is not None:
         raise ParseError(f"trailing {peek()!r} in regex")
     return node

@@ -32,7 +32,7 @@ letters, words, and rules).
 
 from __future__ import annotations
 
-from .automata import Dfa, dfa_to_regex, parse_regex, regex_letters, regex_to_dfa, render_regex
+from .automata import Dfa, _normalize, dfa_to_regex, parse_regex, regex_letters, regex_to_dfa, render_regex
 from .core import (
     CIRCULAR,
     CONCAT,
@@ -289,7 +289,8 @@ def serialize_grammar(g: Cfg) -> str:
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Read a deterministic automaton from its text form."""
+    """Read a deterministic automaton from its text form.  The result is
+    normalized (trimmed, minimized, renumbered) like every other Dfa."""
     alphabet: tuple[str, ...] | None = None
     n_states: int | None = None
     start: int | None = None
@@ -339,8 +340,8 @@ def parse_dfa(text: str) -> Dfa:
             if (q, letter) not in moves:
                 raise ParseError(f"missing transition from state {q} on {letter!r}", 0)
             row.append(moves[(q, letter)])
-        table.append(tuple(row))
-    return Dfa(alphabet, tuple(table), start, frozenset(finals))
+        table.append(row)
+    return _normalize(alphabet, table, start, set(finals))
 
 
 def serialize_dfa(d: Dfa) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import (
@@ -45,13 +45,16 @@ class Cfg:
 
     ``variables`` is ordered (declaration order drives elimination order and
     deterministic output); ``productions`` is an ordered, duplicate-free
-    list of (head, body) pairs.
+    list of (head, body) pairs.  ``varset`` is the stored frozenset of
+    ``variables``, for membership tests; it takes no part in equality,
+    hashing or repr.
     """
 
     terminals: tuple[str, ...]
     variables: tuple[str, ...]
     productions: tuple[tuple[str, Body], ...]
     start: str
+    varset: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __init__(self, terminals, variables, productions, start):
         terminals = tuple(terminals)
@@ -65,7 +68,7 @@ class Cfg:
             raise ValueError(f"symbols both terminal and variable: {sorted(overlap)}")
         if start not in variables:
             raise ValueError(f"start symbol {start!r} is not a variable")
-        varset = set(variables)
+        varset = frozenset(variables)
         known = varset | set(terminals)
         for head, body in productions:
             if head not in varset:
@@ -77,13 +80,10 @@ class Cfg:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "productions", productions)
         object.__setattr__(self, "start", start)
+        object.__setattr__(self, "varset", varset)
 
     def bodies(self, var: str) -> list[Body]:
         return [b for h, b in self.productions if h == var]
-
-    @property
-    def varset(self) -> frozenset[str]:
-        return frozenset(self.variables)
 
 
 def finite_cfg(terminals, words: Iterable[str], start: str | None = None) -> Cfg:
@@ -119,29 +119,15 @@ def cfg_with_terminals(g: Cfg, terminals: Iterable[str]) -> Cfg:
 # Trimming, emptiness, light simplification
 
 
-def _generating(g: Cfg) -> set[str]:
-    gen: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head in gen:
-                continue
-            if all(s not in g.varset or s in gen for s in body):
-                gen.add(head)
-                changed = True
-    return gen
-
-
 def cfg_empty(g: Cfg) -> bool:
-    return g.start not in _generating(g)
+    return _min_lengths(g)[g.start] is None
 
 
 def cfg_trim(g: Cfg) -> Cfg:
     """Drop non-generating and unreachable variables (and their rules).
     The start variable is always kept, so an empty language trims to a
     grammar with no productions."""
-    gen = _generating(g)
+    gen = {v for v, n in _min_lengths(g).items() if n is not None}
     useful = [(h, b) for h, b in g.productions if h in gen and all(s not in g.varset or s in gen for s in b)]
     reach = {g.start}
     changed = True
@@ -323,7 +309,9 @@ def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
 
 
 def _min_lengths(g: Cfg) -> dict[str, int | None]:
-    """Least derivable word length per variable (None = generates nothing)."""
+    """Least derivable word length per variable (None = generates nothing).
+    The one fixpoint over productions: a variable is generating iff its
+    entry is not None, and nullable iff it is 0."""
     best: dict[str, int | None] = {v: None for v in g.variables}
     changed = True
     while changed:
@@ -402,7 +390,7 @@ def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
                         if any(not p for p in parts):
                             continue
                         for combo in itertools.product(*parts):
-                            out.add(sum(combo, ()))
+                            out.add(tuple(itertools.chain.from_iterable(combo)))
                 if len(out) != before:
                     changed = True
     result: list[Body] = []
@@ -573,14 +561,7 @@ def strip_markers(t: Body) -> str:
 
 
 def _remove_epsilon(g: Cfg) -> Cfg:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head not in nullable and all(s in nullable for s in body):
-                nullable.add(head)
-                changed = True
+    nullable = {v for v, n in _min_lengths(g).items() if n == 0}
     if g.start in nullable:
         raise ValueError("language contains the empty word")
     prods: list[tuple[str, Body]] = []
@@ -702,8 +683,9 @@ def split_first_last(
     base = cfg_with_terminals(initial.cfg, letters)
     if set(base.terminals) != set(letters):
         raise ValueError("initial grammar uses letters outside the alphabet")
+    short = enumerate_cfg(base, 1)
     for a in letters:
-        if a in enumerate_cfg(base, 1):
+        if a in short:
             singletons.add(a)
     for a in letters:
         for b in letters:

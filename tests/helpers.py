@@ -7,6 +7,7 @@ plain string manipulation so that agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -218,6 +219,21 @@ def random_system(
     )
 
 
+def random_cfg(rng: random.Random) -> Cfg:
+    """A small grammar over a and b: 2–4 variables, each with 0–3 bodies of
+    0–2 symbols drawn from the letters and the variables.  Unit cycles,
+    ε-bodies, unreachable and non-generating variables all occur."""
+    letters = ("a", "b")
+    variables = [f"V{i}" for i in range(rng.randint(2, 4))]
+    symbols = list(letters) + variables
+    prods = [
+        (v, tuple(rng.choice(symbols) for _ in range(rng.randint(0, 2))))
+        for v in variables
+        for _ in range(rng.randint(0, 3))
+    ]
+    return Cfg(letters, variables, prods, variables[0])
+
+
 def random_regex(rng: random.Random, letters: str, depth: int = 3) -> str:
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(list(letters) + ["_"])
@@ -238,7 +254,14 @@ def random_regex(rng: random.Random, letters: str, depth: int = 3) -> str:
 def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
     """Bounded language of a generalized grammar by direct sentential-form
     expansion, replacing one variable occurrence at a time by a word of its
-    right-hand-side language."""
+    right-hand-side language.
+
+    Every occurrence left in a sentential form must yield a nonempty word:
+    an expansion erases any subset of the nullable variables it introduces
+    and never leaves nothing behind.  So every occurrence costs at least
+    one letter, a form holds at most ``max_len`` of them, and the search
+    ends even when a nullable variable can reproduce itself
+    (``A -> A A | ε``)."""
     rhs_words: dict[str, list[tuple[str, ...]]] = {}
     for var, lang in g.rhs_languages:
         rhs_words[var] = list(enumerate_cfg_tuples(lang, max_len))
@@ -256,10 +279,20 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
                     yields[var] = total
                     changed = True
 
-    def cost(form: tuple[str, ...]) -> float:
-        return sum(yields[s] if s in varset else len(s) for s in form)
+    nullable = {v for v in varset if yields[v] == 0}
 
-    done: set[str] = set()
+    def cost(form: tuple[str, ...]) -> float:
+        return sum(max(yields[s], 1) if s in varset else len(s) for s in form)
+
+    def erasures(repl: tuple[str, ...]):
+        spots = [i for i, s in enumerate(repl) if s in nullable]
+        for k in range(len(spots) + 1):
+            for dropped in itertools.combinations(spots, k):
+                kept = tuple(s for i, s in enumerate(repl) if i not in dropped)
+                if kept:
+                    yield kept
+
+    done: set[str] = {""} if g.start in nullable else set()
     seen: set[tuple[str, ...]] = set()
     agenda = [(g.start,)]
     while agenda:
@@ -272,7 +305,8 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
             done.add("".join(form))
             continue
         for repl in rhs_words[form[var_at]]:
-            agenda.append(form[:var_at] + repl + form[var_at + 1 :])
+            for kept in erasures(repl):
+                agenda.append(form[:var_at] + kept + form[var_at + 1 :])
     return done
 
 
@@ -283,8 +317,6 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
 def cfg_isomorphic(g: Cfg, h: Cfg) -> bool:
     """Whether the grammars are identical up to a renaming of variables
     that fixes the start symbol.  Brute force; intended for tiny grammars."""
-    import itertools
-
     if len(g.variables) != len(h.variables):
         return False
     if sorted(g.terminals) != sorted(h.terminals):

@@ -68,6 +68,10 @@ class TestRegexParsing:
         with pytest.raises(ParseError):
             parse_regex(bad)
 
+    def test_nested_parentheses(self):
+        node = parse_regex("(" * 50 + "a" + ")" * 50)
+        assert dfa_equivalent(regex_to_dfa(node, AB), regex_to_dfa(parse_regex("a"), AB))
+
     def test_render_roundtrip(self):
         rng = random.Random(7)
         for _ in range(40):

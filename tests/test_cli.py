@@ -130,6 +130,19 @@ class TestDecideEqual:
         assert code == 1
         assert capsys.readouterr().out == "NOT-EQUAL 2 aabb\n"
 
+    def test_nonminimal_dfa_file(self, spl, tmp_path, capsys):
+        # a+ with two accepting states where one suffices: the structural
+        # conjugacy check needs the parsed automaton minimized
+        target = tmp_path / "target.dfa"
+        target.write_text(
+            "alphabet a\nstates 3\nstart 0\nfinal 1 2\n0 a 1\n1 a 2\n2 a 2\n",
+            encoding="utf-8",
+        )
+        system = spl("alphabet a\nmode circular\ninitial finite a\nsplice -#-$-#-\n")
+        code = run_command(["decide-equal", system, "--dfa", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == "EQUAL\n"
+
     def test_regex_outside_alphabet(self, spl, capsys):
         code = run_command(["decide-equal", spl(SIR_EX), "--regex", "c*"])
         assert code == 2
@@ -258,6 +271,17 @@ class TestErrorHandling:
     def test_unknown_subcommand(self, capsys):
         code = run_command(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["generable", "decide-equal"])
+    def test_deeply_nested_regex(self, spl, command, capsys):
+        regex = "(" * 600 + "a" + ")" * 600
+        if command == "generable":
+            args = ["generable", "--alphabet", "a", "--regex", regex]
+        else:
+            args = ["decide-equal", spl("alphabet a\ninitial finite a\n"), "--regex", regex]
+        code = run_command(args)
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_missing_required_flag(self, spl, capsys):
         code = run_command(["closure", spl(SIR_EX)])

@@ -1,6 +1,8 @@
 """Context-free grammars: enumeration, products, substitution, seam markers,
 and flattening of generalized grammars."""
 
+import random
+
 import pytest
 
 from splicelab.automata import dfa_from_words, parse_regex, regex_to_dfa
@@ -29,7 +31,7 @@ from splicelab.grammar import (
     word_ins,
 )
 
-from helpers import cfg_isomorphic, lazy_generalized_words
+from helpers import cfg_isomorphic, lazy_generalized_words, random_cfg
 
 AB = ("a", "b")
 
@@ -312,6 +314,43 @@ class TestGeneralized:
         )
         out = kral_eliminate(g)
         assert set(enumerate_cfg(out, 6)) == lazy_generalized_words(g, 6)
+
+
+def as_generalized(g: Cfg) -> GeneralizedCfg:
+    """The same grammar with each variable's bodies as its right-hand-side
+    language, for the lazy sentential-form oracle."""
+    symbols = tuple(g.terminals) + tuple(g.variables)
+    return GeneralizedCfg(
+        g.terminals,
+        g.variables,
+        g.start,
+        tuple((v, Cfg(symbols, ("RHS",), [("RHS", b) for b in g.bodies(v)], "RHS"))
+              for v in g.variables),
+    )
+
+
+class TestRandomGrammars:
+    """Emptiness, trimming, simplification and ε-removal all read the one
+    least-length fixpoint; check each against sentential-form expansion on
+    grammars with unit cycles, ε-bodies and useless variables."""
+
+    def test_against_generalized_oracle(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            g = random_cfg(rng)
+            words = lazy_generalized_words(as_generalized(g), 6)
+            for h in (g, cfg_trim(g), cfg_simplify(g)):
+                assert set(enumerate_cfg(h, 6)) == words, g
+            if cfg_empty(g):
+                assert not words, g
+            if words:
+                assert not cfg_empty(g), g
+            if "" in words:
+                with pytest.raises(ValueError):
+                    ins_image(g)
+            else:
+                got = set(enumerate_cfg_tuples(ins_image(g), 11))
+                assert got == {word_ins(w) for w in words}, g
 
 
 class TestFreshName:

@@ -1,5 +1,6 @@
 """Compiling splicing systems to context-free grammars."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from splicelab.core import (
     SplicingSystem,
 )
 from splicelab.examples import (
+    ALL_EXAMPLES,
     anbn,
     anbn_circular,
     concat_chain,
@@ -24,6 +26,7 @@ from splicelab.examples import (
     nested_insertions,
     paired_concat,
 )
+from splicelab.fileformat import serialize_grammar
 from splicelab.grammar import enumerate_cfg
 from splicelab.synthesis import concat_grammar, pure_grammar, synthesize
 from splicelab.transform import complete_system, to_heterogeneous
@@ -177,3 +180,81 @@ class TestSynthesize:
             for w in closure_bounded(system, 6):
                 flat |= set(w.linearize())
             assert grammar_words(g, 6) == flat, system
+
+
+# sha256 of serialize_grammar output per (construction, fixture, method,
+# simplify).  The README promises byte-deterministic grammars, so a change
+# inside the grammar kernel that keeps every language but moves a single
+# byte of a compiled grammar fails here; a deliberate change of output
+# updates the table.
+GRAMMAR_DIGESTS = [
+    ("synthesize", "anbn", "graft", True,
+     "7a20a3ad3b8d1d705b3a918f0964d56d9158c98bc4070ddbbbe2315c419aa112"),
+    ("synthesize", "anbn", "kral", True,
+     "46494667bcc07ce5c87522f626ffb54af739adde5835ac48fc586d5377bb0ddb"),
+    ("synthesize", "anbn_circular", "graft", True,
+     "0bfc10d9a42eb3526698bdd9345707f286400850ff816922c91d8acb9a4c7371"),
+    ("synthesize", "anbn_circular", "kral", True,
+     "7dbf81b484a8c418bed9d7e8a08d8eba60b6d5d9a7ddadd23cac9ce81ae58cf4"),
+    ("synthesize", "dyck", "graft", True,
+     "2b4cad0e949efa5fd22e35b42b0cb40c16ee876d0304e1d9101836f7505af754"),
+    ("synthesize", "dyck", "kral", True,
+     "1d54cfbf9cc05527b93e05ffd5debdca2a98baa622a20533ce51d3f73dcfbb3e"),
+    ("synthesize", "nested_insertions", "graft", True,
+     "d7cac2e3f86acea22f3e77b31a23cdb2ef65729ee38a1202a1eba8f8734caa32"),
+    ("synthesize", "nested_insertions", "kral", True,
+     "82d16c6984dc31d9d17bff34f51cedc5bdd3a692a6dc1758771ca151fe729b7d"),
+    ("synthesize", "concat_chain", "graft", True,
+     "887d671fca4b2b491d089cc404bd8176384d58113005e8c5bad788ff18613df9"),
+    ("synthesize", "concat_chain", "kral", True,
+     "0dc5d657704d8877b2a7b29d799625bf8562c6b964b583cb71a2a4ee0680bb6d"),
+    ("synthesize", "mixed_system", "graft", True,
+     "ea60c9b9fb77f0cc820e031ab2de66aadbfadb18302dbd60651122b5b98bab22"),
+    ("synthesize", "mixed_system", "kral", True,
+     "535790454dfad13af7c615b7ba85f5d70515383ab38314ae5ceaadf05ff62de3"),
+    ("synthesize", "paired_concat", "graft", True,
+     "e80fe6634ae617d2a401038ca0876ae5251a974767420357a3100a1e6605c876"),
+    ("synthesize", "paired_concat", "kral", True,
+     "4fd29b2c48b53098eab1ea36d4e46572741fcf7efa60acbdce494b473d853a59"),
+    ("concat_grammar", "concat_chain", None, True,
+     "ba5ccc3b3416da586fc602e9825c433c31bc4bc130daaa9d9b0931eb33d4b2cd"),
+    ("concat_grammar", "paired_concat", None, True,
+     "9460771d6792b273846f2c5a6e42e4a23f8bf695d8ab1f290217c7943001dffb"),
+    ("pure_grammar", "anbn", "graft", True,
+     "7a20a3ad3b8d1d705b3a918f0964d56d9158c98bc4070ddbbbe2315c419aa112"),
+    ("pure_grammar", "anbn", "graft", False,
+     "d35df5e73b9305b35dfc506dd238b9745f0d53aa87761274e1be8b5ec7cef7b1"),
+    ("pure_grammar", "anbn", "kral", True,
+     "46494667bcc07ce5c87522f626ffb54af739adde5835ac48fc586d5377bb0ddb"),
+    ("pure_grammar", "anbn", "kral", False,
+     "46494667bcc07ce5c87522f626ffb54af739adde5835ac48fc586d5377bb0ddb"),
+    ("pure_grammar", "nested_insertions", "graft", True,
+     "261ecb5bd30a26b7854515c2542ac626d010052da026e405778d406989f92cbe"),
+    ("pure_grammar", "nested_insertions", "graft", False,
+     "41360ccaa34a1d54bfbf063dbf7be9b2e7ad98a44e4e4bce672410d0359b1fef"),
+    ("pure_grammar", "nested_insertions", "kral", True,
+     "2eb91ef46e1abf7d02ed790277aa2dee8f4eef25b5f5788b7b4d9609afd8e571"),
+    ("pure_grammar", "nested_insertions", "kral", False,
+     "2eb91ef46e1abf7d02ed790277aa2dee8f4eef25b5f5788b7b4d9609afd8e571"),
+]
+
+
+def compiled_grammar(construction, fixture, method, simplify):
+    system = ALL_EXAMPLES[fixture]()
+    if construction == "synthesize":
+        return synthesize(system, method)
+    if construction == "concat_grammar":
+        return concat_grammar(complete_system(system))
+    return pure_grammar(complete_system(system), method, simplify=simplify)
+
+
+class TestGrammarBytes:
+    @pytest.mark.parametrize(
+        "construction,fixture,method,simplify,digest",
+        GRAMMAR_DIGESTS,
+        ids=["-".join(map(str, row[:4])) for row in GRAMMAR_DIGESTS],
+    )
+    def test_serialized_digest(self, construction, fixture, method, simplify, digest):
+        g = compiled_grammar(construction, fixture, method, simplify)
+        text = serialize_grammar(g)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
