@@ -68,16 +68,17 @@ def _normalize(
     st = pos[start]
 
     part = [1 if s in ff else 0 for s in range(m)]
+    classes = len(set(part))
     while True:
+        # refining only splits classes, so an unchanged count means stable
         sigs: dict[tuple, int] = {}
-        new = [0] * m
-        for s in range(m):
-            sig = (part[s],) + tuple(part[dd[s][a]] for a in range(k))
-            new[s] = sigs.setdefault(sig, len(sigs))
-        if new == part:
+        part = [
+            sigs.setdefault((c, *map(part.__getitem__, row)), len(sigs))
+            for c, row in zip(part, dd)
+        ]
+        if len(sigs) == classes:
             break
-        part = new
-    classes = max(part) + 1
+        classes = len(sigs)
     cdelta = [[0] * k for _ in range(classes)]
     cfinals: set[int] = set()
     for s in range(m):
@@ -168,6 +169,29 @@ class Nfa:
             delta.append(row)
         finals = {i for i, sub in enumerate(subsets) if sub & self.finals}
         return _normalize(self.alphabet, delta, 0, finals)
+
+
+    def subset_of(self, b: Dfa) -> bool:
+        """Whether ``b`` accepts every word this NFA accepts, without
+        determinizing: a walk over (NFA state, ``b`` state) pairs that stops
+        at the first pair accepting here and rejecting in ``b``."""
+        if self.alphabet != b.alphabet:
+            raise ValueError(f"alphabet mismatch: {self.alphabet} vs {b.alphabet}")
+        index = {letter: x for x, letter in enumerate(b.alphabet)}
+        start = (self.start, b.start)
+        seen = {start}
+        stack = [start]
+        while stack:
+            s, t = stack.pop()
+            if s in self.finals and t not in b.finals:
+                return False
+            for symbol, targets in self.edges[s].items():
+                u = t if symbol is None else b.transitions[t][index[symbol]]
+                for r in targets:
+                    if (r, u) not in seen:
+                        seen.add((r, u))
+                        stack.append((r, u))
+        return True
 
 
 def _letters(alphabet) -> tuple[str, ...]:
@@ -508,12 +532,31 @@ def dfa_shortest(a: Dfa) -> str | None:
 
 
 def difference_witness(a: Dfa, b: Dfa) -> str | None:
-    """Length-lex least word accepted by ``a`` but not ``b``."""
-    return dfa_shortest(dfa_difference(a, b))
+    """Length-lex least word accepted by ``a`` but not ``b``.
+
+    A breadth-first walk over state pairs that expands letters in alphabet
+    order, so pairs are discovered in length-lex order of their first word;
+    it stops at the first pair accepting in ``a`` and rejecting in ``b``
+    without building the product automaton."""
+    _require_same_alphabet(a, b)
+    start = (a.start, b.start)
+    if a.start in a.finals and b.start not in b.finals:
+        return ""
+    words = {start: ""}
+    queue = deque([start])
+    while queue:
+        s, t = pair = queue.popleft()
+        for letter, nxt in zip(a.alphabet, zip(a.transitions[s], b.transitions[t])):
+            if nxt not in words:
+                words[nxt] = words[pair] + letter
+                if nxt[0] in a.finals and nxt[1] not in b.finals:
+                    return words[nxt]
+                queue.append(nxt)
+    return None
 
 
 def dfa_subset(a: Dfa, b: Dfa) -> bool:
-    return dfa_empty(dfa_difference(a, b))
+    return difference_witness(a, b) is None
 
 
 def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
@@ -539,23 +582,25 @@ def _live_states(a: Dfa) -> set[int]:
 
 
 def dfa_is_finite(a: Dfa) -> bool:
-    """Finite iff no cycle passes through a live state."""
+    """Finite iff no cycle passes through a live state: peeling live
+    states with no live predecessor left (Kahn's order) must use them all."""
     live = _live_states(a)
-    color: dict[int, int] = {}
-
-    def dfs(s: int) -> bool:
-        color[s] = 1
+    indegree = dict.fromkeys(live, 0)
+    for s in live:
         for t in a.transitions[s]:
-            if t not in live:
-                continue
-            if color.get(t) == 1:
-                return False
-            if t not in color and not dfs(t):
-                return False
-        color[s] = 2
-        return True
-
-    return all(dfs(s) for s in sorted(live) if s not in color)
+            if t in live:
+                indegree[t] += 1
+    stack = [s for s, d in indegree.items() if d == 0]
+    peeled = 0
+    while stack:
+        s = stack.pop()
+        peeled += 1
+        for t in a.transitions[s]:
+            if t in live:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    stack.append(t)
+    return peeled == len(live)
 
 
 def pump_witness(a: Dfa) -> tuple[str, str, str] | None:
@@ -601,17 +646,6 @@ def pump_witness(a: Dfa) -> tuple[str, str, str] | None:
         if to_pivot is not None and from_pivot is not None:
             return to_pivot[0], best, from_pivot[0]
     return None
-
-
-def state_languages(a: Dfa, q: int) -> tuple[Dfa, Dfa]:
-    """(words leading from the start to ``q``, words leading from ``q`` to
-    acceptance)."""
-    if not 0 <= q < a.n_states:
-        raise ValueError(f"no state {q}")
-    delta = [list(r) for r in a.transitions]
-    left = _normalize(a.alphabet, delta, a.start, {q})
-    right = _normalize(a.alphabet, delta, q, set(a.finals))
-    return left, right
 
 
 def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
@@ -660,7 +694,10 @@ def conjugacy_closure(a: Dfa) -> Dfa:
 
 
 def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
-    """Accepted words of length <= max_len in length-lex order."""
+    """Accepted words of length <= max_len in length-lex order.
+
+    Grows the prefixes one letter at a time, in alphabet order, keeping
+    only those that can still reach acceptance within the bound."""
     dist: dict[int, int] = {f: 0 for f in a.finals}
     queue = deque(a.finals)
     rev: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
@@ -673,21 +710,23 @@ def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
             if p not in dist:
                 dist[p] = dist[s] + 1
                 queue.append(p)
+    # per state, the letters that lead on toward acceptance, with the
+    # length still needed after them
+    succ = [
+        [(letter, t, dist[t]) for letter, t in zip(a.alphabet, row) if t in dist]
+        for row in a.transitions
+    ]
     out: list[str] = []
-
-    def gen(state: int, prefix: str, remaining: int) -> None:
-        if remaining == 0:
-            if state in a.finals:
-                out.append(prefix)
-            return
-        for x, letter in enumerate(a.alphabet):
-            t = a.transitions[state][x]
-            if dist.get(t, max_len + 1) <= remaining - 1:
-                gen(t, prefix + letter, remaining - 1)
-
+    level = [("", a.start)] if dist.get(a.start, max_len + 1) <= max_len else []
     for length in range(max_len + 1):
-        if dist.get(a.start, max_len + 1) <= length:
-            gen(a.start, "", length)
+        out.extend(prefix for prefix, s in level if s in a.finals)
+        room = max_len - length - 1
+        level = [
+            (prefix + letter, t)
+            for prefix, s in level
+            for letter, t, need in succ[s]
+            if need <= room
+        ]
     return out
 
 

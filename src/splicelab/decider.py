@@ -9,9 +9,12 @@ inclusions: with P the words obtainable by splicing two K-words,
 
 (1)+(2) force the closure of I inside K; (3) lets every K-word be rebuilt
 inductively (splicing results are strictly longer than both operands, so
-a K-word outside P must be an axiom).  ``alphabetic_generability``
+a K-word outside P must be an axiom).  (1) does not need P, so P is built
+only after (1) passes.  Witnesses come from a walk over state pairs
+that stops at the first one.  ``alphabetic_generability``
 inverts the question: it looks for a finite alphabetic system generating
-K, using the maximal admissible rule set.
+K, using the maximal admissible rule set; a candidate rule is admissible
+when a walk of its image NFA against K finds no word outside K.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa,
+    Nfa,
     conjugacy_closure,
     dfa_concat,
     dfa_difference,
@@ -30,12 +34,11 @@ from .automata import (
     dfa_intersect,
     dfa_is_finite,
     dfa_none,
-    dfa_subset,
     dfa_union,
     difference_witness,
     enumerate_dfa,
     pattern_dfa,
-    state_languages,
+    _live_states,
 )
 from .core import (
     CIRCULAR,
@@ -67,42 +70,114 @@ class Verdict:
             raise ValueError("an equal verdict carries no witness")
 
 
-def _rule_image(K: Dfa, rule: SplicingRule) -> Dfa:
-    """Words obtainable by one application of ``rule`` to two K-words."""
-    A = K.alphabet
-    if rule.usage == CONCAT:
-        left = dfa_intersect(K, pattern_dfa(A, rule.alpha, rule.beta))
-        right = dfa_intersect(K, pattern_dfa(A, rule.gamma, rule.delta))
-        if dfa_empty(left) or dfa_empty(right):
-            return dfa_none(A)
-        return dfa_concat(left, right)
-    middle = dfa_intersect(K, pattern_dfa(A, rule.gamma, rule.delta))
-    if dfa_empty(middle):
-        return dfa_none(A)
-    total = dfa_none(A)
-    for q in range(K.n_states):
-        into_q, outof_q = state_languages(K, q)
-        left = dfa_intersect(into_q, pattern_dfa(A, "", rule.alpha))
-        if dfa_empty(left):
-            continue
-        right = dfa_intersect(outof_q, pattern_dfa(A, rule.beta, ""))
-        if dfa_empty(right):
-            continue
-        total = dfa_union(total, dfa_concat(dfa_concat(left, middle), right))
-    return total
+class _RuleImages:
+    """One-step rule images over one K.  The rules share K's live states
+    and each language K ∩ x A* y, which is built once per (x, y)."""
+
+    def __init__(self, K: Dfa):
+        self.K = K
+        self.live = _live_states(K)
+        self._fitting: dict[tuple[str, str], tuple[Dfa, set[int]]] = {}
+
+    def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, set[int]]:
+        """K ∩ prefix A* suffix and its live states."""
+        key = (prefix, suffix)
+        if key not in self._fitting:
+            d = dfa_intersect(self.K, pattern_dfa(self.K.alphabet, prefix, suffix))
+            self._fitting[key] = (d, _live_states(d))
+        return self._fitting[key]
+
+    def cuts(self, rule: SplicingRule) -> dict[int, list[int]]:
+        """The live K states p at which alpha·beta can be read, grouped by
+        the live state t that alpha·beta leads p to."""
+        groups: dict[int, list[int]] = {}
+        for p in sorted(self.live):
+            t = p
+            for ch in rule.alpha + rule.beta:
+                t = self.K.step(t, ch)
+            if t in self.live:
+                groups.setdefault(t, []).append(p)
+        return groups
+
+    def splice_nfa(self, rule: SplicingRule, cuts: dict[int, list[int]]) -> Nfa:
+        """An NFA for the words u·alpha·m·beta·v with m in K ∩ gamma A* delta
+        and u·alpha·beta·v in K cut at one of ``cuts``.
+
+        It runs K on u up to a cut state p, reads alpha, the middle word
+        and beta, then resumes K at t, where alpha·beta leads p.  Everything
+        after the K prefix depends only on t, so the cuts of one group
+        share those states."""
+        K, live = self.K, self.live
+        nfa = Nfa(K.alphabet)
+        middle, middle_live = self.fitting(rule.gamma, rule.delta)
+        if dfa_empty(middle):
+            return nfa
+        prefix = {s: nfa.new_state() for s in live}
+        resume = {s: nfa.new_state() for s in live}
+        nfa.add_edge(nfa.start, None, prefix[K.start])
+        for s in live:
+            for letter, t in zip(K.alphabet, K.transitions[s]):
+                if t in live:
+                    nfa.add_edge(prefix[s], letter, prefix[t])
+                    nfa.add_edge(resume[s], letter, resume[t])
+            if s in K.finals:
+                nfa.finals.add(resume[s])
+        for t, group in cuts.items():
+            insert = nfa.new_state()
+            for p in group:
+                nfa.add_edge(prefix[p], None, insert)
+            before_beta = nfa.new_state()
+            nfa.add_edge(nfa.add_word_path(before_beta, rule.beta), None, resume[t])
+            inside = {m: nfa.new_state() for m in middle_live}
+            nfa.add_edge(nfa.add_word_path(insert, rule.alpha), None, inside[middle.start])
+            for m in middle_live:
+                for letter, n in zip(K.alphabet, middle.transitions[m]):
+                    if n in middle_live:
+                        nfa.add_edge(inside[m], letter, inside[n])
+                if m in middle.finals:
+                    nfa.add_edge(inside[m], None, before_beta)
+        return nfa
+
+    def keeps_inside(self, rule: SplicingRule) -> bool:
+        """Whether a splice rule's image lies in K: one NFA over every cut,
+        walked against K without determinizing."""
+        return self.splice_nfa(rule, self.cuts(rule)).subset_of(self.K)
+
+    def image(self, rule: SplicingRule) -> Dfa:
+        """Words obtainable by one application of ``rule`` to two K-words.
+
+        A splice rule's image is the union over resume states t of one
+        determinized NFA each: a single NFA over all t would carry sets of
+        (middle state, t) pairs whose subsets grow with the product of the
+        per-t automata before minimization can merge them."""
+        total = dfa_none(self.K.alphabet)
+        if rule.usage == CONCAT:
+            left, _ = self.fitting(rule.alpha, rule.beta)
+            right, _ = self.fitting(rule.gamma, rule.delta)
+            if dfa_empty(left) or dfa_empty(right):
+                return total
+            return dfa_concat(left, right)
+        for t, group in sorted(self.cuts(rule).items()):
+            total = dfa_union(total, self.splice_nfa(rule, {t: group}).determinize())
+        return total
+
+    def union(self, rules, *, rotate: bool = False) -> Dfa:
+        """One ``dfa_union`` per rule image, closed under conjugacy first
+        with ``rotate``."""
+        total = dfa_none(self.K.alphabet)
+        for rule in sorted(rules):
+            image = self.image(rule)
+            if rotate:
+                image = conjugacy_closure(image)
+            total = dfa_union(total, image)
+        return total
 
 
 def splice_image(K: Dfa, rules, *, rotate: bool = False) -> Dfa:
     """The union P of the one-step splice images of all rules; with
     ``rotate`` each rule image is closed under conjugacy (circular
     splicing can paste at any arrangement)."""
-    total = dfa_none(K.alphabet)
-    for rule in sorted(rules):
-        image = _rule_image(K, rule)
-        if rotate:
-            image = conjugacy_closure(image)
-        total = dfa_union(total, image)
-    return total
+    return _RuleImages(K).union(rules, rotate=rotate)
 
 
 def _epsilon_dfa(alphabet) -> Dfa:
@@ -130,9 +205,6 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         closed = conjugacy_closure(K)
         if not dfa_equivalent(closed, K):
             return Verdict(False, "conjugacy", difference_witness(closed, K))
-        P = splice_image(K, system.splice_rules, rotate=True)
-    else:
-        P = splice_image(K, system.rules)
 
     # (1) every axiom lies in K
     if system.initial.kind == "finite":
@@ -149,6 +221,10 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
             return Verdict(False, 1, w)
 
     # (2) splicing K-words never leaves K
+    if system.mode == CIRCULAR:
+        P = splice_image(K, system.splice_rules, rotate=True)
+    else:
+        P = splice_image(K, system.rules)
     w = difference_witness(P, K)
     if w is not None:
         return Verdict(False, 2, w)
@@ -187,10 +263,9 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     alphabet = Alphabet(K.alphabet)
     eps = K.accepts("")
     core = dfa_difference(K, _epsilon_dfa(K.alphabet)) if eps else K
-    admissible = [
-        r for r in all_alphabetic_rules(alphabet) if dfa_subset(_rule_image(core, r), core)
-    ]
-    image = splice_image(core, admissible)
+    images = _RuleImages(core)
+    admissible = [r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)]
+    image = images.union(admissible)
     residue = dfa_difference(core, image)
     if not dfa_is_finite(residue):
         return None

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicelab.automata import (
+    Dfa,
+    Nfa,
     conjugacy_closure,
     dfa_all,
     dfa_complement,
@@ -30,7 +32,6 @@ from splicelab.automata import (
     regex_letters,
     regex_to_dfa,
     render_regex,
-    state_languages,
 )
 from splicelab.core import ParseError
 
@@ -172,6 +173,69 @@ class TestQueries:
         d = regex_to_dfa(parse_regex("a*b"), AB)
         assert enumerate_dfa(d, 3) == ["b", "ab", "aab"]
 
+    def test_long_word_automaton(self):
+        """A 1502-state automaton is walked without recursion."""
+        d = regex_to_dfa(parse_regex("a" * 1500), AB)
+        assert d.n_states == 1502
+        assert dfa_is_finite(d)
+        assert enumerate_dfa(d, 1500) == ["a" * 1500]
+        assert enumerate_dfa(d, 1499) == []
+        (final,) = d.finals
+        rows = list(d.transitions)
+        rows[final] = (rows[final][0], final)  # a b-loop on the last state
+        assert not dfa_is_finite(Dfa(AB, tuple(rows), d.start, d.finals))
+
+    def test_enumerate_matches_regex_oracle(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            text = random_regex(rng, "ab")
+            node = parse_regex(text)
+            want = [w for w in all_words(AB, 6) if regex_matches(node, w)]
+            assert enumerate_dfa(regex_to_dfa(node, AB), 6) == want, text
+
+    def test_difference_witness_matches_product(self):
+        rng = random.Random(31)
+        seen = {"none": 0, "empty": 0, "word": 0}
+        for i in range(300):
+            a = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
+            b = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
+            if i % 3 == 0:
+                b = dfa_union(a, b)
+            want = dfa_shortest(dfa_difference(a, b))
+            assert difference_witness(a, b) == want
+            assert dfa_subset(a, b) == (want is None)
+            seen["none" if want is None else "empty" if want == "" else "word"] += 1
+        assert min(seen.values()) >= 10, seen
+
+
+class TestNfa:
+    @staticmethod
+    def random_nfa(rng):
+        nfa = Nfa(AB)
+        for _ in range(rng.randint(1, 6)):
+            nfa.new_state()
+        n = len(nfa.edges)
+        for _ in range(rng.randint(0, 3 * n)):
+            symbol = rng.choice(["a", "b", None])
+            nfa.add_edge(rng.randrange(n), symbol, rng.randrange(n))
+        nfa.finals = {s for s in range(n) if rng.random() < 0.3}
+        return nfa
+
+    def test_subset_of_matches_determinized(self):
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(300):
+            nfa = self.random_nfa(rng)
+            b = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
+            want = dfa_subset(nfa.determinize(), b)
+            assert nfa.subset_of(b) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_subset_of_alphabet_mismatch(self):
+        with pytest.raises(ValueError):
+            Nfa(AB).subset_of(dfa_none(("a",)))
+
 
 class TestPatternDfa:
     def test_matches_formal_pattern(self):
@@ -195,17 +259,6 @@ class TestStructural:
     def test_concat_with_infinite_left(self):
         d = dfa_concat(regex_to_dfa(parse_regex("a*"), AB), dfa_from_words(AB, ["b"]))
         assert dfa_equivalent(d, regex_to_dfa(parse_regex("a*b"), AB))
-
-    def test_state_languages_decompose(self):
-        d = regex_to_dfa(parse_regex("ab*a"), AB)
-        full = set(enumerate_dfa(d, 5))
-        rebuilt = set()
-        for q in range(d.n_states):
-            into_q, out_q = state_languages(d, q)
-            for x in enumerate_dfa(into_q, 5):
-                for y in enumerate_dfa(out_q, 5 - len(x)):
-                    rebuilt.add(x + y)
-        assert rebuilt == full
 
     def test_conjugacy_closure(self):
         d = conjugacy_closure(dfa_from_words(AB, ["aab"]))

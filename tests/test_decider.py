@@ -6,8 +6,11 @@ import random
 import pytest
 
 from splicelab.automata import (
+    dfa_difference,
     dfa_from_words,
+    dfa_is_finite,
     dfa_shortest,
+    dfa_subset,
     enumerate_dfa,
     parse_regex,
     regex_to_dfa,
@@ -35,7 +38,13 @@ from splicelab.decider import (
 from splicelab.examples import anbn, anbn_circular, concat_chain
 from splicelab.grammar import finite_cfg
 
-from helpers import in_one_step_image, random_regex, random_system
+from helpers import (
+    in_one_step_image,
+    naive_apply,
+    random_regex,
+    random_rule,
+    random_system,
+)
 
 AB = ("a", "b")
 
@@ -133,6 +142,22 @@ class TestDecideEqual:
             decide_equal(system, dfa_from_words(AB, ["ab"]))
 
 
+class TestVerdictPrecedence:
+    """A target that breaks several inclusions is reported under the first
+    check in the documented order, whatever the later checks would say."""
+
+    def test_conjugacy_before_axioms(self):
+        target = regex_to_dfa(parse_regex("(ba)+"), AB)
+        assert anbn_circular().initial.contains("ab") and not target.accepts("ab")
+        assert decide_equal(anbn_circular(), target) == Verdict(False, "conjugacy", "ab")
+
+    def test_axioms_before_splice_image(self):
+        target = dfa_from_words(AB, ["aabb"])
+        image = splice_image(target, anbn().rules)
+        assert not dfa_subset(image, target)
+        assert decide_equal(anbn(), target) == Verdict(False, 1, "ab")
+
+
 class TestDecideEqualCircular:
     def test_target_must_be_rotation_closed(self):
         target = regex_to_dfa(parse_regex("(ab)+"), AB)
@@ -178,10 +203,53 @@ class TestSpliceImage:
             for u in words + [""] if K.accepts("") else words:
                 for v in words:
                     for rule in system.rules:
-                        from helpers import naive_apply
-
                         want |= naive_apply(rule, u, v)
             assert got == want
+
+    @staticmethod
+    def random_target_and_rules(rng):
+        letters = "abc"[: rng.randint(1, 3)]
+        K = regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+        rules = [
+            random_rule(rng, letters, rng.choice((SPLICE, CONCAT)), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2))
+        ]
+        bound = 6 if len(letters) < 3 else 5
+        return K, rules, bound
+
+    @staticmethod
+    def naive_image(K, rules, bound):
+        """One-step results of every ordered pair of K-words (the empty word
+        included when K has it) that fit under ``bound``."""
+        words = enumerate_dfa(K, bound)
+        out = set()
+        for u in words:
+            for v in words:
+                if len(u) + len(v) <= bound:
+                    for rule in rules:
+                        out |= naive_apply(rule, u, v)
+        return out
+
+    def test_infinite_target_flat(self):
+        rng = random.Random(63)
+        infinite = 0
+        for _ in range(60):
+            K, rules, bound = self.random_target_and_rules(rng)
+            infinite += not dfa_is_finite(K)
+            want = self.naive_image(K, rules, bound)
+            got = enumerate_dfa(splice_image(K, rules), bound)
+            assert got == sorted(want, key=lambda w: (len(w), w)), (K, rules)
+        assert infinite >= 20
+
+    def test_infinite_target_rotate(self):
+        rng = random.Random(64)
+        for _ in range(40):
+            K, rules, bound = self.random_target_and_rules(rng)
+            want = set()
+            for w in self.naive_image(K, rules, bound):
+                want |= conjugates(w)
+            got = set(enumerate_dfa(splice_image(K, rules, rotate=True), bound))
+            assert got == want, (K, rules)
 
     def test_rotate_closes_under_conjugacy(self):
         K = dfa_from_words(AB, ["ab"])
@@ -215,6 +283,26 @@ class TestGenerability:
     def test_a_star_b_has_no_system(self):
         target = regex_to_dfa(parse_regex("a*b"), AB)
         assert alphabetic_generability(target) is None
+
+    def test_admissible_rules_keep_image_inside(self):
+        """The admissibility walk agrees with the determinized image."""
+        rng = random.Random(65)
+        found = 0
+        for _ in range(30):
+            K = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
+            system = alphabetic_generability(K)
+            if system is None:
+                continue
+            found += 1
+            core = dfa_difference(K, dfa_from_words(AB, [""]))
+            want = {
+                r
+                for r in all_alphabetic_rules(Alphabet("ab"))
+                if dfa_subset(splice_image(core, [r]), core)
+            }
+            assert system.rules == want
+            assert decide_equal(system, K).equal
+        assert found >= 5
 
     def test_rule_census(self):
         assert len(all_alphabetic_rules(Alphabet("a"))) == 16
