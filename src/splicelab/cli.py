@@ -103,14 +103,16 @@ def _cmd_closure(args) -> int:
 def _cmd_member(args) -> int:
     system = _load_system(args.file)
     word = "" if args.word == EPSILON_TOKEN else args.word
-    ok = member(system, word, budget=args.budget)
-    if ok and args.trace:
-        seq = derivation(system, word, budget=args.budget) if word else None
-        if seq is None:
-            print("axiom " + EPSILON_TOKEN)
-        else:
+    if args.trace and word:
+        seq = derivation(system, word, budget=args.budget)
+        ok = seq is not None
+        if ok:
             for line in _trace_lines(seq):
                 print(line)
+    else:
+        ok = member(system, word, budget=args.budget)
+        if ok and args.trace:
+            print("axiom " + EPSILON_TOKEN)
     print("MEMBER" if ok else "NOT-MEMBER")
     return 0 if ok else 1
 

@@ -1,5 +1,5 @@
-"""Ground-truth semantics: bounded closure by saturation, membership by
-backtracking tape decomposition, and derivation witnesses.
+"""Ground-truth semantics: bounded closure by saturation, membership from
+a memo over words, and derivation witnesses.
 
 The bounded closure is exact, not an approximation: every production's
 result is as long as both operands together, so the words of the language
@@ -9,6 +9,10 @@ beside it under the bound.  Flat splice rules, whatever their handle
 lengths, go through one matcher that serves both forward saturation and
 backward search.
 
+Membership decides each word once.  A word is in the language iff it is an
+axiom or some undo move splits it into two parts that are both in it, so
+one memo over words serves the whole search.
+
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
 word, guaranteed to replay; which one is not fixed.
 """
@@ -16,7 +20,7 @@ word, guaranteed to replay; which one is not fixed.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     CIRCULAR,
@@ -162,6 +166,38 @@ def closure_bounded(system: SplicingSystem, max_len: int):
     return sorted(words, key=lambda w: (len(w), w))
 
 
+def _sequence(parents: dict, word) -> ProductionSequence:
+    """The production sequence that ``parents`` records for ``word``: None
+    marks an axiom, (rule, u, v, cut) the production that made a word.
+    Each step follows the steps of its left part and then of its right
+    part, and a word that occurs twice is built once."""
+    steps: list[Production] = []
+    refs: dict = {}
+    stack = [word]
+    while stack:
+        w = stack[-1]
+        if w in refs:
+            stack.pop()
+            continue
+        parent = parents[w]
+        if parent is None:
+            refs[w] = InitialRef(w)
+            stack.pop()
+            continue
+        rule, u, v, cut = parent
+        # u goes on top, so its steps come first
+        pending = [x for x in (v, u) if x not in refs]
+        if pending:
+            stack.extend(pending)
+            continue
+        steps.append(Production(rule, refs[u], refs[v], cut, w))
+        refs[w] = StepRef(len(steps) - 1)
+        stack.pop()
+    if not steps:
+        return ProductionSequence((), seed=word)
+    return ProductionSequence(tuple(steps))
+
+
 def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
     """A replayable production sequence for ``word``, reconstructed from
     the bounded closure's parent pointers.  Raises SpliceError when the
@@ -171,48 +207,16 @@ def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
     parents = _saturate(system, max_len)
     if word not in parents:
         raise SpliceError(f"{word} is not in the closure within length {max_len}")
-
-    steps: list[Production] = []
-    refs: dict = {}
-
-    def build(w):
-        if w in refs:
-            return refs[w]
-        parent = parents[w]
-        if parent is None:
-            ref = InitialRef(w)
-        else:
-            rule, u, v, cut = parent
-            left = build(u)
-            right = build(v)
-            steps.append(Production(rule, left, right, cut, w))
-            ref = StepRef(len(steps) - 1)
-        refs[w] = ref
-        return ref
-
-    top = build(word)
-    if isinstance(top, InitialRef):
-        return ProductionSequence((), seed=word)
-    return ProductionSequence(tuple(steps))
+    return _sequence(parents, word)
 
 
 # --------------------------------------------------------------------------
-# Membership by tape decomposition
+# Membership by a memo over words
 
 
-@dataclass
-class _Budget:
-    nodes: int
-
-    def spend(self) -> None:
-        self.nodes -= 1
-        if self.nodes < 0:
-            raise BudgetExceededError("membership search budget exceeded")
-
-
-def _flat_undos(system: SplicingSystem, produce: _FlatProducer, seg: str):
-    """Yield undo moves for the last tape segment: each forward production
-    that could have produced ``seg``, as (kind, rule, left, right, cut)."""
+def _flat_undos(produce: _FlatProducer, seg: str):
+    """Undo moves for a flat word: each forward production that could have
+    produced ``seg``, as (rule, u, v, cut)."""
     n = len(seg)
     for p in range(n):
         for q in range(p + 1, n + 1):
@@ -221,17 +225,17 @@ def _flat_undos(system: SplicingSystem, produce: _FlatProducer, seg: str):
             v = seg[p:q]
             rule = _rule_at(produce.contexts(v), seg, p, q)
             if rule is not None:
-                yield ("splice", rule, seg[:p] + seg[q:], v, p)
+                yield rule, seg[:p] + seg[q:], v, p
     for p in range(1, n):
         u, v = seg[:p], seg[p:]
-        for rule in system.concat_rules:
+        for rule in produce.concat:
             if apply_concat(rule, u, v) is not None:
-                yield ("concat", rule, u, v, p)
+                yield rule, u, v, p
                 break
 
 
-def _circular_undos(system: SplicingSystem, seg: CircularWord):
-    """Undo moves for a circular segment: pick a rotation, split it into a
+def _circular_undos(splice: list[SplicingRule], seg: CircularWord):
+    """Undo moves for a circular word: pick a rotation, split it into a
     left part matching beta..alpha and a right part matching gamma..delta."""
     rep = seg.representative
     n = len(rep)
@@ -240,7 +244,7 @@ def _circular_undos(system: SplicingSystem, seg: CircularWord):
         z = rep[rot:] + rep[:rot]
         for k in range(1, n):
             left, right = z[:k], z[k:]
-            for rule in system.splice_rules:
+            for rule in splice:
                 if not matches_pattern(left, rule.beta, rule.alpha):
                     continue
                 if not matches_pattern(right, rule.gamma, rule.delta):
@@ -252,7 +256,7 @@ def _circular_undos(system: SplicingSystem, seg: CircularWord):
                 if key in emitted:
                     continue
                 emitted.add(key)
-                yield ("splice", rule, cu, cv, (i, j))
+                yield rule, cu, cv, (i, j)
 
 
 def _rotation_offset(rep: str, arranged: str) -> int:
@@ -262,68 +266,53 @@ def _rotation_offset(rep: str, arranged: str) -> int:
     raise AssertionError("arranged word is not a rotation of its representative")
 
 
-def _search(
-    system: SplicingSystem,
-    produce: _FlatProducer | None,
-    tape: tuple,
-    failed: set,
-    budget: _Budget,
-    log: list,
-):
-    """Depth-first tape decomposition; True iff the tape can be cleared.
-    Successful moves are appended to ``log`` (failed branches are rolled
-    back), so on success the log read backwards is a forward derivation."""
-    if not tape:
-        return True
-    if tape in failed:
-        return False
-    budget.spend()
-    last = tape[-1]
-    if system.initial_contains(last):
-        log.append(("axiom", last))
-        if _search(system, produce, tape[:-1], failed, budget, log):
-            return True
-        log.pop()
+def _decide(system: SplicingSystem, word, budget: int) -> dict:
+    """What the search learnt deciding ``word``: None for an axiom, the
+    first undo move (rule, u, v, cut) whose parts are both in the
+    language, False for a word that is not in it.
+
+    Every undo move makes both parts strictly shorter than the word, so no
+    word depends on itself and each is decided once, on an explicit stack.
+    Each distinct word the search takes up spends one unit of ``budget``."""
     if system.mode == CIRCULAR:
-        moves = _circular_undos(system, last)
+        undos = partial(_circular_undos, system.splice_rules)
     else:
-        assert produce is not None
-        moves = _flat_undos(system, produce, last)
-    for move in moves:
-        kind, rule, left, right, cut = move
-        log.append((kind, rule, left, right, cut, last))
-        if _search(system, produce, tape[:-1] + (left, right), failed, budget, log):
-            return True
-        log.pop()
-    failed.add(tape)
-    return False
+        undos = partial(_flat_undos, _FlatProducer(system))
+    known: dict = {}
+    stack: list[list] = []  # [word, its undo moves, the move being tried]
 
+    def take_up(w) -> None:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise BudgetExceededError("membership search budget exceeded")
+        if system.initial_contains(w):
+            known[w] = None
+        else:
+            stack.append([w, undos(w), None])
 
-def _run_search(system: SplicingSystem, word, budget_nodes: int):
-    produce = None if system.mode == CIRCULAR else _FlatProducer(system)
-    tape = (word,)
-    log: list = []
-    ok = _search(system, produce, tape, set(), _Budget(budget_nodes), log)
-    return ok, log
-
-
-def _sequence_from_log(log: list) -> ProductionSequence:
-    steps: list[Production] = []
-    stack: list[tuple] = []  # (ref, word)
-    for entry in reversed(log):
-        if entry[0] == "axiom":
-            stack.append((InitialRef(entry[1]), entry[1]))
-            continue
-        kind, rule, left, right, cut, result = entry
-        ref_v, got_v = stack.pop()
-        ref_u, got_u = stack.pop()
-        assert got_u == left and got_v == right, "derivation log out of order"
-        steps.append(Production(rule, ref_u, ref_v, cut, result))
-        stack.append((StepRef(len(steps) - 1), result))
-    assert len(stack) == 1
-    if not steps:
-        return ProductionSequence((), seed=stack[0][1])
-    return ProductionSequence(tuple(steps))
+    take_up(word)
+    while stack:
+        frame = stack[-1]
+        move = frame[2]
+        if move is not None:
+            # the right part first: for an insertion it is the inserted
+            # word, often short
+            for part in (move[2], move[1]):
+                if known.get(part, False) is False:
+                    break
+            else:
+                known[frame[0]] = move
+                stack.pop()
+                continue
+            if part not in known:
+                take_up(part)
+                continue
+        frame[2] = next(frame[1], None)
+        if frame[2] is None:
+            known[frame[0]] = False
+            stack.pop()
+    return known
 
 
 def member(system: SplicingSystem, word, budget: int = DEFAULT_BUDGET) -> bool:
@@ -334,8 +323,7 @@ def member(system: SplicingSystem, word, budget: int = DEFAULT_BUDGET) -> bool:
         return system.initial.had_epsilon
     if system.mode == CIRCULAR and isinstance(word, str):
         word = CircularWord(word)
-    ok, _ = _run_search(system, word, budget)
-    return ok
+    return _decide(system, word, budget)[word] is not False
 
 
 def derivation(
@@ -347,7 +335,7 @@ def derivation(
         raise ValueError("the empty word has no derivation; it is axiom-level")
     if system.mode == CIRCULAR and isinstance(word, str):
         word = CircularWord(word)
-    ok, log = _run_search(system, word, budget)
-    if not ok:
+    known = _decide(system, word, budget)
+    if known[word] is False:
         return None
-    return _sequence_from_log(log)
+    return _sequence(known, word)

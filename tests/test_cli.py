@@ -30,6 +30,8 @@ EX_CONCAT = (
 
 EPS_SYSTEM = "alphabet a b\ninitial regex (ab)*\nsplice a#b$a#b\n"
 
+DYCK = "alphabet a b\ninitial finite ab\nsplice -#-$-#-\n"
+
 
 @pytest.fixture
 def spl(tmp_path):
@@ -104,6 +106,11 @@ class TestMember:
         code = run_command(["member", spl(SIR_EX), "aabb", "--budget", "0"])
         assert code == 3
         assert "budget" in capsys.readouterr().err
+
+    def test_long_word(self, spl, capsys):
+        code = run_command(["member", spl(DYCK), "ab" * 1500])
+        assert code == 0
+        assert capsys.readouterr().out == "MEMBER\n"
 
 
 class TestDecideEqual:

@@ -1,5 +1,6 @@
 """Bounded closures, membership search, and replayable derivations."""
 
+import itertools
 import random
 
 import pytest
@@ -158,6 +159,41 @@ class TestMembership:
 
     def test_alien_letters_never_members(self):
         assert not member(anbn(), "xy")
+
+    def test_long_word_within_recursion_limit(self):
+        system, word = dyck(), "ab" * 1500
+        assert member(system, word)
+        seq = derivation(system, word)
+        assert replay_sequence(system, seq) == word
+
+    def test_block_word_within_default_budget(self):
+        assert member(anbn(), "a" * 20 + "b" * 20)
+
+    def test_every_short_word_against_naive_closure(self):
+        # non-members included: every word over the alphabet up to length 6
+        rng = random.Random(61)
+        members = non_members = 0
+        for i in range(60):
+            if i % 3 == 2:
+                system = random_system(rng, max_initial=3, max_rules=3, mode=CIRCULAR)
+                want = naive_circular_closure(system, 6)
+            else:
+                system = random_system(
+                    rng,
+                    max_initial=3,
+                    max_rules=3,
+                    usages=(SPLICE, CONCAT),
+                    handle_len=1 + i % 3,  # 1 or 2
+                )
+                want = naive_flat_closure(system, 6)
+            letters = system.alphabet.letters
+            for n in range(1, 7):
+                for word in map("".join, itertools.product(letters, repeat=n)):
+                    got = member(system, word)
+                    assert got == (word in want), (system, word)
+                    members += got
+                    non_members += not got
+        assert members > 300 and non_members > 3000
 
 
 class TestDerivation:
