@@ -28,9 +28,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, letter: str) -> int:
-        return self.transitions[state][self.alphabet.index(letter)]
-
     def accepts(self, word: str) -> bool:
         index = {a: i for i, a in enumerate(self.alphabet)}
         state = self.start
@@ -48,7 +45,6 @@ def _normalize(
     finals: set[int],
 ) -> Dfa:
     """Trim, minimize (partition refinement), and renumber by BFS order."""
-    n = len(delta)
     k = len(alphabet)
     reachable = {start}
     queue = deque([start])
@@ -58,8 +54,6 @@ def _normalize(
             if t not in reachable:
                 reachable.add(t)
                 queue.append(t)
-    # Map unreachable states out of the picture by working on reachables
-    # plus one implicit dead sink that trimming may need.
     states = sorted(reachable)
     pos = {s: i for i, s in enumerate(states)}
     m = len(states)
@@ -208,12 +202,6 @@ def dfa_none(alphabet) -> Dfa:
     """The empty language."""
     letters = _letters(alphabet)
     return Dfa(letters, (tuple(0 for _ in letters),), 0, frozenset())
-
-
-def dfa_all(alphabet) -> Dfa:
-    """All words, including the empty one."""
-    letters = _letters(alphabet)
-    return Dfa(letters, (tuple(0 for _ in letters),), 0, frozenset([0]))
 
 
 def dfa_from_words(alphabet, words) -> Dfa:
@@ -503,11 +491,6 @@ def dfa_difference(a: Dfa, b: Dfa) -> Dfa:
     return dfa_boolean("difference", a, b)
 
 
-def dfa_complement(a: Dfa) -> Dfa:
-    finals = set(range(a.n_states)) - set(a.finals)
-    return _normalize(a.alphabet, [list(r) for r in a.transitions], a.start, finals)
-
-
 def dfa_empty(a: Dfa) -> bool:
     """Normalized DFAs are trimmed, so emptiness is the absence of finals."""
     return not a.finals
@@ -601,51 +584,6 @@ def dfa_is_finite(a: Dfa) -> bool:
                 if indegree[t] == 0:
                     stack.append(t)
     return peeled == len(live)
-
-
-def pump_witness(a: Dfa) -> tuple[str, str, str] | None:
-    """For an infinite language, a decomposition (x, y, z) with nonempty
-    ``y`` such that every ``x y^k z`` is accepted; None when finite."""
-    live = _live_states(a)
-    if a.start not in live:
-        return None
-
-    def shortest_path(src: int, targets: set[int], allowed: set[int]) -> tuple[str, int] | None:
-        if src in targets:
-            return "", src
-        words = {src: ""}
-        queue = deque([src])
-        while queue:
-            s = queue.popleft()
-            for x, letter in enumerate(a.alphabet):
-                t = a.transitions[s][x]
-                if t not in allowed or t in words:
-                    continue
-                words[t] = words[s] + letter
-                if t in targets:
-                    return words[t], t
-                queue.append(t)
-        return None
-
-    for pivot in sorted(live):
-        # A nonempty cycle from pivot back to pivot through live states.
-        best = None
-        for x, letter in enumerate(a.alphabet):
-            t = a.transitions[pivot][x]
-            if t not in live:
-                continue
-            hit = shortest_path(t, {pivot}, live)
-            if hit is not None:
-                cand = letter + hit[0]
-                if best is None or (len(cand), cand) < (len(best), best):
-                    best = cand
-        if best is None:
-            continue
-        to_pivot = shortest_path(a.start, {pivot}, live)
-        from_pivot = shortest_path(pivot, set(a.finals), live)
-        if to_pivot is not None and from_pivot is not None:
-            return to_pivot[0], best, from_pivot[0]
-    return None
 
 
 def dfa_concat(a: Dfa, b: Dfa) -> Dfa:

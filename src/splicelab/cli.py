@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .automata import parse_regex, regex_letters, regex_to_dfa
+from .automata import regex_to_dfa
 from .closure import DEFAULT_BUDGET, closure_bounded, derivation, member
 from .core import (
     CIRCULAR,
@@ -56,11 +56,7 @@ def _load_system(path: str) -> SplicingSystem:
 
 def _target_dfa(system: SplicingSystem, args):
     if args.regex is not None:
-        node = parse_regex(args.regex)
-        stray = regex_letters(node) - set(system.alphabet.letters)
-        if stray:
-            raise ParseError(f"regex uses letters outside the alphabet: {sorted(stray)}")
-        return regex_to_dfa(node, system.alphabet.letters)
+        return regex_to_dfa(args.regex, system.alphabet.letters)
     return parse_dfa(_read(args.dfa))
 
 
@@ -131,11 +127,7 @@ def _cmd_decide_equal(args) -> int:
 def _cmd_generable(args) -> int:
     letters = "".join(args.alphabet.split())
     alphabet = Alphabet(letters)
-    node = parse_regex(args.regex)
-    stray = regex_letters(node) - set(alphabet.letters)
-    if stray:
-        raise ParseError(f"regex uses letters outside the alphabet: {sorted(stray)}")
-    system = alphabetic_generability(regex_to_dfa(node, alphabet.letters))
+    system = alphabetic_generability(regex_to_dfa(args.regex, alphabet.letters))
     if system is None:
         print("NONE")
         return 1

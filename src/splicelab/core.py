@@ -134,7 +134,6 @@ class CircularWord:
         return (len(self.representative), self.representative)
 
 
-Word = str
 AnyWord = Union[str, CircularWord]
 
 SPLICE = "splice"

@@ -94,7 +94,7 @@ class _RuleImages:
         for p in sorted(self.live):
             t = p
             for ch in rule.alpha + rule.beta:
-                t = self.K.step(t, ch)
+                t = self.K.transitions[t][self.K.alphabet.index(ch)]
             if t in self.live:
                 groups.setdefault(t, []).append(p)
         return groups

@@ -1,29 +1,34 @@
 """Plain-text formats for splicing systems, grammars, and automata.
 
-System files are line-oriented::
+System files are line-oriented; a line that starts with '#' is a
+comment, and there are no trailing comments, since '#' is rule syntax.
+``mode`` is optional (default flat), ``initial`` is ``finite`` words or a
+``regex``, whitespace inside a rule is ignored and '-' stands for the
+empty handle::
 
-    # full-line comments start with '#'
+    # a comment
     alphabet a b c
-    mode flat               # or: circular (optional, default flat)
-    initial finite ab c     # or: initial regex c*ab|c
-    splice a#b$a#b          # whitespace inside a rule is ignored
-    concat - # c $ a # b    # '-' stands for the empty handle
+    mode flat
+    initial finite ab c
+    splice a#b$a#b
+    concat - # c $ a # b
 
-Grammar files::
+Grammar files: '_' is the empty body, uppercase-initial tokens are
+variables and other tokens are strings of one-letter terminals::
 
     start S
     terminals a b
-    S -> a S b | ab | _     # '_' is the empty body; uppercase-initial
-    ...                     # tokens are variables, other tokens are
-                            # strings of one-letter terminals
+    S -> a S b | ab | _
 
-Automaton files::
+Automaton files give one transition per line, as state letter state,
+for every state and letter::
 
     alphabet a b
     states 3
     start 0
     final 0 2
-    0 a 1                   # one transition per line: state letter state
+    0 a 1
+    ...
 
 Parsers raise ParseError with a line number; serializers produce text
 that parses back to an equal object (systems are normalized: sorted

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .automata import (
     Dfa,
@@ -30,9 +30,9 @@ _FRESH = itertools.count()
 
 
 def fresh_name(base: str, avoid: Iterable[str] = ()) -> str:
-    """A new variable name not present in ``avoid``.  The counter is global
-    so names minted by nested constructions never collide with each other."""
-    avoid = set(avoid)
+    """A new variable name not present in ``avoid``, which is tested as
+    given (pass a set when it is large).  The counter is global so names
+    minted by nested constructions never collide with each other."""
     while True:
         name = f"{base}{next(_FRESH)}"
         if name not in avoid:
@@ -86,11 +86,11 @@ class Cfg:
         return [b for h, b in self.productions if h == var]
 
 
-def finite_cfg(terminals, words: Iterable[str], start: str | None = None) -> Cfg:
+def finite_cfg(terminals, words: Iterable[str]) -> Cfg:
     """A grammar for a finite set of (nonempty or empty) words given as
     strings of single-character terminals."""
     terminals = tuple(terminals)
-    start = start or fresh_name("F", terminals)
+    start = fresh_name("F", terminals)
     prods = [(start, tuple(w)) for w in sorted(set(words), key=lambda w: (len(w), w))]
     return Cfg(terminals, (start,), prods, start)
 
@@ -109,12 +109,6 @@ def cfg_rename(g: Cfg, mapping: dict[str, str]) -> Cfg:
     )
 
 
-def cfg_with_terminals(g: Cfg, terminals: Iterable[str]) -> Cfg:
-    """The same grammar with an enlarged terminal alphabet."""
-    merged = tuple(dict.fromkeys(tuple(g.terminals) + tuple(terminals)))
-    return Cfg(merged, g.variables, g.productions, g.start)
-
-
 # --------------------------------------------------------------------------
 # Trimming, emptiness, light simplification
 
@@ -129,16 +123,16 @@ def cfg_trim(g: Cfg) -> Cfg:
     grammar with no productions."""
     gen = {v for v, n in _min_lengths(g).items() if n is not None}
     useful = [(h, b) for h, b in g.productions if h in gen and all(s not in g.varset or s in gen for s in b)]
+    below: dict[str, set[str]] = defaultdict(set)
+    for head, body in useful:
+        below[head].update(s for s in body if s in g.varset)
     reach = {g.start}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in useful:
-            if head in reach:
-                for s in body:
-                    if s in g.varset and s not in reach:
-                        reach.add(s)
-                        changed = True
+    stack = [g.start]
+    while stack:
+        for s in below[stack.pop()]:
+            if s not in reach:
+                reach.add(s)
+                stack.append(s)
     keep = [v for v in g.variables if v in reach and v in gen]
     if g.start not in keep:
         keep = [g.start] + keep
@@ -225,9 +219,9 @@ def cfg_canonical(g: Cfg) -> Cfg:
 # Regular embeddings and intersection
 
 
-def cfg_from_dfa(d: Dfa, prefix: str = "Q") -> Cfg:
+def cfg_from_dfa(d: Dfa) -> Cfg:
     """Right-linear grammar for the automaton's language."""
-    variables = [f"{prefix}{s}" for s in range(d.n_states)]
+    variables = [f"Q{s}" for s in range(d.n_states)]
     prods: list[tuple[str, Body]] = []
     for s in range(d.n_states):
         for x, letter in enumerate(d.alphabet):
@@ -308,60 +302,74 @@ def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
 # Bounded enumeration
 
 
+def _fixpoint(g: Cfg, update: Callable[[str, Body], bool]) -> None:
+    """Run ``update(head, body)`` once on every production, then again on
+    each production whose body holds a variable whose facts changed, until
+    nothing changes.  ``update`` returns whether it changed the facts of
+    ``head``; facts only ever improve, so the result is the least fixpoint
+    whatever order the productions are visited in."""
+    users: dict[str, list[int]] = defaultdict(list)
+    for i, (_, body) in enumerate(g.productions):
+        for s in dict.fromkeys(body):
+            if s in g.varset:
+                users[s].append(i)
+    queued = [True] * len(g.productions)
+    work = deque(range(len(g.productions)))
+    while work:
+        i = work.popleft()
+        queued[i] = False
+        head, body = g.productions[i]
+        if update(head, body):
+            for j in users[head]:
+                if not queued[j]:
+                    queued[j] = True
+                    work.append(j)
+
+
 def _min_lengths(g: Cfg) -> dict[str, int | None]:
     """Least derivable word length per variable (None = generates nothing).
-    The one fixpoint over productions: a variable is generating iff its
-    entry is not None, and nullable iff it is 0."""
+    The one least-length fixpoint: a variable is generating iff its entry
+    is not None, and nullable iff it is 0."""
     best: dict[str, int | None] = {v: None for v in g.variables}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            total = 0
-            for s in body:
-                part = 1 if s not in g.varset else best[s]
-                if part is None:
-                    total = None
-                    break
-                total += part
-            if total is not None and (best[head] is None or total < best[head]):
-                best[head] = total
-                changed = True
+
+    def update(head: str, body: Body) -> bool:
+        total = 0
+        for s in body:
+            part = 1 if s not in g.varset else best[s]
+            if part is None:
+                return False
+            total += part
+        if best[head] is None or total < best[head]:
+            best[head] = total
+            return True
+        return False
+
+    _fixpoint(g, update)
     return best
 
 
 def _compositions(body: Body, total: int, min_of) -> Iterable[tuple[int, ...]]:
+    """Every way to split ``total`` symbols over ``body``, each part at
+    least its symbol's least length, in lexicographic order: the slack
+    above the least lengths is cut at sorted points."""
     mins = [min_of(s) for s in body]
-    if any(m is None for m in mins):
+    if None in mins:
         return
-    suffix = [0] * (len(body) + 1)
-    for i in range(len(body) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mins[i]
-    acc: list[int] = []
-
-    def rec(i: int, remaining: int):
-        if i == len(body):
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        hi = remaining - suffix[i + 1]
-        for ln in range(mins[i], hi + 1):
-            acc.append(ln)
-            yield from rec(i + 1, remaining - ln)
-            acc.pop()
-
-    yield from rec(0, total)
+    slack = total - sum(mins)
+    if slack < 0 or (not body and slack):
+        return
+    for cuts in itertools.combinations_with_replacement(range(slack + 1), max(len(body) - 1, 0)):
+        bounds = (0, *cuts, slack)
+        yield tuple(m + hi - lo for m, lo, hi in zip(mins, bounds, bounds[1:]))
 
 
 def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
     """All derivable symbol tuples with at most ``max_len`` symbols, in
-    length-lex order.  Exact: a per-(variable, length) fixpoint."""
+    length-lex order.  Exact: a fixpoint per length over the tables of
+    the shorter lengths."""
     minlen = _min_lengths(g)
     if minlen[g.start] is None or max_len < 0:
         return []
-    bodies: dict[str, list[Body]] = defaultdict(list)
-    for h, b in g.productions:
-        bodies[h].append(b)
 
     def min_of(s: str) -> int | None:
         return minlen[s] if s in g.varset else 1
@@ -376,23 +384,21 @@ def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
     for ln in range(max_len + 1):
         for v in g.variables:
             table[(v, ln)] = set()
-        changed = True
-        while changed:
-            changed = False
-            for v in g.variables:
-                if minlen[v] is None or minlen[v] > ln:
+
+        def update(head: str, body: Body) -> bool:
+            if minlen[head] is None or minlen[head] > ln:
+                return False
+            out = table[(head, ln)]
+            before = len(out)
+            for comp in _compositions(body, ln, min_of):
+                parts = [words_of(s, c) for s, c in zip(body, comp)]
+                if any(not p for p in parts):
                     continue
-                out = table[(v, ln)]
-                before = len(out)
-                for body in bodies[v]:
-                    for comp in _compositions(body, ln, min_of):
-                        parts = [words_of(s, c) for s, c in zip(body, comp)]
-                        if any(not p for p in parts):
-                            continue
-                        for combo in itertools.product(*parts):
-                            out.add(tuple(itertools.chain.from_iterable(combo)))
-                if len(out) != before:
-                    changed = True
+                for combo in itertools.product(*parts):
+                    out.add(tuple(itertools.chain.from_iterable(combo)))
+            return len(out) != before
+
+        _fixpoint(g, update)
     result: list[Body] = []
     for ln in range(max_len + 1):
         result.extend(sorted(table[(g.start, ln)]))
@@ -476,12 +482,6 @@ class GeneralizedCfg:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "rhs_languages", rhs_languages)
 
-    def rhs(self, var: str) -> Cfg:
-        for v, cfg in self.rhs_languages:
-            if v == var:
-                return cfg
-        raise KeyError(var)
-
 
 def kral_single(g: GeneralizedCfg) -> Cfg:
     """Flatten a single-variable generalized grammar: take the grammar H of
@@ -491,7 +491,7 @@ def kral_single(g: GeneralizedCfg) -> Cfg:
     if len(g.variables) != 1:
         raise ValueError("kral_single requires exactly one variable")
     s = g.start
-    h = g.rhs(s)
+    [(_, h)] = g.rhs_languages
     forbidden = {s} | set(g.terminals)
     avoid = forbidden | set(h.variables)
     mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
@@ -539,10 +539,6 @@ def marker(a: str, b: str) -> str:
     return f"M_{a}_{b}"
 
 
-def is_marker(sym: str) -> bool:
-    return len(sym) == 5 and sym[0] == "M" and sym[1] == sym[3] == "_"
-
-
 def word_ins(w: str) -> Body:
     """Interleave seam markers between adjacent letters:
     ``abc`` → ``a M_a_b b M_b_c c``.  Single letters map to themselves."""
@@ -553,11 +549,6 @@ def word_ins(w: str) -> Body:
         out.append(marker(x, y))
         out.append(y)
     return tuple(out)
-
-
-def strip_markers(t: Body) -> str:
-    """Inverse of word_ins on its image."""
-    return "".join(s for s in t if not is_marker(s))
 
 
 def _remove_epsilon(g: Cfg) -> Cfg:
@@ -592,19 +583,17 @@ def ins_image(g: Cfg) -> Cfg:
     def sym_pairs(s: str) -> set[tuple[str, str]]:
         return pairs[s] if s in g.varset else {(s, s)}
 
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if len(body) == 1:
-                fresh = sym_pairs(body[0]) - pairs[head]
-            else:
-                firsts = {f for f, _ in sym_pairs(body[0])}
-                lasts = {l for _, l in sym_pairs(body[1])}
-                fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
-            if fresh:
-                pairs[head] |= fresh
-                changed = True
+    def update(head: str, body: Body) -> bool:
+        if len(body) == 1:
+            fresh = sym_pairs(body[0]) - pairs[head]
+        else:
+            firsts = {f for f, _ in sym_pairs(body[0])}
+            lasts = {l for _, l in sym_pairs(body[1])}
+            fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
+        pairs[head] |= fresh
+        return bool(fresh)
+
+    _fixpoint(g, update)
 
     avoid = set(g.variables) | set(g.terminals)
     names: dict[tuple[str, str, str], str] = {}
@@ -680,7 +669,8 @@ def split_first_last(
                     components[(a, b)] = cfg_from_dfa(part)
         return components, singletons
     assert initial.cfg is not None
-    base = cfg_with_terminals(initial.cfg, letters)
+    g = initial.cfg
+    base = Cfg(tuple(dict.fromkeys(g.terminals + letters)), g.variables, g.productions, g.start)
     if set(base.terminals) != set(letters):
         raise ValueError("initial grammar uses letters outside the alphabet")
     short = enumerate_cfg(base, 1)

@@ -10,8 +10,6 @@ from splicelab.automata import (
     Dfa,
     Nfa,
     conjugacy_closure,
-    dfa_all,
-    dfa_complement,
     dfa_concat,
     dfa_difference,
     dfa_empty,
@@ -28,7 +26,6 @@ from splicelab.automata import (
     enumerate_dfa,
     parse_regex,
     pattern_dfa,
-    pump_witness,
     regex_letters,
     regex_to_dfa,
     render_regex,
@@ -121,13 +118,9 @@ class TestBooleans:
             assert i.accepts(w) == (w in (sx & sy))
             assert d.accepts(w) == (w in (sx - sy))
 
-    def test_complement(self):
-        d = dfa_complement(dfa_none(AB))
-        assert dfa_equivalent(d, dfa_all(AB))
-
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(ValueError):
-            dfa_union(dfa_all(AB), dfa_all(("a", "c")))
+            dfa_union(dfa_none(AB), dfa_none(("a", "c")))
 
 
 class TestQueries:
@@ -159,15 +152,6 @@ class TestQueries:
         # unreachable loops do not count
         assert dfa_is_finite(dfa_intersect(regex_to_dfa(parse_regex("a*"), AB),
                                            dfa_from_words(AB, ["aa"])))
-
-    def test_pump_witness(self):
-        d = regex_to_dfa(parse_regex("ab+a"), AB)
-        got = pump_witness(d)
-        assert got is not None
-        x, y, z = got
-        assert y
-        for k in range(4):
-            assert d.accepts(x + y * k + z)
 
     def test_enumerate_dfa(self):
         d = regex_to_dfa(parse_regex("a*b"), AB)

@@ -153,7 +153,7 @@ class TestDecideEqual:
     def test_regex_outside_alphabet(self, spl, capsys):
         code = run_command(["decide-equal", spl(SIR_EX), "--regex", "c*"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: regex uses letters outside the alphabet: ['c']\n"
 
 
 class TestGenerable:
@@ -167,6 +167,11 @@ class TestGenerable:
         code = run_command(["generable", "--alphabet", "a b", "--regex", "a*b"])
         assert code == 1
         assert capsys.readouterr().out == "NONE\n"
+
+    def test_regex_outside_alphabet(self, capsys):
+        code = run_command(["generable", "--alphabet", "a b", "--regex", "c*"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: regex uses letters outside the alphabet: ['c']\n"
 
 
 class TestRewriteCommands:
@@ -239,6 +244,13 @@ class TestEnumerate:
         code = run_command(["enumerate", str(path), "--max-len", "1"])
         assert code == 0
         assert capsys.readouterr().out == "_\na\n"
+
+    def test_long_body(self, tmp_path, capsys):
+        path = tmp_path / "grammar.cfg"
+        path.write_text("start S\nS -> " + "a" * 1500 + "\n", encoding="utf-8")
+        code = run_command(["enumerate", str(path), "--max-len", "1500"])
+        assert code == 0
+        assert capsys.readouterr().out == "a" * 1500 + "\n"
 
 
 class TestCheck:

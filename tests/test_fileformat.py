@@ -1,11 +1,15 @@
 """Text formats: systems, grammars, automata."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from splicelab.automata import dfa_equivalent, parse_regex, regex_to_dfa
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
+    SPLICE,
     ParseError,
     SplicingRule,
     UnsupportedError,
@@ -172,3 +176,26 @@ class TestDfaFormat:
         text = "alphabet a\nstates 1\nstart 0\nfinal 0\n0 b 0\n"
         with pytest.raises(ParseError):
             parse_dfa(text)
+
+
+def readme_block(heading: str) -> str:
+    """The first ```text block after the bold ``heading`` in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(rf"\*\*{heading}\*\*.*?```text\n(.*?)```", readme, re.DOTALL)
+    assert match, heading
+    return match.group(1)
+
+
+class TestReadmeExamples:
+    def test_system(self):
+        system = parse_system(readme_block("System"))
+        assert system.alphabet.letters == ("a", "b", "c")
+        assert sorted(r.usage for r in system.rules) == [CONCAT, SPLICE]
+
+    def test_grammar(self):
+        g = parse_grammar(readme_block("Grammar"))
+        assert enumerate_cfg(g, 6) == ["ab", "aabb", "aaabbb"]
+
+    def test_dfa(self):
+        d = parse_dfa(readme_block("DFA"))
+        assert dfa_equivalent(d, regex_to_dfa(parse_regex("(a|b)*a"), ("a", "b")))

@@ -1,6 +1,7 @@
 """Context-free grammars: enumeration, products, substitution, seam markers,
 and flattening of generalized grammars."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from splicelab.core import Alphabet, InitialSet
 from splicelab.grammar import (
     Cfg,
     GeneralizedCfg,
+    _compositions,
     bar_hillel,
     cfg_canonical,
     cfg_empty,
@@ -21,12 +23,10 @@ from splicelab.grammar import (
     finite_cfg,
     fresh_name,
     ins_image,
-    is_marker,
     kral_eliminate,
     kral_single,
     marker,
     split_first_last,
-    strip_markers,
     substitute,
     word_ins,
 )
@@ -87,6 +87,18 @@ class TestEnumeration:
     def test_tuples_expose_symbols(self):
         g = Cfg(AB, ("S",), [("S", ("a", "b"))], "S")
         assert enumerate_cfg_tuples(g, 2) == [("a", "b")]
+
+    def test_compositions_against_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            mins = {s: rng.choice([None, 0, 0, 1, 2]) for s in "XYZ"}
+            body = tuple(rng.choice("XYZ") for _ in range(rng.randint(0, 4)))
+            total = rng.randint(0, 7)
+            expected = []
+            if all(mins[s] is not None for s in body):
+                ranges = [range(mins[s], total + 1) for s in body]
+                expected = [c for c in itertools.product(*ranges) if sum(c) == total]
+            assert list(_compositions(body, total, mins.get)) == expected, (body, total, mins)
 
 
 class TestRewrites:
@@ -173,15 +185,6 @@ class TestSeamMarkers:
         assert word_ins("abc") == ("a", marker("a", "b"), "b", marker("b", "c"), "c")
         with pytest.raises(ValueError):
             word_ins("")
-
-    def test_strip_markers_inverse(self):
-        for w in ["a", "ab", "aba", "abba"]:
-            assert strip_markers(word_ins(w)) == w
-
-    def test_is_marker(self):
-        assert is_marker(marker("a", "b"))
-        assert not is_marker("a")
-        assert not is_marker("W_a_b")
 
     def test_ins_image_finite(self):
         g = finite_cfg(AB, ["ab", "aab"])

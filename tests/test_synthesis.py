@@ -27,7 +27,7 @@ from splicelab.examples import (
     paired_concat,
 )
 from splicelab.fileformat import serialize_grammar
-from splicelab.grammar import enumerate_cfg
+from splicelab.grammar import _min_lengths, enumerate_cfg
 from splicelab.synthesis import concat_grammar, pure_grammar, synthesize
 from splicelab.transform import complete_system, to_heterogeneous
 
@@ -180,6 +180,19 @@ class TestSynthesize:
             for w in closure_bounded(system, 6):
                 flat |= set(w.linearize())
             assert grammar_words(g, 6) == flat, system
+
+    @pytest.mark.parametrize("method", ["graft", "kral"])
+    def test_long_axiom(self, method):
+        # a 1500-letter axiom binarizes to a chain of about 1500 variables,
+        # which every fixpoint over the grammar has to walk
+        system = SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.finite(["ab" * 750]),
+            rules=frozenset([SplicingRule("a", "b", "a", "b")]),
+            mode=FLAT,
+        )
+        g = synthesize(system, method=method)
+        assert _min_lengths(g)[g.start] == 1500
 
 
 # sha256 of serialize_grammar output per (construction, fixture, method,
