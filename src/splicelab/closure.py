@@ -9,6 +9,13 @@ beside it under the bound.  Flat splice rules, whatever their handle
 lengths, go through one matcher that serves both forward saturation and
 backward search.
 
+Saturation does per-word work once, not once per pair.  Flat words are
+grouped by the context table of the splice rules they can be inserted by,
+and each host gets one cut list per table it meets, so a pair costs only
+its hits; concat rules are two bit masks per word.  Each circular word
+gets one rotation list per rule pattern, and a result is tested against
+the set of every rotation found so far before it is canonicalized.
+
 Membership decides each word once.  A word is in the language iff it is an
 axiom or some undo move splits it into two parts that are both in it, so
 one memo over words serves the whole search.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import partial
+from itertools import chain
 
 from .core import (
     CIRCULAR,
@@ -35,37 +43,57 @@ from .core import (
     StepRef,
     UnsupportedError,
     apply_concat,
-    iter_circular_splices,
     matches_pattern,
 )
 
 DEFAULT_BUDGET = 10**6
 
-# (alpha, beta) -> rule for the rules an inserted word matches, and the
-# distinct (len alpha, len beta) shapes among those keys
-_Contexts = tuple[dict[tuple[str, str], SplicingRule], list[tuple[int, int]]]
 
+class _Contexts:
+    """The merged cut contexts of the splice rules an inserted word
+    matches: (alpha, beta) -> rule, and the distinct (len alpha, len beta)
+    shapes among those keys.  Words that match the same rules share one
+    table, which hashes by identity."""
 
-def _rule_at(contexts: _Contexts, s: str, p: int, q: int) -> SplicingRule | None:
-    """A rule whose alpha ends ``s[:p]`` and whose beta starts ``s[q:]``,
-    or None: the cut context of an insertion at ``p`` (forward, ``q == p``)
-    or of the span ``s[p:q]`` (backward)."""
-    ctx, shapes = contexts
-    for la, lb in shapes:
-        # near an end of s a slice comes out short, but it is still a suffix
-        # of s[:p] or a prefix of s[q:], so any key it equals fits here too
-        rule = ctx.get((s[p - la : p], s[q : q + lb]))
-        if rule is not None:
-            return rule
-    return None
+    __slots__ = ("ctx", "shapes")
+
+    def __init__(self, ctx: dict[tuple[str, str], SplicingRule]):
+        self.ctx = ctx
+        self.shapes = sorted({(len(a), len(b)) for a, b in ctx})
+
+    def rule_at(self, s: str, p: int, q: int) -> SplicingRule | None:
+        """A rule whose alpha ends ``s[:p]`` and whose beta starts
+        ``s[q:]``, or None: the cut context of an insertion at ``p``
+        (forward, ``q == p``) or of the span ``s[p:q]`` (backward)."""
+        ctx = self.ctx
+        for la, lb in self.shapes:
+            # near an end of s a slice comes out short, but it is still a
+            # suffix of s[:p] or a prefix of s[q:], so any key it equals
+            # fits here too
+            rule = ctx.get((s[p - la : p], s[q : q + lb]))
+            if rule is not None:
+                return rule
+        return None
+
+    def cuts(self, host: str) -> list[tuple[int, SplicingRule]]:
+        """(cut, rule) for every insertion point of ``host`` at which a
+        word of this table may go in, cuts ascending."""
+        if not self.ctx:
+            return []
+        if self.shapes[0] == (0, 0):
+            # ("", "") is a key, and it fits at every cut
+            rule = self.ctx[("", "")]
+            return [(i, rule) for i in range(len(host) + 1)]
+        hits = ((i, self.rule_at(host, i, i)) for i in range(len(host) + 1))
+        return [hit for hit in hits if hit[1] is not None]
 
 
 class _FlatProducer:
-    """Enumerates productions between two flat words for a fixed system.
+    """The splice rules of a flat system indexed by (gamma, delta).
 
-    Splice rules are indexed by (gamma, delta); each inserted word gets, once,
-    the merged cut contexts of the rules it matches, so a cut costs one dict
-    lookup per context shape whatever the handle lengths."""
+    Each inserted word gets, once, the merged cut contexts of the rules it
+    matches, so a cut costs one dict lookup per context shape whatever the
+    handle lengths."""
 
     def __init__(self, system: SplicingSystem):
         self.concat = system.concat_rules
@@ -88,68 +116,161 @@ class _FlatProducer:
                 for gd in gds:
                     for rule in self.by_gd[gd]:
                         ctx.setdefault((rule.alpha, rule.beta), rule)
-                got = (ctx, sorted({(len(a), len(b)) for a, b in ctx}))
-                self._by_gds[gds] = got
+                got = self._by_gds[gds] = _Contexts(ctx)
             self._by_word[v] = got
         return got
 
-    def splice_results(self, u: str, v: str):
-        """Yield (result, rule, cut) for every insertion of v into u."""
-        contexts = self.contexts(v)
-        if not contexts[0]:
-            return
-        for i in range(len(u) + 1):
-            rule = _rule_at(contexts, u, i, i)
-            if rule is not None:
-                yield u[:i] + v + u[i:], rule, i
 
-    def concat_results(self, u: str, v: str):
-        """Yield at most one (result, rule, cut) for the concatenation uv."""
-        for rule in self.concat:
-            if apply_concat(rule, u, v) is not None:
-                yield u + v, rule, len(u)
-                return
+# Saturation pairs each word z taken off the agenda with groups of words
+# taken off before it.  A mode's pairing has three parts: ``admit`` turns
+# a result into a word, ``entry`` gives a word's group and what the
+# pairing keeps of it, and ``results`` yields (result, parent) for z
+# against one group, both ways round.
+
+
+class _FlatPairs(_FlatProducer):
+    """Flat productions, with per-word work done once.
+
+    A group holds the words that share one context table, so a host's cut
+    list for that table is built once, the first time the host meets the
+    group, and serves every word in it: a pair then costs only its hits.
+    Each word also carries two bit masks of the concat rules it may be the
+    left or the right operand of; the lowest common bit is the first rule
+    in rule order."""
+
+    def __init__(self, system: SplicingSystem, seen: dict):
+        super().__init__(system)
+        self.seen = seen
+        # table -> host -> the host's cut list for the words of that table
+        self.cut_lists: dict[_Contexts, dict[str, list]] = defaultdict(dict)
+
+    @staticmethod
+    def admit(s: str) -> str:
+        return s
+
+    def entry(self, w: str):
+        table = self.contexts(w)
+        lmask = rmask = 0
+        for k, rule in enumerate(self.concat):
+            if matches_pattern(w, rule.alpha, rule.beta):
+                lmask |= 1 << k
+            if matches_pattern(w, rule.gamma, rule.delta):
+                rmask |= 1 << k
+        return table, (w, table, lmask, rmask)
+
+    def results(self, ze, table: _Contexts, ys):
+        z, z_table, zl, zr = ze
+        cuts = self.cut_lists[table]
+        z_cuts = cuts.get(z)
+        if z_cuts is None:
+            z_cuts = cuts[z] = table.cuts(z)
+        y_cuts = self.cut_lists[z_table] if z_table.ctx else None
+        if not (z_cuts or y_cuts is not None or zl or zr):
+            return
+        z_splits = [(z[:i], z[i:], i, rule) for i, rule in z_cuts]
+        seen, concat = self.seen, self.concat
+        for y, _, yl, yr in ys:
+            for head, tail, i, rule in z_splits:
+                s = head + y + tail
+                if s not in seen:
+                    yield s, (rule, z, y, i)
+            m = zl & yr
+            if m and z + y not in seen:
+                yield z + y, (concat[(m & -m).bit_length() - 1], z, y, len(z))
+            if y_cuts is not None:
+                hits = y_cuts.get(y)
+                if hits is None:
+                    hits = y_cuts[y] = z_table.cuts(y)
+                for i, rule in hits:
+                    s = y[:i] + z + y[i:]
+                    if s not in seen:
+                        yield s, (rule, y, z, i)
+            m = yl & zr
+            if m and y + z not in seen:
+                yield y + z, (concat[(m & -m).bit_length() - 1], y, z, len(y))
+
+
+class _CircularPairs:
+    """Circular productions, with per-word work done once.
+
+    Each word gets, once, for every distinct (prefix, suffix) pattern of
+    the rules, the offsets of its rotations in that pattern.  A result
+    ``left + right`` is tested against the set of every rotation of every
+    word found so far, so only a new word pays for its canonical
+    rotation."""
+
+    def __init__(self, system: SplicingSystem):
+        if system.concat_rules:
+            raise UnsupportedError("circular systems take splice rules only")
+        rules = system.splice_rules
+        ends = [((r.beta, r.alpha), (r.gamma, r.delta)) for r in rules]
+        self.patterns = list(dict.fromkeys(p for pair in ends for p in pair))
+        index = self.patterns.index
+        self.rules = [(r, index(lp), index(rp)) for r, (lp, rp) in zip(rules, ends)]
+        self.seen: set[str] = set()
+        # the rotations of each word admitted and not yet given an entry
+        self.rotations: dict[CircularWord, list[str]] = {}
+
+    def admit(self, s: str) -> CircularWord:
+        w = CircularWord(s)
+        rep = w.representative
+        rots = [rep[i:] + rep[:i] for i in range(len(rep))]
+        self.seen.update(rots)
+        self.rotations[w] = rots
+        return w
+
+    def entry(self, w: CircularWord):
+        rots = self.rotations.pop(w)
+        offsets = [
+            [i for i, r in enumerate(rots) if matches_pattern(r, *p)] for p in self.patterns
+        ]
+        return None, (w, rots, offsets)
+
+    def results(self, ze, _, ys):
+        seen = self.seen
+        for ye in ys:
+            for (u, u_rots, u_offsets), (v, v_rots, v_offsets) in ((ze, ye), (ye, ze)):
+                for rule, lp, rp in self.rules:
+                    rights = v_offsets[rp]
+                    for i in u_offsets[lp]:
+                        left = u_rots[i]
+                        for j in rights:
+                            s = left + v_rots[j]
+                            if s not in seen:
+                                yield s, (rule, u, v, (i, j))
 
 
 def _saturate(system: SplicingSystem, max_len: int) -> dict:
     """Parent pointers of every word up to ``max_len``: None for an axiom,
     else (rule, u, v, cut) of the production that first reached it."""
+    parents: dict = {}
     if system.mode == CIRCULAR:
-        if system.concat_rules:
-            raise UnsupportedError("circular systems take splice rules only")
-        splice = system.splice_rules
-        starts = map(CircularWord, system.initial.enumerate(max_len))
-
-        def results(u, v):
-            for rule in splice:
-                for i, j, w in iter_circular_splices(rule, u, v):
-                    yield w, (rule, u, v, (i, j))
-
+        pairs = _CircularPairs(system)
     else:
-        produce = _FlatProducer(system)
-        starts = system.initial.enumerate(max_len)
-
-        def results(u, v):
-            for w, rule, cut in produce.splice_results(u, v):
-                yield w, (rule, u, v, cut)
-            for w, rule, cut in produce.concat_results(u, v):
-                yield w, (rule, u, v, cut)
-
-    parents: dict = dict.fromkeys(starts)
+        pairs = _FlatPairs(system, parents)
+    admit = pairs.admit
+    parents.update(dict.fromkeys(map(admit, system.initial.enumerate(max_len))))
     agenda = deque(parents)
-    # words off the agenda by length; z pairs with each of them (itself
-    # included) that fits beside it under the bound, so every result does
-    done: list[list] = [[] for _ in range(max_len + 1)]
+    # a word pairs only with words that fit beside it under the bound, so
+    # one longer than max_len minus the shortest axiom pairs with none
+    room = max_len - min(map(len, parents), default=0)
+    # the words off the agenda by group, then by length; z pairs with each
+    # of them (itself included) that fits beside it, so every result does.
+    # A result comes out only while it is new.
+    done: dict = {}
     while agenda:
         z = agenda.popleft()
-        done[len(z)].append(z)
-        for n in range(1, max_len - len(z) + 1):
-            for y in done[n]:
-                for u, v in ((z, y), (y, z)):
-                    for w, parent in results(u, v):
-                        if w not in parents:
-                            parents[w] = parent
-                            agenda.append(w)
+        if len(z) > room:
+            continue
+        key, ze = pairs.entry(z)
+        done.setdefault(key, [[] for _ in range(max_len + 1)])[len(z)].append(ze)
+        fits = slice(1, max_len - len(z) + 1)
+        for key, by_len in done.items():
+            if any(by_len[fits]):
+                for s, parent in pairs.results(ze, key, chain.from_iterable(by_len[fits])):
+                    w = admit(s)
+                    parents[w] = parent
+                    agenda.append(w)
     return parents
 
 
@@ -223,7 +344,7 @@ def _flat_undos(produce: _FlatProducer, seg: str):
             if p == 0 and q == n:
                 continue
             v = seg[p:q]
-            rule = _rule_at(produce.contexts(v), seg, p, q)
+            rule = produce.contexts(v).rule_at(seg, p, q)
             if rule is not None:
                 yield rule, seg[:p] + seg[q:], v, p
     for p in range(1, n):

@@ -103,8 +103,13 @@ def conjugates(word: str) -> set[str]:
 
 
 def canonical_rotation(word: str) -> str:
-    """The lexicographically least rotation of ``word``."""
-    return min(conjugates(word))
+    """The lexicographically least rotation of ``word``: the least
+    ``len(word)``-letter window of ``word + word``."""
+    if not word:
+        return word
+    n = len(word)
+    ww = word + word
+    return min([ww[i : i + n] for i in range(n)])
 
 
 @dataclass(frozen=True)

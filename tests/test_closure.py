@@ -1,7 +1,9 @@
 """Bounded closures, membership search, and replayable derivations."""
 
+import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +11,7 @@ from splicelab.closure import closure_bounded, derivation, member, witness
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
+    FLAT,
     SPLICE,
     Alphabet,
     BudgetExceededError,
@@ -18,9 +21,11 @@ from splicelab.core import (
     SplicingRule,
     SplicingSystem,
     canonical_rotation,
+    conjugates,
     replay_sequence,
 )
 from splicelab.examples import (
+    ALL_EXAMPLES,
     anbn,
     anbn_circular,
     concat_chain,
@@ -97,6 +102,11 @@ class TestCircularClosure:
             flat |= set(w.linearize())
         assert flat == {"ab", "ba", "aabb", "abba", "bbaa", "baab"}
 
+    def test_canonical_rotation_is_least_conjugate(self):
+        for n in range(9):
+            for word in map("".join, itertools.product("ab", repeat=n)):
+                assert canonical_rotation(word) == min(conjugates(word)), word
+
 
 class TestDifferential:
     def test_flat_splice_systems(self):
@@ -136,6 +146,14 @@ class TestDifferential:
             got = {w.representative for w in closure_bounded(system, 5)}
             want = {canonical_rotation(w) for w in naive_circular_closure(system, 5)}
             assert got == want
+
+    def test_circular_two_letter_handles(self):
+        rng = random.Random(98)
+        for _ in range(60):
+            system = random_system(rng, max_initial=3, max_rules=3, mode=CIRCULAR, handle_len=2)
+            got = {w.representative for w in closure_bounded(system, 6)}
+            want = {canonical_rotation(w) for w in naive_circular_closure(system, 6)}
+            assert got == want, system
 
 
 class TestMembership:
@@ -277,3 +295,105 @@ class TestWitness:
         system = anbn_circular()
         seq = witness(system, "baab", 6)
         assert replay_sequence(system, seq) == CircularWord("aabb")
+
+    def test_every_closure_word_replays(self):
+        # circular systems exercise the rotation lists, mixed-usage flat
+        # systems the host cut lists and the concat masks
+        rng = random.Random(99)
+        checked = 0
+        for i in range(60):
+            handle_len = 1 + i % 4 // 2  # 1 or 2
+            if i % 2:
+                system = random_system(
+                    rng, max_initial=3, max_rules=3, mode=CIRCULAR, handle_len=handle_len
+                )
+            else:
+                system = random_system(
+                    rng,
+                    max_initial=3,
+                    max_rules=3,
+                    usages=(SPLICE, CONCAT),
+                    handle_len=handle_len,
+                )
+            for word in closure_bounded(system, 6):
+                assert replay_sequence(system, witness(system, word, 6)) == word, system
+                checked += 1
+        assert checked > 300
+
+
+# sha256 of each fixture's closure up to CLOSURE_BOUND, one word a line: the
+# fixture as given, its completion, and its circular twin.  A change to
+# saturation that keeps the differentials green but moves a single word of
+# a closure list fails here.
+CLOSURE_BOUND = 12
+CLOSURE_DIGESTS = [
+    ("anbn", "given",
+     "1823ab152cb8baf2e67ed7ccf8341fa35bb330b63e0df603662eed57d1150950"),
+    ("anbn", "complete",
+     "1823ab152cb8baf2e67ed7ccf8341fa35bb330b63e0df603662eed57d1150950"),
+    ("anbn", "circular",
+     "1bea7cc157d3e7e4d650b24f819d107014a7b6fed5b46a5b3c3cc88a51ba9553"),
+    ("anbn_circular", "given",
+     "1bea7cc157d3e7e4d650b24f819d107014a7b6fed5b46a5b3c3cc88a51ba9553"),
+    ("dyck", "given",
+     "4e3c8b5eff6e1ba3ad0e80b606182bfb9cccc561545f82344d6a61476f1a8566"),
+    ("dyck", "complete",
+     "4e3c8b5eff6e1ba3ad0e80b606182bfb9cccc561545f82344d6a61476f1a8566"),
+    ("dyck", "circular",
+     "644f30569739b6f88439a56e30033a044644970b5df1bdee54588cd9d7ab5c41"),
+    ("nested_insertions", "given",
+     "ba6cdf81fdf46ced8eaa8c02d6a30948c6bde482d35b0bb7ffb7561b84085166"),
+    ("nested_insertions", "complete",
+     "ba6cdf81fdf46ced8eaa8c02d6a30948c6bde482d35b0bb7ffb7561b84085166"),
+    ("nested_insertions", "circular",
+     "849edf3aa3bcacb48b6fa6effa4bbc10c1af8ad0e5012992de3a52c7e1ed4be6"),
+    ("concat_chain", "given",
+     "5fc5f21149745d9fb5213c2c498b79392c3aa0303aab3fc01130274ba47dc94e"),
+    ("concat_chain", "complete",
+     "5fc5f21149745d9fb5213c2c498b79392c3aa0303aab3fc01130274ba47dc94e"),
+    ("mixed_system", "given",
+     "d6f0b612cc786aea6a4c32c3e0060a8c4cf55dc1e3b193d3a9984fad1ec08ed6"),
+    ("mixed_system", "complete",
+     "d6f0b612cc786aea6a4c32c3e0060a8c4cf55dc1e3b193d3a9984fad1ec08ed6"),
+    ("mixed_system", "circular",
+     "1f27a036bd0106c0e1ad44d73bd65991bcc26fc45890006d35415138abb30213"),
+    ("paired_concat", "given",
+     "de63668639e1de55547c9e074c0835b2a31b3a52a7015e39d22601c8fdaed13f"),
+    ("paired_concat", "complete",
+     "de63668639e1de55547c9e074c0835b2a31b3a52a7015e39d22601c8fdaed13f"),
+    ("doubling", "given",
+     "cd02893785236da4c2723446a0b6ecf22636d3721c4557d55a05333a21badf34"),
+    ("doubling", "circular",
+     "9039bd441c28622c74fc362423f7d83ea693ecdd29a06b6cb9c6bfb9dfcb6bda"),
+]
+
+
+def fixture_form(fixture: str, form: str):
+    system = ALL_EXAMPLES[fixture]()
+    if form == "complete":
+        return complete_system(system)
+    if form == "circular":
+        return replace(system, mode=CIRCULAR)
+    return system
+
+
+class TestClosureBytes:
+    def test_every_fixture_is_pinned(self):
+        pinned = {(fixture, form) for fixture, form, _ in CLOSURE_DIGESTS}
+        for fixture, build in ALL_EXAMPLES.items():
+            system = build()
+            assert (fixture, "given") in pinned
+            if system.mode == FLAT and system.is_alphabetic:
+                assert (fixture, "complete") in pinned
+            if system.mode == FLAT and not system.concat_rules:
+                assert (fixture, "circular") in pinned
+
+    @pytest.mark.parametrize(
+        "fixture,form,digest",
+        CLOSURE_DIGESTS,
+        ids=[f"{fixture}-{form}" for fixture, form, _ in CLOSURE_DIGESTS],
+    )
+    def test_closure_digest(self, fixture, form, digest):
+        words = closure_bounded(fixture_form(fixture, form), CLOSURE_BOUND)
+        text = "".join(f"{w}\n" for w in words)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
