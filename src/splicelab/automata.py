@@ -44,63 +44,38 @@ def _normalize(
     start: int,
     finals: set[int],
 ) -> Dfa:
-    """Trim, minimize (partition refinement), and renumber by BFS order."""
-    k = len(alphabet)
-    reachable = {start}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for t in delta[s]:
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
-    states = sorted(reachable)
-    pos = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    dd = [[pos[delta[s][a]] for a in range(k)] for s in states]
-    ff = {pos[s] for s in states if s in finals}
-    st = pos[start]
-
-    part = [1 if s in ff else 0 for s in range(m)]
+    """Minimize (partition refinement) and renumber by BFS order from the
+    start, which drops every unreachable state."""
+    part = [1 if s in finals else 0 for s in range(len(delta))]
     classes = len(set(part))
     while True:
         # refining only splits classes, so an unchanged count means stable
         sigs: dict[tuple, int] = {}
         part = [
             sigs.setdefault((c, *map(part.__getitem__, row)), len(sigs))
-            for c, row in zip(part, dd)
+            for c, row in zip(part, delta)
         ]
         if len(sigs) == classes:
             break
         classes = len(sigs)
-    cdelta = [[0] * k for _ in range(classes)]
-    cfinals: set[int] = set()
-    for s in range(m):
-        c = part[s]
-        for a in range(k):
-            cdelta[c][a] = part[dd[s][a]]
-        if s in ff:
-            cfinals.add(c)
-    cstart = part[st]
+    cdelta: list = [None] * classes
+    for c, row in zip(part, delta):
+        cdelta[c] = [part[t] for t in row]
 
+    cstart = part[start]
     order: dict[int, int] = {cstart: 0}
     queue = deque([cstart])
     while queue:
-        s = queue.popleft()
-        for a in range(k):
-            t = cdelta[s][a]
+        for t in cdelta[queue.popleft()]:
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    final_delta = [[0] * k for _ in range(len(order))]
-    for s, i in order.items():
-        for a in range(k):
-            final_delta[i][a] = order[cdelta[s][a]]
+    # ``order`` lists the reachable classes in BFS order
     return Dfa(
         alphabet=alphabet,
-        transitions=tuple(tuple(row) for row in final_delta),
+        transitions=tuple(tuple(order[t] for t in cdelta[c]) for c in order),
         start=0,
-        finals=frozenset(order[s] for s in cfinals),
+        finals=frozenset(order[part[s]] for s in finals if part[s] in order),
     )
 
 

@@ -5,9 +5,9 @@ The bounded closure is exact, not an approximation: every production's
 result is as long as both operands together, so the words of the language
 up to length n can only ever be built from other words up to length n.
 Saturation therefore pairs each word only with the earlier words that fit
-beside it under the bound.  Flat splice rules, whatever their handle
-lengths, go through one matcher that serves both forward saturation and
-backward search.
+beside it under the bound.  Splice rules, whatever their handle lengths,
+go through one matcher that serves forward saturation and the backward
+search of flat and circular words alike.
 
 Saturation does per-word work once, not once per pair.  Flat words are
 grouped by the context table of the splice rules they can be inserted by,
@@ -18,7 +18,10 @@ the set of every rotation found so far before it is canonicalized.
 
 Membership decides each word once.  A word is in the language iff it is an
 axiom or some undo move splits it into two parts that are both in it, so
-one memo over words serves the whole search.
+one memo over words serves the whole search.  A flat undo move takes out
+a span with alpha before it and beta after it; a circular one takes out
+an arc of the circle with alpha before it and beta after it, both inside
+the rest.
 
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
 word, guaranteed to replay; which one is not fixed.
@@ -41,7 +44,6 @@ from .core import (
     SplicingRule,
     SplicingSystem,
     StepRef,
-    UnsupportedError,
     apply_concat,
     matches_pattern,
 )
@@ -61,12 +63,17 @@ class _Contexts:
         self.ctx = ctx
         self.shapes = sorted({(len(a), len(b)) for a, b in ctx})
 
-    def rule_at(self, s: str, p: int, q: int) -> SplicingRule | None:
+    def rule_at(
+        self, s: str, p: int, q: int, room: int | None = None
+    ) -> SplicingRule | None:
         """A rule whose alpha ends ``s[:p]`` and whose beta starts
         ``s[q:]``, or None: the cut context of an insertion at ``p``
-        (forward, ``q == p``) or of the span ``s[p:q]`` (backward)."""
+        (forward, ``q == p``) or of the span ``s[p:q]`` (backward).  With
+        ``room``, alpha and beta together take at most ``room`` letters."""
         ctx = self.ctx
         for la, lb in self.shapes:
+            if room is not None and la + lb > room:
+                continue
             # near an end of s a slice comes out short, but it is still a
             # suffix of s[:p] or a prefix of s[q:], so any key it equals
             # fits here too
@@ -89,7 +96,8 @@ class _Contexts:
 
 
 class _FlatProducer:
-    """The splice rules of a flat system indexed by (gamma, delta).
+    """The splice rules of a system indexed by (gamma, delta), for flat
+    and circular words alike.
 
     Each inserted word gets, once, the merged cut contexts of the rules it
     matches, so a cut costs one dict lookup per context shape whatever the
@@ -200,8 +208,6 @@ class _CircularPairs:
     rotation."""
 
     def __init__(self, system: SplicingSystem):
-        if system.concat_rules:
-            raise UnsupportedError("circular systems take splice rules only")
         rules = system.splice_rules
         ends = [((r.beta, r.alpha), (r.gamma, r.delta)) for r in rules]
         self.patterns = list(dict.fromkeys(p for pair in ends for p in pair))
@@ -355,36 +361,24 @@ def _flat_undos(produce: _FlatProducer, seg: str):
                 break
 
 
-def _circular_undos(splice: list[SplicingRule], seg: CircularWord):
-    """Undo moves for a circular word: pick a rotation, split it into a
-    left part matching beta..alpha and a right part matching gamma..delta."""
+def _circular_undos(produce: _FlatProducer, seg: CircularWord):
+    """Undo moves for a circular word: each split of the circle into an arc
+    u, which starts with beta and ends with alpha, and the arc v after it,
+    which matches gamma..delta."""
     rep = seg.representative
     n = len(rep)
-    emitted = set()
-    for rot in range(n):
-        z = rep[rot:] + rep[:rot]
+    # every arc of the circle, and the letters on both sides of it, is a
+    # slice of the ring
+    ring = rep * 3
+    for start in range(n):
         for k in range(1, n):
-            left, right = z[:k], z[k:]
-            for rule in splice:
-                if not matches_pattern(left, rule.beta, rule.alpha):
-                    continue
-                if not matches_pattern(right, rule.gamma, rule.delta):
-                    continue
-                cu, cv = CircularWord(left), CircularWord(right)
-                i = _rotation_offset(cu.representative, left)
-                j = _rotation_offset(cv.representative, right)
-                key = (rule, cu, cv, i, j)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                yield rule, cu, cv, (i, j)
-
-
-def _rotation_offset(rep: str, arranged: str) -> int:
-    for i in range(len(rep)):
-        if rep[i:] + rep[:i] == arranged:
-            return i
-    raise AssertionError("arranged word is not a rotation of its representative")
+            v = ring[start + k : start + n]
+            rule = produce.contexts(v).rule_at(ring, start + k, start + n, k)
+            if rule is not None:
+                u = ring[start : start + k]
+                cu, cv = CircularWord(u), CircularWord(v)
+                cut = (cu.representative * 2).index(u), (cv.representative * 2).index(v)
+                yield rule, cu, cv, cut
 
 
 def _decide(system: SplicingSystem, word, budget: int) -> dict:
@@ -395,10 +389,9 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
     Every undo move makes both parts strictly shorter than the word, so no
     word depends on itself and each is decided once, on an explicit stack.
     Each distinct word the search takes up spends one unit of ``budget``."""
-    if system.mode == CIRCULAR:
-        undos = partial(_circular_undos, system.splice_rules)
-    else:
-        undos = partial(_flat_undos, _FlatProducer(system))
+    undos = partial(
+        _circular_undos if system.mode == CIRCULAR else _flat_undos, _FlatProducer(system)
+    )
     known: dict = {}
     stack: list[list] = []  # [word, its undo moves, the move being tried]
 

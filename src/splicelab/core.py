@@ -341,7 +341,8 @@ CIRCULAR = "circular"
 
 @dataclass(frozen=True)
 class SplicingSystem:
-    """An alphabet, an initial set of axioms, and a finite set of rules."""
+    """An alphabet, an initial set of axioms, and a finite set of rules.
+    A circular system takes splice rules only."""
 
     alphabet: Alphabet
     initial: InitialSet
@@ -351,6 +352,8 @@ class SplicingSystem:
     def __post_init__(self):
         if self.mode not in (FLAT, CIRCULAR):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == CIRCULAR and any(r.usage == CONCAT for r in self.rules):
+            raise UnsupportedError("circular systems take splice rules only")
         for rule in self.rules:
             for h in rule.handles:
                 self.alphabet.check_word(h)
@@ -470,8 +473,6 @@ def _replay_flat(rule: SplicingRule, u: str, v: str, cut, step_no: int) -> str:
 def _replay_circular(
     rule: SplicingRule, cu: CircularWord, cv: CircularWord, cut, step_no: int
 ) -> CircularWord:
-    if rule.usage != SPLICE:
-        raise ReplayError("circular sequences use splice rules only", step_no)
     if not (isinstance(cut, tuple) and len(cut) == 2):
         raise ReplayError("circular cut is a rotation pair", step_no)
     i, j = cut

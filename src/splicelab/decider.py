@@ -200,8 +200,6 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     if eps_in_K and not system.initial.had_epsilon:
         return Verdict(False, 3, "")
     if system.mode == CIRCULAR:
-        if system.concat_rules:
-            raise UnsupportedError("circular systems use splice rules only")
         closed = conjugacy_closure(K)
         if not dfa_equivalent(closed, K):
             return Verdict(False, "conjugacy", difference_witness(closed, K))

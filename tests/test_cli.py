@@ -305,3 +305,12 @@ class TestErrorHandling:
     def test_missing_required_flag(self, spl, capsys):
         code = run_command(["closure", spl(SIR_EX)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["member", "{}", "ab"], ["to-flat", "{}"]], ids=["member", "to-flat"]
+    )
+    def test_circular_concat_rule(self, spl, args, capsys):
+        path = spl("alphabet a b\nmode circular\ninitial finite ab\nconcat a#-$-#b\n")
+        code = run_command([arg.format(path) for arg in args])
+        assert code == 2
+        assert capsys.readouterr().err == "error: circular systems take splice rules only\n"

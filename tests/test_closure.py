@@ -34,6 +34,7 @@ from splicelab.examples import (
     mixed_system,
     nested_insertions,
 )
+from splicelab.fileformat import parse_system
 from splicelab.transform import complete_system
 
 from helpers import (
@@ -187,12 +188,28 @@ class TestMembership:
     def test_block_word_within_default_budget(self):
         assert member(anbn(), "a" * 20 + "b" * 20)
 
+    def test_circular_handles_fit_inside_the_rest(self):
+        # splitting (abb) into u = b and v = ab would need alpha = ab and
+        # beta = ab both inside the one letter of u
+        system = parse_system(
+            "alphabet a b\nmode circular\ninitial finite ab b\nsplice ab#ab$-#-\n"
+        )
+        assert not member(system, "abb")
+        assert derivation(system, "abb") is None
+
     def test_every_short_word_against_naive_closure(self):
         # non-members included: every word over the alphabet up to length 6
         rng = random.Random(61)
-        members = non_members = 0
-        for i in range(60):
-            if i % 3 == 2:
+        members = non_members = circular_members = 0
+        for i in range(90):
+            if i >= 60:
+                # circular systems with 2- and 3-letter handles, drawn after
+                # the first 60 systems so that their draws stay as they were
+                system = random_system(
+                    rng, max_initial=3, max_rules=3, mode=CIRCULAR, handle_len=2 + i % 2
+                )
+                want = naive_circular_closure(system, 6)
+            elif i % 3 == 2:
                 system = random_system(rng, max_initial=3, max_rules=3, mode=CIRCULAR)
                 want = naive_circular_closure(system, 6)
             else:
@@ -211,7 +228,11 @@ class TestMembership:
                     assert got == (word in want), (system, word)
                     members += got
                     non_members += not got
-        assert members > 300 and non_members > 3000
+                    if got and system.mode == CIRCULAR:
+                        seq = derivation(system, word)
+                        assert replay_sequence(system, seq) == CircularWord(word), system
+                        circular_members += 1
+        assert members > 300 and non_members > 3000 and circular_members > 300
 
 
 class TestDerivation:

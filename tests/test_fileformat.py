@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from splicelab.automata import dfa_equivalent, parse_regex, regex_to_dfa
+from splicelab.automata import dfa_equivalent, dfa_none, parse_regex, regex_to_dfa
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -176,6 +176,14 @@ class TestDfaFormat:
         text = "alphabet a\nstates 1\nstart 0\nfinal 0\n0 b 0\n"
         with pytest.raises(ParseError):
             parse_dfa(text)
+
+    def test_unreachable_final_state(self):
+        # state 2 is final but no path from the start reaches it
+        text = (
+            "alphabet a b\nstates 3\nstart 0\nfinal 2\n"
+            "0 a 0\n0 b 0\n1 a 2\n1 b 2\n2 a 2\n2 b 2\n"
+        )
+        assert parse_dfa(text) == dfa_none(("a", "b"))
 
 
 def readme_block(heading: str) -> str:
