@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .automata import (
     Dfa,
@@ -143,35 +144,64 @@ def cfg_trim(g: Cfg) -> Cfg:
 def cfg_simplify(g: Cfg) -> Cfg:
     """Inline non-start variables that have a single production whose body
     is empty or one symbol, and drop self-loop productions.  Language is
-    preserved; shapes get close to hand-written grammars."""
-    prods = [(h, b) for h, b in g.productions if b != (h,)]
-    variables = list(g.variables)
-    while True:
-        by_head: dict[str, list[Body]] = defaultdict(list)
-        for h, b in prods:
-            by_head[h].append(b)
-        target = None
-        for v in variables:
-            if v == g.start:
+    preserved; shapes get close to hand-written grammars.
+
+    Each round inlines the first such variable in ``variables`` order,
+    taken from a queue sorted by position, and rewrites only the
+    productions that hold it.  A rewrite that duplicates a production
+    keeps the earlier of the two, so the productions keep their order."""
+    slots: list[tuple[str, Body] | None] = [(h, b) for h, b in g.productions if b != (h,)]
+    bodies: dict[str, dict[Body, int]] = {v: {} for v in g.variables}
+    holders: dict[str, set[int]] = {v: set() for v in g.variables}
+    for i, (head, body) in enumerate(slots):
+        bodies[head][body] = i
+        for s in body:
+            if s in g.varset:
+                holders[s].add(i)
+
+    def single(v: str) -> Body | None:
+        """The body to inline for ``v``, or None when ``v`` is not inlinable."""
+        if v != g.start and len(bodies[v]) == 1:
+            [body] = bodies[v]
+            if len(body) <= 1 and body != (v,):
+                return body
+        return None
+
+    position = {v: -i for i, v in enumerate(g.variables)}  # negated: the first pops first
+    queue = sorted((position[v], v) for v in g.variables if single(v) is not None)
+    inlined: set[str] = set()
+    while queue:
+        _, v = queue.pop()
+        replacement = single(v)
+        if replacement is None:
+            continue
+        [own] = bodies[v].values()
+        slots[own] = None
+        bodies[v] = {}
+        inlined.add(v)
+        touched = set()
+        for i in holders.pop(v):
+            if slots[i] is None:
                 continue
-            bs = by_head.get(v, [])
-            if len(bs) == 1 and len(bs[0]) <= 1 and bs[0] != (v,):
-                target = (v, bs[0])
-                break
-        if target is None:
-            break
-        v, replacement = target
-        new_prods = []
-        for h, b in prods:
-            if h == v:
+            head, body = slots[i]
+            del bodies[head][body]
+            touched.add(head)
+            new = tuple(r for s in body for r in (replacement if s == v else (s,)))
+            earlier = bodies[head].get(new)
+            if earlier is not None and earlier < i:
+                slots[i] = None
                 continue
-            out: list[str] = []
-            for s in b:
-                out.extend(replacement if s == v else (s,))
-            new_prods.append((h, tuple(out)))
-        prods = list(dict.fromkeys(new_prods))
-        variables.remove(v)
-    return cfg_trim(Cfg(g.terminals, variables, prods, g.start))
+            if earlier is not None:
+                slots[earlier] = None
+            slots[i] = (head, new)
+            bodies[head][new] = i
+            if replacement and replacement[0] in g.varset:
+                holders[replacement[0]].add(i)
+        for head in touched:
+            if single(head) is not None:
+                insort(queue, (position[head], head))
+    variables = [v for v in g.variables if v not in inlined]
+    return cfg_trim(Cfg(g.terminals, variables, [p for p in slots if p is not None], g.start))
 
 
 _MINTED = re.compile(r"^([A-Z])[0-9]+$")
@@ -348,61 +378,78 @@ def _min_lengths(g: Cfg) -> dict[str, int | None]:
     return best
 
 
-def _compositions(body: Body, total: int, min_of) -> Iterable[tuple[int, ...]]:
-    """Every way to split ``total`` symbols over ``body``, each part at
-    least its symbol's least length, in lexicographic order: the slack
-    above the least lengths is cut at sorted points."""
-    mins = [min_of(s) for s in body]
-    if None in mins:
-        return
-    slack = total - sum(mins)
-    if slack < 0 or (not body and slack):
-        return
-    for cuts in itertools.combinations_with_replacement(range(slack + 1), max(len(body) - 1, 0)):
-        bounds = (0, *cuts, slack)
-        yield tuple(m + hi - lo for m, lo, hi in zip(mins, bounds, bounds[1:]))
+def _length_splits(options: list[list[int]], total: int) -> Iterator[tuple[int, ...]]:
+    """Every choice of one length per part, each from that part's ascending
+    ``options``, that sums to ``total``.  A stack, not a recursion: a part
+    is offered only the lengths that leave a remainder between the least
+    and the greatest sums of the later parts."""
+    lo, hi = [0], [0]
+    for opts in reversed(options):
+        lo.append(lo[-1] + opts[0])
+        hi.append(hi[-1] + opts[-1])
+    lo.reverse()
+    hi.reverse()
+    stack = [(0, total, ())] if lo[0] <= total <= hi[0] else []
+    while stack:
+        i, rest, chosen = stack.pop()
+        if i == len(options):
+            yield chosen
+            continue
+        opts = options[i]
+        for n in opts[bisect_left(opts, rest - hi[i + 1]) : bisect_right(opts, rest - lo[i + 1])]:
+            stack.append((i + 1, rest - n, chosen + (n,)))
 
 
 def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
     """All derivable symbol tuples with at most ``max_len`` symbols, in
-    length-lex order.  Exact: a fixpoint per length over the tables of
-    the shorter lengths."""
+    length-lex order.
+
+    One length at a time, each production visited once per length.  A body
+    builds its words of the new length from the finished tables of shorter
+    lengths: a terminal part is 1 long, and a variable offers only the
+    lengths at which it has words.  A part can reach the new length itself
+    only when every other symbol of its body derives ε, so a worklist then
+    carries the new words along those productions."""
     minlen = _min_lengths(g)
     if minlen[g.start] is None or max_len < 0:
         return []
-
-    def min_of(s: str) -> int | None:
-        return minlen[s] if s in g.varset else 1
-
-    table: dict[tuple[str, int], set[Body]] = {}
-
-    def words_of(s: str, ln: int) -> set[Body]:
-        if s in g.varset:
-            return table.get((s, ln), set())
-        return {(s,)} if ln == 1 else set()
-
-    for ln in range(max_len + 1):
-        for v in g.variables:
-            table[(v, ln)] = set()
-
-        def update(head: str, body: Body) -> bool:
-            if minlen[head] is None or minlen[head] > ln:
-                return False
-            out = table[(head, ln)]
-            before = len(out)
-            for comp in _compositions(body, ln, min_of):
-                parts = [words_of(s, c) for s, c in zip(body, comp)]
-                if any(not p for p in parts):
-                    continue
-                for combo in itertools.product(*parts):
-                    out.add(tuple(itertools.chain.from_iterable(combo)))
-            return len(out) != before
-
-        _fixpoint(g, update)
-    result: list[Body] = []
-    for ln in range(max_len + 1):
-        result.extend(sorted(table[(g.start, ln)]))
-    return result
+    nullable = {v for v, n in minlen.items() if n == 0}
+    carriers: dict[str, set[str]] = defaultdict(set)
+    for head, body in g.productions:
+        heavy = [s for s in body if s not in nullable]
+        if not heavy:
+            for s in body:
+                carriers[s].add(head)
+        elif len(heavy) == 1 and heavy[0] in g.varset:
+            carriers[heavy[0]].add(head)
+    words: dict[str, dict[int, set[Body]]] = {v: {} for v in g.variables}
+    lengths: dict[str, list[int]] = {v: [] for v in g.variables}
+    for v in nullable:
+        words[v][0] = {()}
+        lengths[v].append(0)
+    for ln in range(1, max_len + 1):
+        level: dict[str, set[Body]] = defaultdict(set)
+        for head, body in g.productions:
+            options = [lengths[s] if s in g.varset else [1] for s in body]
+            if not all(options):
+                continue
+            for split in _length_splits(options, ln):
+                parts = [words[s][n] if s in g.varset else {(s,)} for s, n in zip(body, split)]
+                level[head].update(
+                    tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*parts))
+        work = list(level.items())
+        while work:
+            v, new = work.pop()
+            for head in carriers[v]:
+                fresh = new - level[head]
+                if fresh:
+                    level[head] |= fresh
+                    work.append((head, fresh))
+        for v, found in level.items():
+            if found:
+                words[v][ln] = found
+                lengths[v].append(ln)
+    return [t for ln in range(max_len + 1) for t in sorted(words[g.start].get(ln, ()))]
 
 
 def enumerate_cfg(g: Cfg, max_len: int) -> list[str]:
@@ -567,6 +614,39 @@ def _remove_epsilon(g: Cfg) -> Cfg:
     return Cfg(g.terminals, g.variables, prods, g.start)
 
 
+def _first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:
+    """The (first, last) symbol pairs of each variable's non-empty words.
+    The first symbol of a body's word can come from any body symbol up to
+    the first one that is not nullable, and the last from any symbol from
+    the last one that is not nullable on."""
+    minlen = _min_lengths(g)
+    pairs: dict[str, set[tuple[str, str]]] = {v: set() for v in g.variables}
+
+    def update(head: str, body: Body) -> bool:
+        if any(s in g.varset and minlen[s] is None for s in body):
+            return False
+        lead = next((i for i, s in enumerate(body) if minlen.get(s, 1) != 0), len(body))
+        fresh: set[tuple[str, str]] = set()
+        lasts: set[str] = set()  # of the later symbols that may end the word
+        tail = True  # every later symbol is nullable
+        for i in range(len(body) - 1, -1, -1):
+            s = body[i]
+            own = pairs[s] if s in g.varset else {(s, s)}
+            if i <= lead:
+                if tail:
+                    fresh |= own
+                fresh.update((f, l) for f in {f for f, _ in own} for l in lasts)
+            if tail:
+                lasts.update(l for _, l in own)
+                tail = minlen.get(s, 1) == 0
+        fresh -= pairs[head]
+        pairs[head] |= fresh
+        return bool(fresh)
+
+    _fixpoint(g, update)
+    return pairs
+
+
 def ins_image(g: Cfg) -> Cfg:
     """Grammar for { word_ins(w) : w ∈ L(g) } over the alphabet extended
     with seam markers.  Each variable is annotated with the (first, last)
@@ -578,22 +658,10 @@ def ins_image(g: Cfg) -> Cfg:
     g = _remove_epsilon(_binarize(g))
     g = cfg_trim(g)
 
-    pairs: dict[str, set[tuple[str, str]]] = {v: set() for v in g.variables}
+    pairs = _first_last(g)
 
     def sym_pairs(s: str) -> set[tuple[str, str]]:
         return pairs[s] if s in g.varset else {(s, s)}
-
-    def update(head: str, body: Body) -> bool:
-        if len(body) == 1:
-            fresh = sym_pairs(body[0]) - pairs[head]
-        else:
-            firsts = {f for f, _ in sym_pairs(body[0])}
-            lasts = {l for _, l in sym_pairs(body[1])}
-            fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
-        pairs[head] |= fresh
-        return bool(fresh)
-
-    _fixpoint(g, update)
 
     avoid = set(g.variables) | set(g.terminals)
     names: dict[tuple[str, str, str], str] = {}
@@ -638,7 +706,8 @@ def split_first_last(
     """Partition an ε-free initial set by first and last letters: a grammar
     per (a, b) for the words of length ≥ 2 starting with a and ending with
     b, plus the set of single letters present.  Empty components are
-    omitted."""
+    omitted.  A context-free set runs ``bar_hillel`` only for the (first,
+    last) pairs its non-empty words have."""
     letters = alphabet.letters
     components: dict[tuple[str, str], Cfg] = {}
     singletons: set[str] = set()
@@ -677,8 +746,11 @@ def split_first_last(
     for a in letters:
         if a in short:
             singletons.add(a)
+    occurring = _first_last(base)[base.start]
     for a in letters:
         for b in letters:
+            if (a, b) not in occurring:
+                continue
             part = bar_hillel(base, pattern_dfa(letters, a, b))
             if not cfg_empty(part):
                 components[(a, b)] = part

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from functools import lru_cache
 
 from splicelab.core import (
@@ -21,7 +22,7 @@ from splicelab.core import (
     SplicingRule,
     SplicingSystem,
 )
-from splicelab.grammar import Cfg, GeneralizedCfg, enumerate_cfg_tuples
+from splicelab.grammar import Cfg, GeneralizedCfg, cfg_trim, enumerate_cfg_tuples
 
 # --------------------------------------------------------------------------
 # Independent regex matcher (over the parsed AST)
@@ -308,6 +309,43 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
             for kept in erasures(repl):
                 agenda.append(form[:var_at] + kept + form[var_at + 1 :])
     return done
+
+
+# --------------------------------------------------------------------------
+# Round-by-round simplification (oracle for the indexed cfg_simplify)
+
+
+def naive_cfg_simplify(g: Cfg) -> Cfg:
+    """``cfg_simplify`` by its definition: drop self-loops, then round by
+    round inline the first non-start variable in ``variables`` order whose
+    only production has a body of at most one symbol (and is not a
+    self-loop), rebuilding every production each round and keeping the
+    first of any duplicates."""
+    prods = [(h, b) for h, b in g.productions if b != (h,)]
+    variables = list(g.variables)
+    while True:
+        by_head: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+        for h, b in prods:
+            by_head[h].append(b)
+        target = None
+        for v in variables:
+            bs = by_head.get(v, [])
+            if v != g.start and len(bs) == 1 and len(bs[0]) <= 1 and bs[0] != (v,):
+                target = (v, bs[0])
+                break
+        if target is None:
+            break
+        v, replacement = target
+        new_prods = []
+        for h, b in prods:
+            if h != v:
+                out: list[str] = []
+                for s in b:
+                    out.extend(replacement if s == v else (s,))
+                new_prods.append((h, tuple(out)))
+        prods = list(dict.fromkeys(new_prods))
+        variables.remove(v)
+    return cfg_trim(Cfg(g.terminals, variables, prods, g.start))
 
 
 # --------------------------------------------------------------------------

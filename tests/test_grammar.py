@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from splicelab.automata import dfa_from_words, parse_regex, regex_to_dfa
+from splicelab.automata import dfa_from_words, parse_regex, pattern_dfa, regex_to_dfa
 from splicelab.core import Alphabet, InitialSet
 from splicelab.grammar import (
     Cfg,
     GeneralizedCfg,
-    _compositions,
+    _first_last,
+    _length_splits,
     bar_hillel,
     cfg_canonical,
     cfg_empty,
@@ -31,7 +32,7 @@ from splicelab.grammar import (
     word_ins,
 )
 
-from helpers import cfg_isomorphic, lazy_generalized_words, random_cfg
+from helpers import cfg_isomorphic, lazy_generalized_words, naive_cfg_simplify, random_cfg
 
 AB = ("a", "b")
 
@@ -88,17 +89,20 @@ class TestEnumeration:
         g = Cfg(AB, ("S",), [("S", ("a", "b"))], "S")
         assert enumerate_cfg_tuples(g, 2) == [("a", "b")]
 
-    def test_compositions_against_brute_force(self):
+    def test_length_splits_against_brute_force(self):
         rng = random.Random(5)
         for _ in range(300):
-            mins = {s: rng.choice([None, 0, 0, 1, 2]) for s in "XYZ"}
-            body = tuple(rng.choice("XYZ") for _ in range(rng.randint(0, 4)))
-            total = rng.randint(0, 7)
-            expected = []
-            if all(mins[s] is not None for s in body):
-                ranges = [range(mins[s], total + 1) for s in body]
-                expected = [c for c in itertools.product(*ranges) if sum(c) == total]
-            assert list(_compositions(body, total, mins.get)) == expected, (body, total, mins)
+            options = [sorted(rng.sample(range(6), rng.randint(1, 3))) for _ in range(rng.randint(0, 4))]
+            total = rng.randint(0, 9)
+            expected = [c for c in itertools.product(*options) if sum(c) == total]
+            assert sorted(_length_splits(options, total)) == expected, (options, total)
+
+    def test_deep_nesting(self):
+        # A_i -> a A_(i+1) b: one word, built through 150 levels of bodies
+        n = 150
+        vs = [f"A{i}" for i in range(n + 1)]
+        prods = [(vs[i], ("a", vs[i + 1], "b")) for i in range(n)] + [(vs[n], ())]
+        assert enumerate_cfg(Cfg(AB, vs, prods, vs[0]), 2 * n) == ["a" * n + "b" * n]
 
 
 class TestRewrites:
@@ -226,8 +230,30 @@ class TestSplitFirstLast:
         comps, singles = split_first_last(initial, Alphabet("ab"))
         assert singles == set()
         assert set(comps) == {("a", "b")}
-        assert sorted(enumerate_cfg(comps[("a", "b")], 4)) == ["ab", "aabb", "abab"][0:3] or True
         assert set(enumerate_cfg(comps[("a", "b")], 4)) == {"ab", "aabb", "abab"}
+
+    def test_contextfree_nullable_ends(self):
+        # first and last letters come from behind nullable variables at
+        # both ends, and from the non-nullable M in the middle
+        abc = ("a", "b", "c")
+        g = Cfg(abc, ("S", "P", "M", "Q"), [
+            ("S", ("P", "M", "Q")), ("S", ("Q", "P")),
+            ("P", ()), ("P", ("a", "P")),
+            ("M", ("c", "M")), ("M", ("b",)),
+            ("Q", ()), ("Q", ("Q", "b")),
+        ], "S")
+        comps, singles = split_first_last(InitialSet.contextfree(g), Alphabet("abc"))
+        assert singles == {"a", "b"}
+        unfiltered = {}
+        for a in abc:
+            for b in abc:
+                part = bar_hillel(g, pattern_dfa(abc, a, b))
+                if not cfg_empty(part):
+                    unfiltered[(a, b)] = part
+        # four of the nine pairs never occur, so they get no product
+        assert set(comps) == set(unfiltered) == {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("c", "b")}
+        for pair, part in unfiltered.items():
+            assert cfg_canonical(comps[pair]) == cfg_canonical(part), pair
 
 
 class TestGeneralized:
@@ -354,6 +380,82 @@ class TestRandomGrammars:
             else:
                 got = set(enumerate_cfg_tuples(ins_image(g), 11))
                 assert got == {word_ins(w) for w in words}, g
+
+    def test_enumeration_to_length_eight(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            g = random_cfg(rng)
+            got = enumerate_cfg_tuples(g, 8)
+            assert {"".join(t) for t in got} == lazy_generalized_words(as_generalized(g), 8), g
+            assert got == sorted(set(got), key=lambda t: (len(t), t)), g
+
+    def test_first_last_against_bar_hillel(self):
+        # (a, b) is a pair of the start iff a word a…b of length 2 or more
+        # survives the product, or a == b is a one-letter word
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_cfg(rng)
+            letters = set(enumerate_cfg(g, 1))
+            expected = {
+                (a, b) for a in AB for b in AB
+                if not cfg_empty(bar_hillel(g, pattern_dfa(AB, a, b))) or (a == b and a in letters)
+            }
+            assert _first_last(g)[g.start] == expected, g
+
+
+def unit_heavy_cfg(rng: random.Random) -> Cfg:
+    """A grammar of 2–7 variables whose bodies are mostly empty or one
+    symbol, and whose start is any of them: unit cycles, self-loops,
+    ε-bodies and inlinings that make two productions equal all occur."""
+    variables = [f"V{i}" for i in range(rng.randint(2, 7))]
+    symbols = list(AB) + variables
+    prods = [
+        (v, tuple(rng.choice(symbols) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))))
+        for v in variables
+        for _ in range(rng.randint(0, 3))
+    ]
+    return Cfg(AB, variables, prods, rng.choice(variables))
+
+
+class TestSimplify:
+    """The indexed cfg_simplify against the round-by-round oracle: equal
+    grammars, so the same variables survive in the same order."""
+
+    def test_against_round_by_round(self):
+        rng = random.Random(41)
+        rewritten = 0
+        for _ in range(2500):
+            g = unit_heavy_cfg(rng)
+            got = cfg_simplify(g)
+            assert got == naive_cfg_simplify(g), g
+            rewritten += got != cfg_trim(g)
+        assert rewritten > 400
+
+    def test_unit_cycles(self):
+        # a cycle of single-body unit variables derives nothing: whichever
+        # member is inlined first leaves the other on a self-loop, and the
+        # trim drops it
+        g = Cfg(AB, ("S", "B", "A"),
+                [("S", ("A",)), ("S", ("B", "b")), ("A", ("B",)), ("B", ("A",)), ("S", ("a",))], "S")
+        assert cfg_simplify(g) == naive_cfg_simplify(g) == Cfg(AB, ("S",), [("S", ("a",))], "S")
+        g = Cfg(AB, ("S", "A", "B"),
+                [("S", ("A", "B")), ("A", ("B",)), ("B", ("A",)), ("B", ("a",))], "S")
+        assert cfg_simplify(g) == naive_cfg_simplify(g)
+
+    def test_duplicate_keeps_earliest(self):
+        g = Cfg(AB, ("S", "X", "Y"),
+                [("S", ("X", "b")), ("S", ("a", "b")), ("S", ("Y", "b")), ("X", ("a",)), ("Y", ("a",))],
+                "S")
+        out = cfg_simplify(g)
+        assert out == naive_cfg_simplify(g)
+        assert out.productions == (("S", ("a", "b")),)
+
+    def test_long_unit_chain(self):
+        # A_i -> A_(i+1), 2000 deep: one production once the chain is inlined
+        vs = [f"A{i}" for i in range(2000)]
+        prods = [(vs[i], (vs[i + 1],)) for i in range(1999)] + [(vs[-1], ("a",))]
+        out = cfg_simplify(Cfg(AB, vs, prods, vs[0]))
+        assert out.productions == (("A0", ("a",)),)
 
 
 class TestFreshName:
