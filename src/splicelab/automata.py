@@ -466,6 +466,16 @@ def dfa_difference(a: Dfa, b: Dfa) -> Dfa:
     return dfa_boolean("difference", a, b)
 
 
+def dfa_without_epsilon(a: Dfa) -> Dfa:
+    """The language of ``a`` minus the empty word: reading starts from a
+    fresh non-final copy of the start state, which no word returns to."""
+    if a.start not in a.finals:
+        return a
+    delta = [list(row) for row in a.transitions]
+    delta.append(list(a.transitions[a.start]))
+    return _normalize(a.alphabet, delta, a.n_states, set(a.finals))
+
+
 def dfa_empty(a: Dfa) -> bool:
     """Normalized DFAs are trimmed, so emptiness is the absence of finals."""
     return not a.finals

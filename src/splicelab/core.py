@@ -292,13 +292,13 @@ class InitialSet:
 
     @classmethod
     def regular(cls, dfa, source_regex: str | None = None) -> "InitialSet":
-        had = dfa.accepts("")
-        if had:
-            from . import automata as _a
+        from . import automata as _a
 
-            dfa = _a.dfa_difference(dfa, _a.dfa_from_words(dfa.alphabet, [""]))
         return cls(
-            kind="regular", dfa=dfa, had_epsilon=had, source_regex=source_regex
+            kind="regular",
+            dfa=_a.dfa_without_epsilon(dfa),
+            had_epsilon=dfa.accepts(""),
+            source_regex=source_regex,
         )
 
     @classmethod

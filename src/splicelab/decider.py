@@ -1,20 +1,23 @@
 """Decision procedures relating splicing languages to regular languages.
 
 ``decide_equal`` settles L(S) = K for a regular K via three regular
-inclusions: with P the words obtainable by splicing two K-words,
+inclusions over K⁺, the non-empty words of K: with P the words obtainable
+by splicing two K⁺-words,
 
     (1) I is contained in K,
     (2) P is contained in K,
-    (3) K minus P is contained in I.
+    (3) K⁺ minus P is contained in I.
 
-(1)+(2) force the closure of I inside K; (3) lets every K-word be rebuilt
-inductively (splicing results are strictly longer than both operands, so
-a K-word outside P must be an axiom).  (1) does not need P, so P is built
-only after (1) passes.  Witnesses come from a walk over state pairs
-that stops at the first one.  ``alphabetic_generability``
-inverts the question: it looks for a finite alphabetic system generating
-K, using the maximal admissible rule set; a candidate rule is admissible
-when a walk of its image NFA against K finds no word outside K.
+(1)+(2) force the closure of I inside K; (3) lets every K⁺-word be rebuilt
+inductively (splicing results are strictly longer than both non-empty
+operands, so a K⁺-word outside P must be an axiom).  Splicing in the empty
+word gives back the other operand, so ε is never an operand; it is settled
+apart, by the initial set's ε-flag.  (1) does not need P, so P is built
+only after (1) passes.  Witnesses come from a walk over state pairs that
+stops at the first one.  ``alphabetic_generability`` inverts the question:
+it looks for a finite alphabetic system generating K, using the maximal
+admissible rule set; a candidate rule is admissible when a walk of its
+image NFA against K⁺ finds no word outside K⁺.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .automata import (
     dfa_difference,
     dfa_empty,
     dfa_from_words,
-    dfa_equivalent,
     dfa_intersect,
     dfa_is_finite,
     dfa_none,
     dfa_union,
+    dfa_without_epsilon,
     difference_witness,
     enumerate_dfa,
     pattern_dfa,
@@ -180,10 +183,6 @@ def splice_image(K: Dfa, rules, *, rotate: bool = False) -> Dfa:
     return _RuleImages(K).union(rules, rotate=rotate)
 
 
-def _epsilon_dfa(alphabet) -> Dfa:
-    return dfa_from_words(alphabet, [""])
-
-
 def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     """Is the system's language exactly L(K)?  Initial set must be finite
     or regular.  The empty word is compared via the loader's ε-flag."""
@@ -194,15 +193,13 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         )
     if set(K.alphabet) != set(system.alphabet.letters):
         raise ValueError("target automaton alphabet differs from the system's")
-    eps_in_K = K.accepts("")
-    if system.initial.had_epsilon and not eps_in_K:
-        return Verdict(False, 1, "")
-    if eps_in_K and not system.initial.had_epsilon:
-        return Verdict(False, 3, "")
+    if system.initial.had_epsilon != K.accepts(""):
+        return Verdict(False, 1 if system.initial.had_epsilon else 3, "")
     if system.mode == CIRCULAR:
-        closed = conjugacy_closure(K)
-        if not dfa_equivalent(closed, K):
-            return Verdict(False, "conjugacy", difference_witness(closed, K))
+        # the closure contains K, so any difference is a missing rotation
+        w = difference_witness(conjugacy_closure(K), K)
+        if w is not None:
+            return Verdict(False, "conjugacy", w)
 
     # (1) every axiom lies in K
     if system.initial.kind == "finite":
@@ -218,24 +215,22 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         if w is not None:
             return Verdict(False, 1, w)
 
-    # (2) splicing K-words never leaves K
+    # (2) splicing K⁺-words never leaves K
+    core = dfa_without_epsilon(K)
     if system.mode == CIRCULAR:
-        P = splice_image(K, system.splice_rules, rotate=True)
+        P = splice_image(core, system.splice_rules, rotate=True)
     else:
-        P = splice_image(K, system.rules)
+        P = splice_image(core, system.rules)
     w = difference_witness(P, K)
     if w is not None:
         return Verdict(False, 2, w)
 
-    # (3) K-words that no splice produces must be axioms
-    residue = dfa_difference(K, P)
-    if eps_in_K:
-        residue = dfa_difference(residue, _epsilon_dfa(K.alphabet))
+    # (3) K⁺-words that no splice produces must be axioms
     if system.initial.kind == "finite":
         axioms = dfa_from_words(K.alphabet, system.initial.words)
     else:
         axioms = system.initial.dfa
-    w = difference_witness(residue, axioms)
+    w = difference_witness(dfa_difference(core, P), axioms)
     if w is not None:
         return Verdict(False, 3, w)
     return Verdict(True)
@@ -259,8 +254,7 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     residue the maximal one does too, and the residue itself serves as the
     axiom set."""
     alphabet = Alphabet(K.alphabet)
-    eps = K.accepts("")
-    core = dfa_difference(K, _epsilon_dfa(K.alphabet)) if eps else K
+    core = dfa_without_epsilon(K)
     images = _RuleImages(core)
     admissible = [r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)]
     image = images.union(admissible)
@@ -268,7 +262,7 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     if not dfa_is_finite(residue):
         return None
     words = enumerate_dfa(residue, residue.n_states)
-    initial = InitialSet(kind="finite", words=frozenset(words), had_epsilon=eps)
+    initial = InitialSet(kind="finite", words=frozenset(words), had_epsilon=K.accepts(""))
     return SplicingSystem(
         alphabet=alphabet,
         initial=initial,

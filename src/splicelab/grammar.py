@@ -652,11 +652,7 @@ def ins_image(g: Cfg) -> Cfg:
     with seam markers.  Each variable is annotated with the (first, last)
     letters of the words it derives, so markers can be placed at every
     seam of every binarized rule."""
-    g = cfg_trim(g)
-    if cfg_empty(g):
-        return Cfg(g.terminals, (g.start,), (), g.start)
-    g = _remove_epsilon(_binarize(g))
-    g = cfg_trim(g)
+    g = cfg_trim(_remove_epsilon(_binarize(g)))
 
     pairs = _first_last(g)
 
@@ -693,7 +689,9 @@ def ins_image(g: Cfg) -> Cfg:
     start_prods = [(start, (ann(g.start, f, l),)) for f, l in sorted(pairs[g.start])]
     terminals = tuple(g.terminals) + tuple(sorted(used_markers))
     variables = [start] + list(names.values())
-    return cfg_trim(Cfg(terminals, variables, start_prods + prods, start))
+    # no trim: g is trimmed and ε-free, so each (v, f, l) is generating,
+    # and every pair of a reachable v is reached from the start's pairs
+    return Cfg(terminals, variables, start_prods + prods, start)
 
 
 # --------------------------------------------------------------------------
@@ -713,18 +711,14 @@ def split_first_last(
     singletons: set[str] = set()
     if initial.kind == "finite":
         assert initial.words is not None
-        for a in letters:
-            if a in initial.words:
-                singletons.add(a)
-        for a in letters:
-            for b in letters:
-                ws = [
-                    w
-                    for w in initial.words
-                    if len(w) >= 2 and w[0] == a and w[-1] == b
-                ]
-                if ws:
-                    components[(a, b)] = finite_cfg(letters, ws)
+        groups: dict[tuple[str, str], list[str]] = defaultdict(list)
+        for w in initial.words:
+            if len(w) >= 2:
+                groups[(w[0], w[-1])].append(w)
+            elif w:
+                singletons.add(w)
+        for key in sorted(groups):
+            components[key] = finite_cfg(letters, groups[key])
         return components, singletons
     if initial.kind == "regular":
         assert initial.dfa is not None
@@ -752,6 +746,6 @@ def split_first_last(
             if (a, b) not in occurring:
                 continue
             part = bar_hillel(base, pattern_dfa(letters, a, b))
-            if not cfg_empty(part):
+            if part.productions:  # trimmed, so no productions means empty
                 components[(a, b)] = part
     return components, singletons

@@ -80,16 +80,13 @@ def _check_common(system: SplicingSystem, *, kind: str) -> None:
         raise ValueError("the rule set is not complete")
 
 
-def pure_grammar(system: SplicingSystem, method: str = "graft", *, simplify: bool = True) -> Cfg:
+def pure_grammar(system: SplicingSystem, method: str = "graft") -> Cfg:
     """Grammar for the language of a complete pure alphabetic system.
 
     ``method="graft"`` splices the marker images of the initial components
     directly into the grammar; ``method="kral"`` builds the generalized
     grammar whose right-hand sides are whole languages and flattens it by
-    variable elimination.  Both yield the same language.  With
-    ``simplify=False`` the graft construction is returned as built (markers
-    and their erasing productions intact), which is useful for inspecting
-    derivations.
+    variable elimination.  Both yield the same language.
     """
     _check_common(system, kind="insertion")
     if system.concat_rules:
@@ -139,7 +136,7 @@ def pure_grammar(system: SplicingSystem, method: str = "graft", *, simplify: boo
         for a, b in pairs:
             prods.append((marker(a, b), ()))
         built = cfg_trim(Cfg(tuple(letters), variables, prods, START))
-        return cfg_canonical(cfg_simplify(built) if simplify else built)
+        return cfg_canonical(cfg_simplify(built))
 
     gvars = (
         [START]

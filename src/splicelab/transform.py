@@ -5,7 +5,6 @@ systems, and normalizing recorded sequences so concatenations come first.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable
 
@@ -118,10 +117,13 @@ def _linearize_initial(system: SplicingSystem) -> InitialSet:
             kind="finite", words=frozenset(words), had_epsilon=initial.had_epsilon
         )
     if initial.kind == "regular":
-        flat = InitialSet.regular(conjugacy_closure(initial.dfa))
-        if initial.had_epsilon and not flat.had_epsilon:
-            flat = dataclasses.replace(flat, had_epsilon=True)
-        return flat
+        # rotations of non-empty words are non-empty, so the closure of an
+        # ε-free language is ε-free
+        return InitialSet(
+            kind="regular",
+            dfa=conjugacy_closure(initial.dfa),
+            had_epsilon=initial.had_epsilon,
+        )
     raise UnsupportedError(
         "flattening a circular system with a context-free initial set is "
         "not supported; use a finite or regular initial set"

@@ -22,6 +22,7 @@ from splicelab.automata import (
     dfa_subset,
     dfa_to_regex,
     dfa_union,
+    dfa_without_epsilon,
     difference_witness,
     enumerate_dfa,
     parse_regex,
@@ -121,6 +122,17 @@ class TestBooleans:
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(ValueError):
             dfa_union(dfa_none(AB), dfa_none(("a", "c")))
+
+    def test_without_epsilon_against_difference(self):
+        rng = random.Random(5)
+        with_epsilon = 0
+        for _ in range(300):
+            d = regex_to_dfa(parse_regex(random_regex(rng, "ab", depth=4)), AB)
+            with_epsilon += d.accepts("")
+            stripped = dfa_without_epsilon(d)
+            assert stripped == dfa_difference(d, dfa_from_words(AB, [""])), d
+            assert not stripped.accepts("")
+        assert with_epsilon >= 100
 
 
 class TestQueries:

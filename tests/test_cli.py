@@ -129,6 +129,14 @@ class TestDecideEqual:
         assert code == 1
         assert capsys.readouterr().out == "NOT-EQUAL 3 _\n"
 
+    @pytest.mark.parametrize("mode", ["", "mode circular\n"])
+    def test_epsilon_axiom_builds_no_odd_word(self, spl, capsys, mode):
+        system = spl(f"alphabet a\n{mode}initial regex (aa)*\nsplice -#-$-#-\n")
+        assert run_command(["decide-equal", system, "--regex", "a*"]) == 1
+        assert capsys.readouterr().out == "NOT-EQUAL 3 a\n"
+        assert run_command(["member", system, "a"]) == 1
+        assert capsys.readouterr().out == "NOT-MEMBER\n"
+
     def test_dfa_file_target(self, spl, tmp_path, capsys):
         target = tmp_path / "target.dfa"
         dfa = regex_to_dfa(parse_regex("(ab)+"), ("a", "b"))

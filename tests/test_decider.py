@@ -49,6 +49,17 @@ from helpers import (
 AB = ("a", "b")
 
 
+def even_a(mode):
+    """(aa)* with every splice allowed: the empty word is an axiom, but
+    splicing it in gives back the other operand, so no odd word is built."""
+    return SplicingSystem(
+        alphabet=Alphabet("a"),
+        initial=InitialSet.regular(regex_to_dfa(parse_regex("(aa)*"), ("a",))),
+        rules=frozenset([SplicingRule("", "", "", "")]),
+        mode=mode,
+    )
+
+
 def circ_a_plus():
     return SplicingSystem(
         alphabet=Alphabet("a"),
@@ -127,6 +138,11 @@ class TestDecideEqual:
         target = regex_to_dfa(parse_regex("ab|_"), AB)
         assert decide_equal(system, target).equal
 
+    def test_epsilon_operand_adds_no_words(self):
+        target = regex_to_dfa(parse_regex("a*"), ("a",))
+        assert decide_equal(even_a(FLAT), target) == Verdict(False, 3, "a")
+        assert decide_equal(even_a(FLAT), regex_to_dfa(parse_regex("(aa)*"), ("a",))).equal
+
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             decide_equal(anbn(), regex_to_dfa(parse_regex("a"), ("a", "c")))
@@ -169,6 +185,11 @@ class TestDecideEqualCircular:
     def test_circular_equal(self):
         target = regex_to_dfa(parse_regex("aa*"), ("a",))
         assert decide_equal(circ_a_plus(), target).equal
+
+    def test_epsilon_operand_adds_no_words(self):
+        target = regex_to_dfa(parse_regex("a*"), ("a",))
+        assert decide_equal(even_a(CIRCULAR), target) == Verdict(False, 3, "a")
+        assert decide_equal(even_a(CIRCULAR), regex_to_dfa(parse_regex("(aa)*"), ("a",))).equal
 
     def test_circular_not_equal(self):
         target = regex_to_dfa(parse_regex("a|aa"), ("a",))
@@ -332,14 +353,50 @@ class TestDifferential:
                 self.check_witness(system, K, verdict)
         assert agree >= 2
 
+    def test_epsilon_on_both_sides(self):
+        # ε-bearing regex initial sets, targets accepting ε, rules with
+        # empty handles: splicing in the empty word returns the other
+        # operand, so it must not count towards the image
+        rng = random.Random(19)
+        agree = 0
+        for _ in range(80):
+            letters = "ab"[: rng.randint(1, 2)]
+            axioms = random_regex(rng, letters)
+            regex = rng.choice([axioms, f"{axioms}|{random_regex(rng, letters)}"])
+            system = SplicingSystem(
+                alphabet=Alphabet(letters),
+                initial=InitialSet.regular(
+                    regex_to_dfa(parse_regex(f"({axioms})?"), tuple(letters))
+                ),
+                rules=frozenset(
+                    random_rule(rng, letters, rng.choice((SPLICE, CONCAT)))
+                    for _ in range(rng.randint(1, 2))
+                ),
+                mode=FLAT,
+            )
+            K = regex_to_dfa(parse_regex(f"({regex})?"), tuple(letters))
+            verdict = decide_equal(system, K)
+            if verdict.equal:
+                closure = set(closure_bounded(system, 7)) | {""}
+                assert closure == set(enumerate_dfa(K, 7)) | {""}, (system, regex)
+                agree += 1
+            else:
+                self.check_witness(system, K, verdict)
+        assert agree >= 10
+
     def check_witness(self, system, K, verdict):
         w = verdict.witness
         assert w is not None
+
+        def nonempty(u):
+            # splice operands are words of the language other than ε
+            return u != "" and K.accepts(u)
+
         if verdict.failing_inclusion == 1:
             assert (w == "" and system.initial.had_epsilon) or system.initial.contains(w)
             assert not K.accepts(w)
         elif verdict.failing_inclusion == 2:
-            assert in_one_step_image(K.accepts, sorted(system.rules), w)
+            assert in_one_step_image(nonempty, sorted(system.rules), w)
             assert not K.accepts(w)
         else:
             assert verdict.failing_inclusion == 3
@@ -348,7 +405,7 @@ class TestDifferential:
                 assert not system.initial.had_epsilon
             else:
                 assert not system.initial.contains(w)
-                assert not in_one_step_image(K.accepts, sorted(system.rules), w)
+                assert not in_one_step_image(nonempty, sorted(system.rules), w)
 
 
 class TestLanguageWitness:

@@ -378,7 +378,9 @@ class TestRandomGrammars:
                 with pytest.raises(ValueError):
                     ins_image(g)
             else:
-                got = set(enumerate_cfg_tuples(ins_image(g), 11))
+                image = ins_image(g)
+                assert image == cfg_trim(image), g
+                got = set(enumerate_cfg_tuples(image, 11))
                 assert got == {word_ins(w) for w in words}, g
 
     def test_enumeration_to_length_eight(self):

@@ -100,13 +100,6 @@ class TestPureGrammar:
             b = pure_grammar(system, method="kral")
             assert grammar_words(a, 8) == grammar_words(b, 8)
 
-    def test_simplify_preserves_language(self):
-        system = complete_system(nested_insertions())
-        raw = pure_grammar(system, simplify=False)
-        slim = pure_grammar(system)
-        assert grammar_words(raw, 7) == grammar_words(slim, 7)
-        assert len(slim.variables) <= len(raw.variables)
-
 
 class TestConcatGrammar:
     def test_chain_language(self):
@@ -196,10 +189,12 @@ class TestSynthesize:
 
 
 # sha256 of serialize_grammar output per (construction, fixture, method,
-# simplify).  The README promises byte-deterministic grammars, so a change
-# inside the grammar kernel that keeps every language but moves a single
-# byte of a compiled grammar fails here; a deliberate change of output
-# updates the table.
+# simplified).  Every construction returns a simplified grammar, so the
+# fourth column is always True; it stays so each row keeps its test id.
+# The README promises byte-deterministic grammars, so a change inside the
+# grammar kernel that keeps every language but moves a single byte of a
+# compiled grammar fails here; a deliberate change of output updates the
+# table.
 GRAMMAR_DIGESTS = [
     ("synthesize", "anbn", "graft", True,
      "7a20a3ad3b8d1d705b3a918f0964d56d9158c98bc4070ddbbbe2315c419aa112"),
@@ -235,39 +230,31 @@ GRAMMAR_DIGESTS = [
      "9460771d6792b273846f2c5a6e42e4a23f8bf695d8ab1f290217c7943001dffb"),
     ("pure_grammar", "anbn", "graft", True,
      "7a20a3ad3b8d1d705b3a918f0964d56d9158c98bc4070ddbbbe2315c419aa112"),
-    ("pure_grammar", "anbn", "graft", False,
-     "d35df5e73b9305b35dfc506dd238b9745f0d53aa87761274e1be8b5ec7cef7b1"),
     ("pure_grammar", "anbn", "kral", True,
-     "46494667bcc07ce5c87522f626ffb54af739adde5835ac48fc586d5377bb0ddb"),
-    ("pure_grammar", "anbn", "kral", False,
      "46494667bcc07ce5c87522f626ffb54af739adde5835ac48fc586d5377bb0ddb"),
     ("pure_grammar", "nested_insertions", "graft", True,
      "261ecb5bd30a26b7854515c2542ac626d010052da026e405778d406989f92cbe"),
-    ("pure_grammar", "nested_insertions", "graft", False,
-     "41360ccaa34a1d54bfbf063dbf7be9b2e7ad98a44e4e4bce672410d0359b1fef"),
     ("pure_grammar", "nested_insertions", "kral", True,
-     "2eb91ef46e1abf7d02ed790277aa2dee8f4eef25b5f5788b7b4d9609afd8e571"),
-    ("pure_grammar", "nested_insertions", "kral", False,
      "2eb91ef46e1abf7d02ed790277aa2dee8f4eef25b5f5788b7b4d9609afd8e571"),
 ]
 
 
-def compiled_grammar(construction, fixture, method, simplify):
+def compiled_grammar(construction, fixture, method):
     system = ALL_EXAMPLES[fixture]()
     if construction == "synthesize":
         return synthesize(system, method)
     if construction == "concat_grammar":
         return concat_grammar(complete_system(system))
-    return pure_grammar(complete_system(system), method, simplify=simplify)
+    return pure_grammar(complete_system(system), method)
 
 
 class TestGrammarBytes:
     @pytest.mark.parametrize(
-        "construction,fixture,method,simplify,digest",
+        "construction,fixture,method,simplified,digest",
         GRAMMAR_DIGESTS,
         ids=["-".join(map(str, row[:4])) for row in GRAMMAR_DIGESTS],
     )
-    def test_serialized_digest(self, construction, fixture, method, simplify, digest):
-        g = compiled_grammar(construction, fixture, method, simplify)
+    def test_serialized_digest(self, construction, fixture, method, simplified, digest):
+        g = compiled_grammar(construction, fixture, method)
         text = serialize_grammar(g)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
