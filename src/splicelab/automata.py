@@ -140,29 +140,6 @@ class Nfa:
         return _normalize(self.alphabet, delta, 0, finals)
 
 
-    def subset_of(self, b: Dfa) -> bool:
-        """Whether ``b`` accepts every word this NFA accepts, without
-        determinizing: a walk over (NFA state, ``b`` state) pairs that stops
-        at the first pair accepting here and rejecting in ``b``."""
-        if self.alphabet != b.alphabet:
-            raise ValueError(f"alphabet mismatch: {self.alphabet} vs {b.alphabet}")
-        index = {letter: x for x, letter in enumerate(b.alphabet)}
-        start = (self.start, b.start)
-        seen = {start}
-        stack = [start]
-        while stack:
-            s, t = stack.pop()
-            if s in self.finals and t not in b.finals:
-                return False
-            for symbol, targets in self.edges[s].items():
-                u = t if symbol is None else b.transitions[t][index[symbol]]
-                for r in targets:
-                    if (r, u) not in seen:
-                        seen.add((r, u))
-                        stack.append((r, u))
-        return True
-
-
 def _letters(alphabet) -> tuple[str, ...]:
     if isinstance(alphabet, Alphabet):
         return alphabet.letters

@@ -13,11 +13,15 @@ inductively (splicing results are strictly longer than both non-empty
 operands, so a K⁺-word outside P must be an axiom).  Splicing in the empty
 word gives back the other operand, so ε is never an operand; it is settled
 apart, by the initial set's ε-flag.  (1) does not need P, so P is built
-only after (1) passes.  Witnesses come from a walk over state pairs that
-stops at the first one.  ``alphabetic_generability`` inverts the question:
-it looks for a finite alphabetic system generating K, using the maximal
-admissible rule set; a candidate rule is admissible when a walk of its
-image NFA against K⁺ finds no word outside K⁺.
+only after (1) passes.  A rule dominated by another of the same usage (one
+with its handles shortened on their outer sides) adds nothing to P, so P
+joins the images of the undominated rules only.  Witnesses come from a walk
+over state pairs that stops at the first one.  ``alphabetic_generability``
+inverts the question: it looks for a finite alphabetic system generating K,
+using the maximal admissible rule set; a candidate rule is admissible when,
+at every cut, each word K⁺ accepts after alpha·beta is also accepted after
+alpha, any middle word and beta: an inclusion between the languages of two
+K⁺ states, tested with no automaton for the image.
 """
 
 from __future__ import annotations
@@ -73,43 +77,152 @@ class Verdict:
             raise ValueError("an equal verdict carries no witness")
 
 
+def _shortenings(usage: str, handles: tuple[str, str, str, str]) -> list[list[str]]:
+    """Per handle, the handles a rule may have in its place and still make
+    every splice the rule with ``handles`` makes: the handle shortened on
+    its outer side (splice: alpha's suffixes, beta's and gamma's prefixes,
+    delta's suffixes; concat: alpha's and gamma's prefixes, beta's and
+    delta's suffixes)."""
+    a, b, g, d = handles
+    prefixes = lambda h: [h[:i] for i in range(len(h) + 1)]
+    suffixes = lambda h: [h[i:] for i in range(len(h) + 1)]
+    if usage == SPLICE:
+        return [suffixes(a), prefixes(b), prefixes(g), suffixes(d)]
+    return [prefixes(a), suffixes(b), prefixes(g), suffixes(d)]
+
+
+def _maximal(rules) -> list[SplicingRule]:
+    """The rules that no other rule of the same usage dominates: a
+    dominated rule's image lies inside its dominator's, so it adds
+    nothing to a union of images.  Each rule looks its generalizations
+    up, built only from handles that some rule has at that place."""
+    keyed = [(r, r.usage, r.handles) for r in sorted(set(rules))]
+    present = {(usage, handles) for _, usage, handles in keyed}
+    occurring = {(usage, i, h) for _, usage, handles in keyed for i, h in enumerate(handles)}
+
+    def dominated(usage, handles) -> bool:
+        options = [
+            [h for h in hs if (usage, i, h) in occurring]
+            for i, hs in enumerate(_shortenings(usage, handles))
+        ]
+        return any(
+            h != handles and (usage, h) in present for h in itertools.product(*options)
+        )
+
+    return [r for r, usage, handles in keyed if not dominated(usage, handles)]
+
+
 class _RuleImages:
-    """One-step rule images over one K.  The rules share K's live states
-    and each language K ∩ x A* y, which is built once per (x, y)."""
+    """One-step rule images over one K.  The rules share K's live states,
+    each language K ∩ x A* y (built once per (x, y)), the K states its
+    words lead each state to, and the inclusions between K's state
+    languages."""
 
     def __init__(self, K: Dfa):
         self.K = K
         self.live = _live_states(K)
+        self._patterns: dict[tuple[str, str], tuple[Dfa, set[int]]] = {}
         self._fitting: dict[tuple[str, str], tuple[Dfa, set[int]]] = {}
+        self._reached: dict[tuple[int, str, str], set[int]] = {}
+        self._includes: dict[tuple[int, int], bool] = {}
+
+    def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, set[int]]:
+        """prefix A* suffix and its live states."""
+        key = (prefix, suffix)
+        if key not in self._patterns:
+            d = pattern_dfa(self.K.alphabet, prefix, suffix)
+            self._patterns[key] = (d, _live_states(d))
+        return self._patterns[key]
 
     def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, set[int]]:
         """K ∩ prefix A* suffix and its live states."""
         key = (prefix, suffix)
         if key not in self._fitting:
-            d = dfa_intersect(self.K, pattern_dfa(self.K.alphabet, prefix, suffix))
+            d = dfa_intersect(self.K, self.pattern(prefix, suffix)[0])
             self._fitting[key] = (d, _live_states(d))
         return self._fitting[key]
+
+    def step(self, state: int, word: str) -> int:
+        """The K state ``word`` leads ``state`` to."""
+        K = self.K
+        for ch in word:
+            state = K.transitions[state][K.alphabet.index(ch)]
+        return state
 
     def cuts(self, rule: SplicingRule) -> dict[int, list[int]]:
         """The live K states p at which alpha·beta can be read, grouped by
         the live state t that alpha·beta leads p to."""
         groups: dict[int, list[int]] = {}
         for p in sorted(self.live):
-            t = p
-            for ch in rule.alpha + rule.beta:
-                t = self.K.transitions[t][self.K.alphabet.index(ch)]
+            t = self.step(p, rule.alpha + rule.beta)
             if t in self.live:
                 groups.setdefault(t, []).append(p)
         return groups
 
-    def splice_nfa(self, rule: SplicingRule, cuts: dict[int, list[int]]) -> Nfa:
+    def reached(self, state: int, prefix: str, suffix: str) -> set[int]:
+        """The K states that the words m of K ∩ prefix A* suffix lead
+        ``state`` to: a walk over (state·m, K.start·m, pattern state)
+        triples, which needs no automaton for the intersection."""
+        key = (state, prefix, suffix)
+        if key not in self._reached:
+            K, live = self.K, self.live
+            pattern, pattern_live = self.pattern(prefix, suffix)
+            out: set[int] = set()
+            start = (state, K.start, pattern.start)
+            seen = {start}
+            stack = [start]
+            while stack:
+                k, m, x = stack.pop()
+                if m in K.finals and x in pattern.finals:
+                    out.add(k)
+                for triple in zip(K.transitions[k], K.transitions[m], pattern.transitions[x]):
+                    if triple[1] in live and triple[2] in pattern_live and triple not in seen:
+                        seen.add(triple)
+                        stack.append(triple)
+            self._reached[key] = out
+        return self._reached[key]
+
+    def includes(self, t: int, k: int) -> bool:
+        """Whether K accepts from state k every word it accepts from t: a
+        walk over state pairs that stops at the first pair accepting from
+        t's side only.  When none is found, every pair walked holds too."""
+        if (t, k) not in self._includes:
+            K, live = self.K, self.live
+            seen = {(t, k)}
+            stack = [(t, k)]
+            while stack:
+                x, y = stack.pop()
+                if x in K.finals and y not in K.finals:
+                    self._includes[(t, k)] = False
+                    break
+                for pair in zip(K.transitions[x], K.transitions[y]):
+                    if pair[0] in live and pair[0] != pair[1] and pair not in seen:
+                        seen.add(pair)
+                        stack.append(pair)
+            else:
+                self._includes.update(dict.fromkeys(seen, True))
+        return self._includes[(t, k)]
+
+    def keeps_inside(self, rule: SplicingRule) -> bool:
+        """Whether a splice rule's image lies in K, without an automaton
+        for the image.  A cut p with t = p·alpha·beta live turns u·v into
+        u·alpha·m·beta·v; that lies in K for every v accepted from t iff
+        K accepts from k·beta everything it accepts from t, where k is the
+        state the middle word m leads p·alpha to."""
+        for t, group in self.cuts(rule).items():
+            for p in group:
+                for k in self.reached(self.step(p, rule.alpha), rule.gamma, rule.delta):
+                    if not self.includes(t, self.step(k, rule.beta)):
+                        return False
+        return True
+
+    def splice_nfa(self, rule: SplicingRule, t: int, group: list[int]) -> Nfa:
         """An NFA for the words u·alpha·m·beta·v with m in K ∩ gamma A* delta
-        and u·alpha·beta·v in K cut at one of ``cuts``.
+        and u·alpha·beta·v in K, cut at one of the states ``group`` that
+        alpha·beta leads to t.
 
         It runs K on u up to a cut state p, reads alpha, the middle word
-        and beta, then resumes K at t, where alpha·beta leads p.  Everything
-        after the K prefix depends only on t, so the cuts of one group
-        share those states."""
+        and beta, then resumes K at t."""
         K, live = self.K, self.live
         nfa = Nfa(K.alphabet)
         middle, middle_live = self.fitting(rule.gamma, rule.delta)
@@ -119,32 +232,26 @@ class _RuleImages:
         resume = {s: nfa.new_state() for s in live}
         nfa.add_edge(nfa.start, None, prefix[K.start])
         for s in live:
-            for letter, t in zip(K.alphabet, K.transitions[s]):
-                if t in live:
-                    nfa.add_edge(prefix[s], letter, prefix[t])
-                    nfa.add_edge(resume[s], letter, resume[t])
+            for letter, n in zip(K.alphabet, K.transitions[s]):
+                if n in live:
+                    nfa.add_edge(prefix[s], letter, prefix[n])
+                    nfa.add_edge(resume[s], letter, resume[n])
             if s in K.finals:
                 nfa.finals.add(resume[s])
-        for t, group in cuts.items():
-            insert = nfa.new_state()
-            for p in group:
-                nfa.add_edge(prefix[p], None, insert)
-            before_beta = nfa.new_state()
-            nfa.add_edge(nfa.add_word_path(before_beta, rule.beta), None, resume[t])
-            inside = {m: nfa.new_state() for m in middle_live}
-            nfa.add_edge(nfa.add_word_path(insert, rule.alpha), None, inside[middle.start])
-            for m in middle_live:
-                for letter, n in zip(K.alphabet, middle.transitions[m]):
-                    if n in middle_live:
-                        nfa.add_edge(inside[m], letter, inside[n])
-                if m in middle.finals:
-                    nfa.add_edge(inside[m], None, before_beta)
+        insert = nfa.new_state()
+        for p in group:
+            nfa.add_edge(prefix[p], None, insert)
+        before_beta = nfa.new_state()
+        nfa.add_edge(nfa.add_word_path(before_beta, rule.beta), None, resume[t])
+        inside = {m: nfa.new_state() for m in middle_live}
+        nfa.add_edge(nfa.add_word_path(insert, rule.alpha), None, inside[middle.start])
+        for m in middle_live:
+            for letter, n in zip(K.alphabet, middle.transitions[m]):
+                if n in middle_live:
+                    nfa.add_edge(inside[m], letter, inside[n])
+            if m in middle.finals:
+                nfa.add_edge(inside[m], None, before_beta)
         return nfa
-
-    def keeps_inside(self, rule: SplicingRule) -> bool:
-        """Whether a splice rule's image lies in K: one NFA over every cut,
-        walked against K without determinizing."""
-        return self.splice_nfa(rule, self.cuts(rule)).subset_of(self.K)
 
     def image(self, rule: SplicingRule) -> Dfa:
         """Words obtainable by one application of ``rule`` to two K-words.
@@ -161,14 +268,14 @@ class _RuleImages:
                 return total
             return dfa_concat(left, right)
         for t, group in sorted(self.cuts(rule).items()):
-            total = dfa_union(total, self.splice_nfa(rule, {t: group}).determinize())
+            total = dfa_union(total, self.splice_nfa(rule, t, group).determinize())
         return total
 
     def union(self, rules, *, rotate: bool = False) -> Dfa:
-        """One ``dfa_union`` per rule image, closed under conjugacy first
-        with ``rotate``."""
+        """One ``dfa_union`` per image of a maximal rule, closed under
+        conjugacy first with ``rotate``."""
         total = dfa_none(self.K.alphabet)
-        for rule in sorted(rules):
+        for rule in _maximal(rules):
             image = self.image(rule)
             if rotate:
                 image = conjugacy_closure(image)
@@ -179,7 +286,9 @@ class _RuleImages:
 def splice_image(K: Dfa, rules, *, rotate: bool = False) -> Dfa:
     """The union P of the one-step splice images of all rules; with
     ``rotate`` each rule image is closed under conjugacy (circular
-    splicing can paste at any arrangement)."""
+    splicing can paste at any arrangement).  Only the images of rules
+    that no other rule of the same usage dominates are built: a
+    dominated rule's image lies in its dominator's."""
     return _RuleImages(K).union(rules, rotate=rotate)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from splicelab.automata import (
     Dfa,
-    Nfa,
     conjugacy_closure,
     dfa_concat,
     dfa_difference,
@@ -202,35 +201,6 @@ class TestQueries:
             assert dfa_subset(a, b) == (want is None)
             seen["none" if want is None else "empty" if want == "" else "word"] += 1
         assert min(seen.values()) >= 10, seen
-
-
-class TestNfa:
-    @staticmethod
-    def random_nfa(rng):
-        nfa = Nfa(AB)
-        for _ in range(rng.randint(1, 6)):
-            nfa.new_state()
-        n = len(nfa.edges)
-        for _ in range(rng.randint(0, 3 * n)):
-            symbol = rng.choice(["a", "b", None])
-            nfa.add_edge(rng.randrange(n), symbol, rng.randrange(n))
-        nfa.finals = {s for s in range(n) if rng.random() < 0.3}
-        return nfa
-
-    def test_subset_of_matches_determinized(self):
-        rng = random.Random(37)
-        outcomes = set()
-        for _ in range(300):
-            nfa = self.random_nfa(rng)
-            b = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
-            want = dfa_subset(nfa.determinize(), b)
-            assert nfa.subset_of(b) == want
-            outcomes.add(want)
-        assert outcomes == {True, False}
-
-    def test_subset_of_alphabet_mismatch(self):
-        with pytest.raises(ValueError):
-            Nfa(AB).subset_of(dfa_none(("a",)))
 
 
 class TestPatternDfa:

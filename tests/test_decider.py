@@ -7,12 +7,16 @@ import pytest
 
 from splicelab.automata import (
     dfa_difference,
+    dfa_empty,
     dfa_from_words,
+    dfa_intersect,
     dfa_is_finite,
     dfa_shortest,
     dfa_subset,
+    dfa_without_epsilon,
     enumerate_dfa,
     parse_regex,
+    pattern_dfa,
     regex_to_dfa,
 )
 from splicelab.closure import closure_bounded
@@ -30,13 +34,15 @@ from splicelab.core import (
 )
 from splicelab.decider import (
     Verdict,
+    _RuleImages,
     all_alphabetic_rules,
     alphabetic_generability,
     decide_equal,
     splice_image,
 )
-from splicelab.examples import anbn, anbn_circular, concat_chain
+from splicelab.examples import anbn, anbn_circular, concat_chain, dyck
 from splicelab.grammar import finite_cfg
+from splicelab.transform import complete_system
 
 from helpers import (
     in_one_step_image,
@@ -272,6 +278,66 @@ class TestSpliceImage:
             got = set(enumerate_dfa(splice_image(K, rules, rotate=True), bound))
             assert got == want, (K, rules)
 
+    # per usage and handle, whether a letter added at the front (True) or
+    # at the back (False) lands on the handle's outer side, which makes
+    # the lengthened rule match less
+    OUTER_FRONT = {
+        SPLICE: (True, False, False, True),
+        CONCAT: (False, True, False, True),
+    }
+
+    def test_dominated_rules(self):
+        """Rule sets holding rules with one handle lengthened by a letter:
+        on the outer side the longer rule is dominated and may be left
+        out of P, on the inner side it may not."""
+        rng = random.Random(66)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            K, rules, bound = self.random_target_and_rules(rng)
+            letters = "".join(K.alphabet)
+            for rule in list(rules):
+                for _ in range(rng.randint(1, 3)):
+                    handles = list(rule.handles)
+                    # an empty handle has no sides to tell apart
+                    i = rng.choice([j for j in range(4) if handles[j]] or range(4))
+                    front = rng.random() < 0.5
+                    letter = rng.choice(letters)
+                    handles[i] = letter + handles[i] if front else handles[i] + letter
+                    rules.append(SplicingRule(*handles, usage=rule.usage))
+                    seen[front == self.OUTER_FRONT[rule.usage][i]] += 1
+            want = self.naive_image(K, rules, bound)
+            got = enumerate_dfa(splice_image(K, rules), bound)
+            assert got == sorted(want, key=lambda w: (len(w), w)), (K, rules)
+            rotated = set()
+            for w in want:
+                rotated |= conjugates(w)
+            assert set(enumerate_dfa(splice_image(K, rules, rotate=True), bound)) == rotated
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize(
+        "regex, short, long",
+        [
+            ("(ab|b)+", SplicingRule("a", "", "a", ""), SplicingRule("ab", "", "a", "")),
+            ("(a|bb)+", SplicingRule("", "b", "", "b"), SplicingRule("", "b", "", "ba")),
+            (
+                "a*b",
+                SplicingRule("", "a", "", "", usage=CONCAT),
+                SplicingRule("", "ab", "", "", usage=CONCAT),
+            ),
+            ("(a|bb)+", SplicingRule("", "", "b", ""), SplicingRule("", "", "", "", usage=CONCAT)),
+        ],
+        ids=["splice-alpha", "splice-delta", "concat-beta", "across-usages"],
+    )
+    def test_undominated_rule_adds_words(self, regex, short, long):
+        """A handle lengthened on its inner side (splice alpha, splice
+        delta, concat beta), and a rule whose handles generalize one of
+        the other usage: neither is dominated, and each adds words."""
+        K = regex_to_dfa(parse_regex(regex), AB)
+        want = self.naive_image(K, [short, long], 6)
+        assert want > self.naive_image(K, [short], 6)
+        got = enumerate_dfa(splice_image(K, [short, long]), 6)
+        assert got == sorted(want, key=lambda w: (len(w), w))
+
     def test_rotate_closes_under_conjugacy(self):
         K = dfa_from_words(AB, ["ab"])
         rule = SplicingRule("a", "b", "a", "b")
@@ -325,9 +391,68 @@ class TestGenerability:
             assert decide_equal(system, K).equal
         assert found >= 5
 
+    def test_keeps_inside_matches_image(self):
+        """The K-state inclusion test agrees with the determinized image on
+        rules with longer handles too, empty middle languages included;
+        one ``_RuleImages`` per K serves all its rules, as in generability."""
+        # inserting before the a of bba leaves K, before any other a not
+        core = regex_to_dfa(parse_regex("(a|bba)+"), AB)
+        assert not _RuleImages(core).keeps_inside(SplicingRule("", "a", "", ""))
+        rng = random.Random(67)
+        outcomes = {True: 0, False: 0}
+        empty_middle = 0
+        for _ in range(100):
+            letters = "abc"[: rng.randint(1, 3)]
+            K = regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+            core = dfa_without_epsilon(K)
+            images = _RuleImages(core)
+            for _ in range(4):
+                rule = random_rule(rng, letters, SPLICE, rng.randint(1, 2))
+                want = dfa_subset(splice_image(core, [rule]), core)
+                assert images.keeps_inside(rule) == want, (K, rule)
+                outcomes[want] += 1
+                middle = dfa_intersect(core, pattern_dfa(letters, rule.gamma, rule.delta))
+                empty_middle += dfa_empty(middle)
+        assert min(outcomes.values()) >= 30, outcomes
+        assert empty_middle >= 20, empty_middle
+
     def test_rule_census(self):
         assert len(all_alphabetic_rules(Alphabet("a"))) == 16
         assert len(all_alphabetic_rules(Alphabet("ab"))) == 81
+
+
+class TestMaximalRules:
+    """A completed rule set is mostly extensions of its shortest rules,
+    whose images add nothing to P."""
+
+    @staticmethod
+    def target(width):
+        regex = "ab((a|b)*a" + "(a|b)" * width + ")*"
+        return regex_to_dfa(parse_regex(regex), AB)
+
+    def test_completed_dyck_builds_one_image(self, monkeypatch):
+        calls = []
+        image = _RuleImages.image
+        monkeypatch.setattr(
+            _RuleImages, "image", lambda self, rule: calls.append(rule) or image(self, rule)
+        )
+        system = complete_system(dyck())
+        K = self.target(2)
+        assert len(system.rules) == 81 and K.n_states == 11
+        assert decide_equal(system, K) == Verdict(False, 2, "aabb")
+        assert calls == [SplicingRule("", "", "", "")]
+
+    def test_completed_dyck_19_states(self):
+        K = self.target(3)
+        assert K.n_states == 19
+        assert decide_equal(complete_system(dyck()), K) == Verdict(False, 2, "aabb")
+
+    def test_long_word_generability(self):
+        word = "a" * 200
+        system = alphabetic_generability(regex_to_dfa(parse_regex(word), ("a",)))
+        assert system is not None
+        assert system.initial.words == frozenset({word})
+        assert system.rules == frozenset()
 
 
 class TestDifferential:
