@@ -5,6 +5,11 @@ trimmed, minimized, and renumbered by breadth-first discovery order.  Two
 normalized DFAs over the same alphabet accept the same language iff they
 are structurally equal, which makes equivalence checks trivial and all
 outputs deterministic.
+
+Every construction goes through one subset walk, ``_explore``, over the
+nodes of an implicit DFA: ε-closed NFA subsets, product state pairs, or
+the states of a concatenation or a rotation closure.  Only regexes, word
+lists, patterns and splice images still build an ε-NFA.
 """
 
 from __future__ import annotations
@@ -79,6 +84,27 @@ def _normalize(
     )
 
 
+def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
+    """The normalized DFA whose states are the nodes reachable from
+    ``start``: ``step(node)`` gives a node's successors in alphabet order
+    and ``final(node)`` whether it accepts.  Nodes are numbered in
+    breadth-first discovery order."""
+    ids = {start: 0}
+    nodes = [start]
+    delta: list[list[int]] = []
+    for node in nodes:  # grows as new nodes are found
+        row = []
+        for nxt in step(node):
+            i = ids.get(nxt)
+            if i is None:
+                i = ids[nxt] = len(nodes)
+                nodes.append(nxt)
+            row.append(i)
+        delta.append(row)
+    finals = {i for i, node in enumerate(nodes) if final(node)}
+    return _normalize(alphabet, delta, 0, finals)
+
+
 class Nfa:
     """Work-in-progress NFA with epsilon moves; determinize to get a Dfa."""
 
@@ -116,28 +142,17 @@ class Nfa:
         return frozenset(seen)
 
     def determinize(self) -> Dfa:
-        k = len(self.alphabet)
-        start = self._closure(frozenset([self.start]))
-        ids: dict[frozenset[int], int] = {start: 0}
-        delta: list[list[int]] = []
-        queue = deque([start])
-        subsets = [start]
-        while queue:
-            cur = queue.popleft()
-            row = [0] * k
-            for a, letter in enumerate(self.alphabet):
-                move = set()
+        edges, alphabet, closure = self.edges, self.alphabet, self._closure
+
+        def step(cur: frozenset[int]):
+            for letter in alphabet:
+                move: set[int] = set()
                 for s in cur:
-                    move |= self.edges[s].get(letter, set())
-                nxt = self._closure(frozenset(move))
-                if nxt not in ids:
-                    ids[nxt] = len(subsets)
-                    subsets.append(nxt)
-                    queue.append(nxt)
-                row[a] = ids[nxt]
-            delta.append(row)
-        finals = {i for i, sub in enumerate(subsets) if sub & self.finals}
-        return _normalize(self.alphabet, delta, 0, finals)
+                    move |= edges[s].get(letter, set())
+                yield closure(frozenset(move))
+
+        start = closure(frozenset([self.start]))
+        return _explore(alphabet, start, step, lambda cur: not self.finals.isdisjoint(cur))
 
 
 def _letters(alphabet) -> tuple[str, ...]:
@@ -403,32 +418,18 @@ def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
 def dfa_boolean(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Product construction for union / intersect / difference."""
     _require_same_alphabet(a, b)
-    k = len(a.alphabet)
-    ids: dict[tuple[int, int], int] = {(a.start, b.start): 0}
-    pairs = [(a.start, b.start)]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(pairs):
-        s, t = pairs[i]
-        row = [0] * k
-        for x in range(k):
-            nxt = (a.transitions[s][x], b.transitions[t][x])
-            if nxt not in ids:
-                ids[nxt] = len(pairs)
-                pairs.append(nxt)
-            row[x] = ids[nxt]
-        delta.append(row)
-        i += 1
+    fa, fb = a.finals, b.finals
     if op == "union":
-        keep = lambda s, t: s in a.finals or t in b.finals
+        keep = lambda pair: pair[0] in fa or pair[1] in fb
     elif op == "intersect":
-        keep = lambda s, t: s in a.finals and t in b.finals
+        keep = lambda pair: pair[0] in fa and pair[1] in fb
     elif op == "difference":
-        keep = lambda s, t: s in a.finals and t not in b.finals
+        keep = lambda pair: pair[0] in fa and pair[1] not in fb
     else:
         raise ValueError(f"unknown boolean op {op!r}")
-    finals = {ids[(s, t)] for (s, t) in pairs if keep(s, t)}
-    return _normalize(a.alphabet, delta, 0, finals)
+    ta, tb = a.transitions, b.transitions
+    step = lambda pair: zip(ta[pair[0]], tb[pair[1]])
+    return _explore(a.alphabet, (a.start, b.start), step, keep)
 
 
 def dfa_union(a: Dfa, b: Dfa) -> Dfa:
@@ -459,21 +460,19 @@ def dfa_empty(a: Dfa) -> bool:
 
 
 def dfa_shortest(a: Dfa) -> str | None:
-    """Length-lex least accepted word, or None for the empty language."""
-    if a.start in a.finals:
-        return ""
-    words = {a.start: ""}
-    queue = deque([a.start])
-    while queue:
-        s = queue.popleft()
-        for x, letter in enumerate(a.alphabet):
-            t = a.transitions[s][x]
-            if t not in words:
-                words[t] = words[s] + letter
-                if t in a.finals:
-                    return words[t]
-                queue.append(t)
-    return None
+    """Length-lex least accepted word, or None for the empty language:
+    from the start, always the first letter that brings acceptance one
+    step closer."""
+    dist = _live_distances(a)
+    if a.start not in dist:
+        return None
+    s, word = a.start, []
+    while dist[s]:
+        letter, s = next(
+            (c, t) for c, t in zip(a.alphabet, a.transitions[s]) if dist.get(t) == dist[s] - 1
+        )
+        word.append(letter)
+    return "".join(word)
 
 
 def difference_witness(a: Dfa, b: Dfa) -> str | None:
@@ -509,27 +508,36 @@ def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
     return a == b
 
 
-def _live_states(a: Dfa) -> set[int]:
-    """States on some accepting path (all states are reachable already)."""
-    rev: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
-    for s in range(a.n_states):
+def _live_distances(a: Dfa) -> dict[int, int]:
+    """The live states, those reachable from the start that reach a final
+    state, each with the length of its shortest word to acceptance: a
+    reverse breadth-first walk from the reachable finals."""
+    reach = {a.start}
+    stack = [a.start]
+    while stack:
+        for t in a.transitions[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    rev: dict[int, list[int]] = {s: [] for s in reach}
+    for s in reach:
         for t in a.transitions[s]:
-            rev[t].add(s)
-    live = set(a.finals)
-    queue = deque(a.finals)
+            rev[t].append(s)
+    dist = {f: 0 for f in a.finals if f in reach}
+    queue = deque(dist)
     while queue:
         s = queue.popleft()
         for p in rev[s]:
-            if p not in live:
-                live.add(p)
+            if p not in dist:
+                dist[p] = dist[s] + 1
                 queue.append(p)
-    return live
+    return dist
 
 
 def dfa_is_finite(a: Dfa) -> bool:
     """Finite iff no cycle passes through a live state: peeling live
     states with no live predecessor left (Kahn's order) must use them all."""
-    live = _live_states(a)
+    live = _live_distances(a)
     indegree = dict.fromkeys(live, 0)
     for s in live:
         for t in a.transitions[s]:
@@ -549,48 +557,51 @@ def dfa_is_finite(a: Dfa) -> bool:
 
 
 def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
+    """The concatenation: a node is the state of ``a`` after the whole
+    word read so far and the states of ``b`` after its suffixes that
+    follow a prefix ``a`` accepts."""
     _require_same_alphabet(a, b)
-    nfa = Nfa(a.alphabet)
-    base_a = [nfa.new_state() for _ in range(a.n_states)]
-    base_b = [nfa.new_state() for _ in range(b.n_states)]
-    nfa.add_edge(nfa.start, None, base_a[a.start])
-    for s in range(a.n_states):
-        for x, letter in enumerate(a.alphabet):
-            nfa.add_edge(base_a[s], letter, base_a[a.transitions[s][x]])
-    for s in range(b.n_states):
-        for x, letter in enumerate(b.alphabet):
-            nfa.add_edge(base_b[s], letter, base_b[b.transitions[s][x]])
-    for f in a.finals:
-        nfa.add_edge(base_a[f], None, base_b[b.start])
-    nfa.finals = {base_b[f] for f in b.finals}
-    return nfa.determinize()
+    ta, tb = a.transitions, b.transitions
+    k = len(a.alphabet)
+
+    def node(s: int, bs: list[int]) -> tuple[int, frozenset[int]]:
+        return s, frozenset(bs + [b.start] if s in a.finals else bs)
+
+    def step(cur):
+        s, bs = cur
+        for x in range(k):
+            yield node(ta[s][x], [tb[t][x] for t in bs])
+
+    return _explore(a.alphabet, node(a.start, []), step, lambda cur: not b.finals.isdisjoint(cur[1]))
 
 
 def conjugacy_closure(a: Dfa) -> Dfa:
     """All rotations of all accepted words.
 
-    For every guessed split state g the machine reads the suffix part from
-    g to acceptance, jumps back to the original start, and must end the
-    prefix part exactly at g.
+    A rotation v·u of an accepted word u·v splits it at a guessed state
+    g, the state u leads to.  A node holds the (state, g) pairs still
+    reading the suffix part v from g, and those reading the prefix part u
+    from the start after v reached acceptance; it accepts when a prefix
+    pair is back at its g.  Pairs whose state is not live are dropped.
     """
-    nfa = Nfa(a.alphabet)
-    phase1 = {}
-    phase2 = {}
-    for g in range(a.n_states):
-        for s in range(a.n_states):
-            phase1[(s, g)] = nfa.new_state()
-            phase2[(s, g)] = nfa.new_state()
-    for g in range(a.n_states):
-        nfa.add_edge(nfa.start, None, phase1[(g, g)])
-        for s in range(a.n_states):
-            for x, letter in enumerate(a.alphabet):
-                t = a.transitions[s][x]
-                nfa.add_edge(phase1[(s, g)], letter, phase1[(t, g)])
-                nfa.add_edge(phase2[(s, g)], letter, phase2[(t, g)])
-            if s in a.finals:
-                nfa.add_edge(phase1[(s, g)], None, phase2[(a.start, g)])
-        nfa.finals.add(phase2[(g, g)])
-    return nfa.determinize()
+    live = _live_distances(a)
+    T, k = a.transitions, len(a.alphabet)
+
+    def node(suffix, prefix) -> tuple[frozenset, frozenset]:
+        # a suffix pair at a final state restarts as a prefix pair
+        restart = [(a.start, g) for s, g in suffix if s in a.finals]
+        return frozenset(suffix), frozenset(prefix).union(restart)
+
+    def step(cur):
+        suffix, prefix = cur
+        for x in range(k):
+            yield node(
+                [(t, g) for s, g in suffix if (t := T[s][x]) in live],
+                [(t, g) for s, g in prefix if (t := T[s][x]) in live],
+            )
+
+    start = node([(g, g) for g in live], ())
+    return _explore(a.alphabet, start, step, lambda cur: any(s == g for s, g in cur[1]))
 
 
 def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
@@ -598,18 +609,7 @@ def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
 
     Grows the prefixes one letter at a time, in alphabet order, keeping
     only those that can still reach acceptance within the bound."""
-    dist: dict[int, int] = {f: 0 for f in a.finals}
-    queue = deque(a.finals)
-    rev: dict[int, set[int]] = {s: set() for s in range(a.n_states)}
-    for s in range(a.n_states):
-        for t in a.transitions[s]:
-            rev[t].add(s)
-    while queue:
-        s = queue.popleft()
-        for p in rev[s]:
-            if p not in dist:
-                dist[p] = dist[s] + 1
-                queue.append(p)
+    dist = _live_distances(a)
     # per state, the letters that lead on toward acceptance, with the
     # length still needed after them
     succ = [

@@ -45,7 +45,7 @@ from .automata import (
     difference_witness,
     enumerate_dfa,
     pattern_dfa,
-    _live_states,
+    _live_distances,
 )
 from .core import (
     CIRCULAR,
@@ -120,26 +120,26 @@ class _RuleImages:
 
     def __init__(self, K: Dfa):
         self.K = K
-        self.live = _live_states(K)
-        self._patterns: dict[tuple[str, str], tuple[Dfa, set[int]]] = {}
-        self._fitting: dict[tuple[str, str], tuple[Dfa, set[int]]] = {}
+        self.live = _live_distances(K)
+        self._patterns: dict[tuple[str, str], tuple[Dfa, dict[int, int]]] = {}
+        self._fitting: dict[tuple[str, str], tuple[Dfa, dict[int, int]]] = {}
         self._reached: dict[tuple[int, str, str], set[int]] = {}
         self._includes: dict[tuple[int, int], bool] = {}
 
-    def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, set[int]]:
+    def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
         """prefix A* suffix and its live states."""
         key = (prefix, suffix)
         if key not in self._patterns:
             d = pattern_dfa(self.K.alphabet, prefix, suffix)
-            self._patterns[key] = (d, _live_states(d))
+            self._patterns[key] = (d, _live_distances(d))
         return self._patterns[key]
 
-    def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, set[int]]:
+    def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
         """K ∩ prefix A* suffix and its live states."""
         key = (prefix, suffix)
         if key not in self._fitting:
             d = dfa_intersect(self.K, self.pattern(prefix, suffix)[0])
-            self._fitting[key] = (d, _live_states(d))
+            self._fitting[key] = (d, _live_distances(d))
         return self._fitting[key]
 
     def step(self, state: int, word: str) -> int:
@@ -271,25 +271,22 @@ class _RuleImages:
             total = dfa_union(total, self.splice_nfa(rule, t, group).determinize())
         return total
 
-    def union(self, rules, *, rotate: bool = False) -> Dfa:
-        """One ``dfa_union`` per image of a maximal rule, closed under
-        conjugacy first with ``rotate``."""
+    def union(self, rules) -> Dfa:
+        """One ``dfa_union`` per image of a maximal rule."""
         total = dfa_none(self.K.alphabet)
         for rule in _maximal(rules):
-            image = self.image(rule)
-            if rotate:
-                image = conjugacy_closure(image)
-            total = dfa_union(total, image)
+            total = dfa_union(total, self.image(rule))
         return total
 
 
-def splice_image(K: Dfa, rules, *, rotate: bool = False) -> Dfa:
-    """The union P of the one-step splice images of all rules; with
-    ``rotate`` each rule image is closed under conjugacy (circular
-    splicing can paste at any arrangement).  Only the images of rules
-    that no other rule of the same usage dominates are built: a
-    dominated rule's image lies in its dominator's."""
-    return _RuleImages(K).union(rules, rotate=rotate)
+def splice_image(K: Dfa, rules) -> Dfa:
+    """The union P of the one-step splice images of all rules.  Only the
+    images of rules that no other rule of the same usage dominates are
+    built: a dominated rule's image lies in its dominator's.  A circular
+    system's P is this union closed under rotation once, with
+    ``conjugacy_closure``: circular splicing can paste at any arrangement,
+    and the rotations of a union are the union of the rotations."""
+    return _RuleImages(K).union(rules)
 
 
 def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
@@ -326,10 +323,9 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
 
     # (2) splicing K⁺-words never leaves K
     core = dfa_without_epsilon(K)
+    P = splice_image(core, system.rules)
     if system.mode == CIRCULAR:
-        P = splice_image(core, system.splice_rules, rotate=True)
-    else:
-        P = splice_image(core, system.rules)
+        P = conjugacy_closure(P)
     w = difference_witness(P, K)
     if w is not None:
         return Verdict(False, 2, w)

@@ -164,6 +164,13 @@ class TestQueries:
         assert dfa_is_finite(dfa_intersect(regex_to_dfa(parse_regex("a*"), AB),
                                            dfa_from_words(AB, ["aa"])))
 
+    def test_hand_built_unreachable_states(self):
+        """States the start never reaches are not live, even when they
+        reach a final state: state 3 is an unreachable final with a loop."""
+        d = Dfa(("a",), ((1,), (2,), (2,), (3,)), 0, frozenset({1, 3}))
+        assert dfa_is_finite(d)
+        assert enumerate_dfa(d, 5) == ["a"]
+
     def test_enumerate_dfa(self):
         d = regex_to_dfa(parse_regex("a*b"), AB)
         assert enumerate_dfa(d, 3) == ["b", "ab", "aab"]
@@ -225,6 +232,57 @@ class TestStructural:
     def test_concat_with_infinite_left(self):
         d = dfa_concat(regex_to_dfa(parse_regex("a*"), AB), dfa_from_words(AB, ["b"]))
         assert dfa_equivalent(d, regex_to_dfa(parse_regex("a*b"), AB))
+
+    @staticmethod
+    def random_operand(rng, letters):
+        """The language of a random regex, or now and then {ε} or the empty
+        language."""
+        pick = rng.random()
+        if pick < 0.1:
+            return dfa_none(letters)
+        if pick < 0.2:
+            return dfa_from_words(letters, [""])
+        return regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+
+    def test_concat_against_brute_force(self):
+        """Up to length 6, the concatenation holds exactly the joined pairs
+        of enumerated operand words."""
+        rng = random.Random(41)
+        seen = {"empty": 0, "epsilon": 0, "infinite": 0}
+        for _ in range(250):
+            letters = "abc"[: rng.randint(1, 3)]
+            a, b = self.random_operand(rng, letters), self.random_operand(rng, letters)
+            us, vs = enumerate_dfa(a, 6), enumerate_dfa(b, 6)
+            want = {u + v for u in us for v in vs if len(u) + len(v) <= 6}
+            assert set(enumerate_dfa(dfa_concat(a, b), 6)) == want, (a, b)
+            for d in (a, b):
+                seen["empty"] += dfa_empty(d)
+                seen["epsilon"] += enumerate_dfa(d, 6) == [""]
+                seen["infinite"] += not dfa_is_finite(d)
+        assert min(seen.values()) >= 20, seen
+
+    def test_conjugacy_closure_against_brute_force(self):
+        """Up to length 6, the closure holds exactly the rotations of the
+        enumerated words."""
+        rng = random.Random(43)
+        seen = {"empty": 0, "epsilon": 0, "infinite": 0}
+        for _ in range(250):
+            letters = "abc"[: rng.randint(1, 3)]
+            d = self.random_operand(rng, letters)
+            want = {w[i:] + w[:i] for w in enumerate_dfa(d, 6) for i in range(len(w) + 1)}
+            assert set(enumerate_dfa(conjugacy_closure(d), 6)) == want, d
+            seen["empty"] += dfa_empty(d)
+            seen["epsilon"] += enumerate_dfa(d, 6) == [""]
+            seen["infinite"] += not dfa_is_finite(d)
+        assert min(seen.values()) >= 20, seen
+
+    def test_conjugacy_closure_of_long_word(self):
+        rng = random.Random(47)
+        word = "".join(rng.choice("ab") for _ in range(60))
+        rotations = {word[i:] + word[:i] for i in range(60)}
+        assert len(rotations) == 60
+        d = conjugacy_closure(dfa_from_words(AB, [word]))
+        assert set(enumerate_dfa(d, 60)) == rotations
 
     def test_conjugacy_closure(self):
         d = conjugacy_closure(dfa_from_words(AB, ["aab"]))

@@ -6,14 +6,19 @@ import random
 import pytest
 
 from splicelab.automata import (
+    Dfa,
+    conjugacy_closure,
     dfa_difference,
     dfa_empty,
     dfa_from_words,
     dfa_intersect,
     dfa_is_finite,
+    dfa_none,
     dfa_shortest,
     dfa_subset,
+    dfa_union,
     dfa_without_epsilon,
+    difference_witness,
     enumerate_dfa,
     parse_regex,
     pattern_dfa,
@@ -34,6 +39,7 @@ from splicelab.core import (
 )
 from splicelab.decider import (
     Verdict,
+    _maximal,
     _RuleImages,
     all_alphabetic_rules,
     alphabetic_generability,
@@ -204,6 +210,23 @@ class TestDecideEqualCircular:
         assert verdict.failing_inclusion == 2
         assert verdict.witness == "aaa"
 
+    def test_two_undominated_rules(self):
+        """P is the union of both rule images, closed under rotation: the
+        least word of the unrotated union outside K is bbba, and its
+        rotation abbb is the witness."""
+        target = regex_to_dfa(parse_regex("a+|bbb"), AB)
+        rules = [SplicingRule("", "a", "", ""), SplicingRule("", "", "ab", "bb")]
+        assert len(_maximal(rules)) == 2
+        unrotated = splice_image(dfa_without_epsilon(target), rules)
+        assert difference_witness(unrotated, target) == "bbba"
+        system = SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.finite(["a"]),
+            rules=frozenset(rules),
+            mode=CIRCULAR,
+        )
+        assert decide_equal(system, target) == Verdict(False, 2, "abbb")
+
     def test_concat_rules_unsupported(self):
         # a circular system with a concat rule is refused when it is built
         with pytest.raises(UnsupportedError):
@@ -275,7 +298,7 @@ class TestSpliceImage:
             want = set()
             for w in self.naive_image(K, rules, bound):
                 want |= conjugates(w)
-            got = set(enumerate_dfa(splice_image(K, rules, rotate=True), bound))
+            got = set(enumerate_dfa(conjugacy_closure(splice_image(K, rules)), bound))
             assert got == want, (K, rules)
 
     # per usage and handle, whether a letter added at the front (True) or
@@ -311,7 +334,7 @@ class TestSpliceImage:
             rotated = set()
             for w in want:
                 rotated |= conjugates(w)
-            assert set(enumerate_dfa(splice_image(K, rules, rotate=True), bound)) == rotated
+            assert set(enumerate_dfa(conjugacy_closure(splice_image(K, rules)), bound)) == rotated
         assert min(seen.values()) >= 100, seen
 
     @pytest.mark.parametrize(
@@ -338,10 +361,33 @@ class TestSpliceImage:
         got = enumerate_dfa(splice_image(K, [short, long]), 6)
         assert got == sorted(want, key=lambda w: (len(w), w))
 
+    def test_rotation_once_matches_per_rule_closures(self):
+        """Closing the union of the images under rotation once gives the
+        same normalized DFA as the union of the per-rule closures."""
+        rng = random.Random(68)
+        checked = nonempty = 0
+        for _ in range(400):
+            letters = "abc"[: rng.randint(1, 3)]
+            K = regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+            core = dfa_without_epsilon(K)
+            rules = [
+                random_rule(rng, letters, SPLICE, rng.randint(1, 2))
+                for _ in range(rng.randint(2, 3))
+            ]
+            if len(_maximal(rules)) < 2:
+                continue
+            per_rule = dfa_none(letters)
+            for rule in rules:
+                per_rule = dfa_union(per_rule, conjugacy_closure(splice_image(core, [rule])))
+            assert conjugacy_closure(splice_image(core, rules)) == per_rule, (K, rules)
+            checked += 1
+            nonempty += not dfa_empty(per_rule)
+        assert checked >= 100 and nonempty >= 50, (checked, nonempty)
+
     def test_rotate_closes_under_conjugacy(self):
         K = dfa_from_words(AB, ["ab"])
         rule = SplicingRule("a", "b", "a", "b")
-        image = splice_image(K, [rule], rotate=True)
+        image = conjugacy_closure(splice_image(K, [rule]))
         got = set(enumerate_dfa(image, 4))
         assert got == conjugates("aabb")
 
@@ -366,6 +412,16 @@ class TestGenerability:
         assert system is not None
         assert system.initial.had_epsilon
         assert decide_equal(system, target).equal
+
+    def test_unreachable_states_ignored(self):
+        """A hand-built DFA for a+ whose unreachable state 2 leads to an
+        unreachable final: a cut there must not reject an admissible rule,
+        so the answer is the one for the normalized a+."""
+        K = Dfa(("a",), ((1,), (1,), (4,), (3,), (3,)), 0, frozenset({1, 4}))
+        system = alphabetic_generability(K)
+        assert system == alphabetic_generability(regex_to_dfa(parse_regex("a+"), ("a",)))
+        assert len(system.rules) == 16
+        assert system.initial.words == frozenset({"a"})
 
     def test_a_star_b_has_no_system(self):
         target = regex_to_dfa(parse_regex("a*b"), AB)
