@@ -280,12 +280,12 @@ def serialize_grammar(g: Cfg) -> str:
     lines = [f"start {g.start}"]
     if g.terminals:
         lines.append("terminals " + " ".join(g.terminals))
-    for var in g.variables:
-        bodies = g.bodies(var)
-        if not bodies:
-            continue
-        rendered = [" ".join(b) if b else "_" for b in bodies]
-        lines.append(f"{var} -> " + " | ".join(rendered))
+    rendered: dict[str, list[str]] = {v: [] for v in g.variables}
+    for head, body in g.productions:
+        rendered[head].append(" ".join(body) if body else "_")
+    for var, bodies in rendered.items():
+        if bodies:
+            lines.append(f"{var} -> " + " | ".join(bodies))
     return "\n".join(lines) + "\n"
 
 

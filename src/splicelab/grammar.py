@@ -279,7 +279,15 @@ def _binarize(g: Cfg) -> Cfg:
 
 def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
     """Grammar for L(g) ∩ L(d) by the triple construction on a binarized
-    copy of ``g``."""
+    copy of ``g``, built over the triples that survive a trim only.
+
+    One fixpoint first finds, for each variable v and state p, the states
+    q such that v derives a word leading p to q: the generating triples.
+    A walk down from the start's triples then follows only the generating
+    runs of states through each body, so every triple it reaches is both
+    reachable and generating.  The productions come out ordered by
+    production of ``g``, then by the states of the run, ascending, which
+    is the order of the full product; the result needs no trim."""
     if set(g.terminals) != set(d.alphabet):
         raise ValueError(
             f"terminal alphabet {sorted(g.terminals)} does not match "
@@ -287,7 +295,48 @@ def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
         )
     g = _binarize(g)
     n = d.n_states
-    idx = {a: i for i, a in enumerate(d.alphabet)}
+    # ends[s][p]: the states a word of the symbol s leads p to
+    ends: dict[str, list] = {a: [(row[i],) for row in d.transitions] for i, a in enumerate(d.alphabet)}
+    ends.update({v: [set() for _ in range(n)] for v in g.variables})
+
+    def update(head: str, body: Body) -> bool:
+        grown = False
+        for p, known in enumerate(ends[head]):
+            reach = (p,)
+            for s in body:
+                step = ends[s]
+                reach = {r for q in reach for r in step[q]}
+            if not known.issuperset(reach):
+                known.update(reach)
+                grown = True
+        return grown
+
+    _fixpoint(g, update)
+
+    by_head: dict[str, list[int]] = defaultdict(list)
+    for i, (head, _) in enumerate(g.productions):
+        by_head[head].append(i)
+    roots = [(g.start, d.start, f) for f in sorted(d.finals) if f in ends[g.start][d.start]]
+    reached = set(roots)
+    stack = list(roots)
+    built: list[tuple[int, tuple[int, ...]]] = []  # (production index, run)
+    while stack:
+        v, p, q = stack.pop()
+        for i in by_head[v]:
+            body = g.productions[i][1]
+            runs = [(p,)]  # each run of states a word of the body can pass
+            for s in body:
+                step = ends[s]
+                runs = [run + (r,) for run in runs for r in step[run[-1]]]
+            for run in runs:
+                if run[-1] != q:
+                    continue
+                built.append((i, run))
+                for s, a, b in zip(body, run, run[1:]):
+                    if s in g.varset and (s, a, b) not in reached:
+                        reached.add((s, a, b))
+                        stack.append((s, a, b))
+
     avoid = set(g.variables) | set(g.terminals)
     names: dict[tuple[str, int, int], str] = {}
 
@@ -298,34 +347,12 @@ def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
         return names[key]
 
     start = fresh_name("B", avoid)
-    prods: list[tuple[str, Body]] = []
-    for f in sorted(d.finals):
-        prods.append((start, (trip(g.start, d.start, f),)))
-    for head, body in g.productions:
-        if len(body) == 0:
-            for p in range(n):
-                prods.append((trip(head, p, p), ()))
-        elif len(body) == 1:
-            s = body[0]
-            if s in g.varset:
-                for p in range(n):
-                    for q in range(n):
-                        prods.append((trip(head, p, q), (trip(s, p, q),)))
-            else:
-                for p in range(n):
-                    prods.append((trip(head, p, d.transitions[p][idx[s]]), (s,)))
-        else:
-            s1, s2 = body
-            for p in range(n):
-                mids = range(n) if s1 in g.varset else [d.transitions[p][idx[s1]]]
-                for q in mids:
-                    sym1 = trip(s1, p, q) if s1 in g.varset else s1
-                    ends = range(n) if s2 in g.varset else [d.transitions[q][idx[s2]]]
-                    for r in ends:
-                        sym2 = trip(s2, q, r) if s2 in g.varset else s2
-                        prods.append((trip(head, p, r), (sym1, sym2)))
-    variables = [start] + list(names.values())
-    return cfg_trim(Cfg(g.terminals, variables, prods, start))
+    prods = [(start, (trip(*root),)) for root in roots]
+    for i, run in sorted(built):
+        head, body = g.productions[i]
+        syms = tuple(trip(s, a, b) if s in g.varset else s for s, a, b in zip(body, run, run[1:]))
+        prods.append((trip(head, run[0], run[-1]), syms))
+    return Cfg(g.terminals, [start] + list(names.values()), prods, start)
 
 
 # --------------------------------------------------------------------------
@@ -552,7 +579,13 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
     """Flatten a generalized grammar to an ordinary one by eliminating
     non-start variables in declaration order: each variable's own closure
     is flattened with kral_single and substituted into the remaining
-    right-hand-side languages; the start is flattened last."""
+    right-hand-side languages; the start is flattened last.
+
+    A right-hand side that declares x but uses it in no production only
+    drops x from its terminals.  One that uses x takes the closure with no
+    trim when the closure is non-empty (a trimmed grammar grafted with a
+    trimmed non-empty closure is trimmed already); when it is empty, the
+    productions that use x go and the rest is trimmed."""
     rhs = {v: c for v, c in g.rhs_languages}
     remaining = list(g.variables)
     for x in [v for v in g.variables if v != g.start]:
@@ -565,9 +598,18 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
                 ((x, rhs[x]),),
             )
         )
+        empty = cfg_empty(closure)
         for v in others:
-            if x in rhs[v].terminals:
-                rhs[v] = cfg_trim(substitute(rhs[v], {x: closure}))
+            h = rhs[v]
+            if x not in h.terminals:
+                continue
+            kept = [(head, body) for head, body in h.productions if x not in body]
+            used = len(kept) < len(h.productions)
+            if used and not empty:
+                rhs[v] = substitute(h, {x: closure})
+            else:
+                rest = Cfg([t for t in h.terminals if t != x], h.variables, kept, h.start)
+                rhs[v] = cfg_trim(rest) if used else rest
         remaining.remove(x)
         del rhs[x]
     final = kral_single(

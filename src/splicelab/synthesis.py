@@ -86,7 +86,9 @@ def pure_grammar(system: SplicingSystem, method: str = "graft") -> Cfg:
     ``method="graft"`` splices the marker images of the initial components
     directly into the grammar; ``method="kral"`` builds the generalized
     grammar whose right-hand sides are whole languages and flattens it by
-    variable elimination.  Both yield the same language.
+    variable elimination.  Both yield the same language.  The generalized
+    grammar declares a letter or word variable only when its language is
+    non-empty, so no elimination step has an empty closure to graft.
     """
     _check_common(system, kind="insertion")
     if system.concat_rules:
@@ -138,22 +140,18 @@ def pure_grammar(system: SplicingSystem, method: str = "graft") -> Cfg:
         built = cfg_trim(Cfg(tuple(letters), variables, prods, START))
         return cfg_canonical(cfg_simplify(built))
 
-    gvars = (
-        [START]
-        + [letter_var(a) for a in letters]
-        + [word_var(a, b) for a, b in pairs]
-        + [marker(a, b) for a, b in pairs]
-    )
-    rhs: list[tuple[str, Cfg]] = []
-    rhs.append((START, _body_language([b for h, b in group1 if h == START])))
-    for a in letters:
-        rhs.append((letter_var(a), _body_language([(a,)] if a in singles else [])))
-    for a, b in pairs:
-        comp = components.get((a, b))
-        rhs.append((word_var(a, b), ins_image(comp) if comp is not None else _body_language([])))
-    for a, b in pairs:
-        rhs.append((marker(a, b), _body_language(group2[marker(a, b)] + [()])))
-    generalized = GeneralizedCfg(tuple(letters), tuple(gvars), START, tuple(rhs))
+    # only the non-empty letter and word variables are declared, and the
+    # bodies that name a left-out one go with it
+    rhs = [(letter_var(a), _body_language([(a,)])) for a in letters if a in singles]
+    rhs += [(word_var(a, b), ins_image(components[(a, b)])) for a, b in pairs if (a, b) in components]
+    declared = {v for v, _ in rhs} | set(group2)
+
+    def language(bodies) -> Cfg:
+        return _body_language([b for b in bodies if declared.issuperset(b)])
+
+    rhs.insert(0, (START, language([b for h, b in group1 if h == START])))
+    rhs += [(m, language(bodies + [()])) for m, bodies in group2.items()]
+    generalized = GeneralizedCfg(tuple(letters), tuple(v for v, _ in rhs), START, tuple(rhs))
     return cfg_canonical(kral_eliminate(generalized))
 
 

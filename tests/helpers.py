@@ -252,6 +252,21 @@ def random_regex(rng: random.Random, letters: str, depth: int = 3) -> str:
 # Lazy expander for generalized grammars (oracle for variable elimination)
 
 
+def _least_weight(lang: Cfg, weight) -> float:
+    """Least total ``weight`` of a word of ``lang`` (inf when it is empty),
+    by relaxing every production until nothing improves."""
+    best = {v: float("inf") for v in lang.variables}
+    changed = True
+    while changed:
+        changed = False
+        for head, body in lang.productions:
+            total = sum(best[s] if s in lang.varset else weight(s) for s in body)
+            if total < best[head]:
+                best[head] = total
+                changed = True
+    return best[lang.start]
+
+
 def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
     """Bounded language of a generalized grammar by direct sentential-form
     expansion, replacing one variable occurrence at a time by a word of its
@@ -262,36 +277,40 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
     and never leaves nothing behind.  So every occurrence costs at least
     one letter, a form holds at most ``max_len`` of them, and the search
     ends even when a nullable variable can reproduce itself
-    (``A -> A A | ε``)."""
-    rhs_words: dict[str, list[tuple[str, ...]]] = {}
-    for var, lang in g.rhs_languages:
-        rhs_words[var] = list(enumerate_cfg_tuples(lang, max_len))
+    (``A -> A A | ε``).  A right-hand word is taken after its erasures, so
+    one with more than ``max_len`` symbols still counts when erasing its
+    nullable variables brings it within the bound."""
+    langs = dict(g.rhs_languages)
     varset = set(g.variables)
 
-    # least terminal yield of each variable, for pruning sentential forms
+    # least terminal yield of each variable, for pruning sentential forms:
+    # a letter weighs 1 and a variable its own least yield
     yields: dict[str, float] = {v: float("inf") for v in varset}
     changed = True
     while changed:
         changed = False
-        for var, options in rhs_words.items():
-            for word in options:
-                total = sum(yields[s] if s in varset else len(s) for s in word)
-                if total < yields[var]:
-                    yields[var] = total
-                    changed = True
+        for var, lang in langs.items():
+            least = _least_weight(lang, lambda s: yields[s] if s in varset else len(s))
+            if least < yields[var]:
+                yields[var] = least
+                changed = True
 
     nullable = {v for v in varset if yields[v] == 0}
 
+    def erasures(lang: Cfg) -> Cfg:
+        """``lang`` with each nullable variable occurrence optional."""
+        optional = {s: f"{s}?" for s in lang.terminals if s in nullable}
+        prods = [(h, tuple(optional.get(s, s) for s in b)) for h, b in lang.productions]
+        prods += [(o, (s,)) for s, o in optional.items()] + [(o, ()) for o in optional.values()]
+        return Cfg(lang.terminals, lang.variables + tuple(optional.values()), prods, lang.start)
+
+    rhs_words = {
+        var: [w for w in enumerate_cfg_tuples(erasures(lang), max_len) if w]
+        for var, lang in langs.items()
+    }
+
     def cost(form: tuple[str, ...]) -> float:
         return sum(max(yields[s], 1) if s in varset else len(s) for s in form)
-
-    def erasures(repl: tuple[str, ...]):
-        spots = [i for i, s in enumerate(repl) if s in nullable]
-        for k in range(len(spots) + 1):
-            for dropped in itertools.combinations(spots, k):
-                kept = tuple(s for i, s in enumerate(repl) if i not in dropped)
-                if kept:
-                    yield kept
 
     done: set[str] = {""} if g.start in nullable else set()
     seen: set[tuple[str, ...]] = set()
@@ -306,8 +325,7 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
             done.add("".join(form))
             continue
         for repl in rhs_words[form[var_at]]:
-            for kept in erasures(repl):
-                agenda.append(form[:var_at] + kept + form[var_at + 1 :])
+            agenda.append(form[:var_at] + repl + form[var_at + 1 :])
     return done
 
 

@@ -3,11 +3,14 @@ and flattening of generalized grammars."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from splicelab.automata import dfa_from_words, parse_regex, pattern_dfa, regex_to_dfa
+from splicelab import grammar
+from splicelab.automata import dfa_from_words, dfa_is_finite, parse_regex, pattern_dfa, regex_to_dfa
 from splicelab.core import Alphabet, InitialSet
+from splicelab.fileformat import serialize_grammar
 from splicelab.grammar import (
     Cfg,
     GeneralizedCfg,
@@ -32,7 +35,13 @@ from splicelab.grammar import (
     word_ins,
 )
 
-from helpers import cfg_isomorphic, lazy_generalized_words, naive_cfg_simplify, random_cfg
+from helpers import (
+    cfg_isomorphic,
+    lazy_generalized_words,
+    naive_cfg_simplify,
+    random_cfg,
+    random_regex,
+)
 
 AB = ("a", "b")
 
@@ -168,6 +177,63 @@ class TestProducts:
     def test_bar_hillel_empty_intersection(self):
         d = dfa_from_words(AB, ["ba"])
         assert cfg_empty(bar_hillel(DYCK, d))
+
+
+def product_pairs(n: int):
+    """``n`` (grammar, automaton) pairs over a and b: random grammars, with
+    the Dyck and aⁿbⁿ grammars mixed in, against automata of random
+    regexes, with the empty language every tenth time."""
+    rng = random.Random(1961)
+    fixed = [DYCK, ANBN]
+    for i in range(n):
+        g = fixed[i // 5 % 2] if i % 5 == 0 else random_cfg(rng)
+        regex = random_regex(rng, "ab")
+        d = dfa_from_words(AB, []) if i % 10 == 3 else regex_to_dfa(parse_regex(regex), AB)
+        yield g, d
+
+
+class TestBarHillel:
+    """The product against filtering the grammar's own words, and its
+    shape: it builds only triples that are reachable and generating, so it
+    equals its own trim."""
+
+    def test_pinned_bytes(self):
+        # the generating triples are found as sets; the productions still
+        # come out in one order, whatever the hash seed
+        d = regex_to_dfa(parse_regex("a*b*|(ab)*"), AB)
+        assert serialize_grammar(cfg_canonical(bar_hillel(DYCK, d))) == (
+            "start B1\n"
+            "terminals a b\n"
+            "B1 -> B2 | B3 | B4\n"
+            "B2 -> a B9\n"
+            "B3 -> a b\n"
+            "B4 -> B3 B7 | B4 B8\n"
+            "B5 -> a b | a B10\n"
+            "B6 -> a b | a B10\n"
+            "B7 -> a b | B7 B8\n"
+            "B8 -> a b | B8 B8\n"
+            "B9 -> B5 b\n"
+            "B10 -> B6 b\n"
+        )
+
+    def test_against_filtered_enumeration(self):
+        seen = Counter()
+        for g, d in product_pairs(300):
+            got = bar_hillel(g, d)
+            words = enumerate_cfg(g, 6)
+            assert enumerate_cfg(got, 6) == [w for w in words if d.accepts(w)], (g, d)
+            assert got == cfg_trim(got), (g, d)
+            seen.update({
+                "grammar ε": "" in words,
+                "grammar empty": cfg_empty(g),
+                "automaton ε": d.start in d.finals,
+                "automaton empty": not d.finals,
+                "automaton infinite": not dfa_is_finite(d),
+                "product non-empty": not cfg_empty(got),
+            })
+        for case in ("grammar ε", "grammar empty", "automaton ε", "automaton empty",
+                     "automaton infinite", "product non-empty"):
+            assert seen[case] >= 20, (case, seen)
 
 
 class TestSubstitute:
@@ -343,6 +409,143 @@ class TestGeneralized:
         )
         out = kral_eliminate(g)
         assert set(enumerate_cfg(out, 6)) == lazy_generalized_words(g, 6)
+
+
+def random_generalized(rng: random.Random, case: str) -> GeneralizedCfg:
+    """A generalized grammar over a and b with 2–4 variables, each
+    right-hand side a random grammar of 1–3 variables over the letters and
+    every generalized variable, forced to hold ``case``:
+
+    - ``"non-generating"``: a non-start variable X whose only right-hand
+      word is X itself, so its closure is empty;
+    - ``"unused"``: a right-hand side that declares a non-start variable
+      among its terminals but uses it in no production;
+    - ``"mutual"``: two variables whose right-hand sides use each other."""
+    gvars = ["S"] + rng.sample(["X", "Y", "Z"], rng.randint(1, 3))
+    symbols = AB + tuple(gvars)
+
+    def rhs(pool) -> Cfg:
+        variables = [f"R{i}" for i in range(rng.randint(1, 3))]
+        pool = list(pool) + variables
+        prods = [
+            (v, tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+            for v in variables
+            for _ in range(rng.randint(0, 2))
+        ]
+        return Cfg(symbols, variables, prods, variables[0])
+
+    langs = {v: rhs(symbols) for v in gvars}
+    x = rng.choice(gvars[1:])
+    if case == "non-generating":
+        langs[x] = Cfg(symbols, ("R0",), [("R0", (x,))], "R0")
+    elif case == "unused":
+        host = rng.choice([v for v in gvars if v != x])
+        langs[host] = rhs([s for s in symbols if s != x])
+    else:
+        y = rng.choice([v for v in gvars if v != x])
+        for v, w, letter in ((x, y, "a"), (y, x, "b")):
+            h = langs[v]
+            langs[v] = Cfg(symbols, h.variables, h.productions + ((h.start, (letter, w)),), h.start)
+    return GeneralizedCfg(AB, gvars, "S", [(v, langs[v]) for v in gvars])
+
+
+def trimmed_rhs(g: GeneralizedCfg) -> GeneralizedCfg:
+    return GeneralizedCfg(g.terminals, g.variables, g.start,
+                          [(v, cfg_trim(h)) for v, h in g.rhs_languages])
+
+
+CASES = ("non-generating", "unused", "mutual")
+
+
+class TestKralEliminate:
+    """Variable elimination against sentential-form expansion, and the
+    shape of its steps: a right-hand side takes a closure only where it
+    uses the variable, and stays trimmed without a trim after the graft."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Record every graft and trim that ``kral_eliminate`` makes, and
+        check that each graft goes into a host using the variable and
+        leaves a trimmed grammar, and that each right-hand side flattened
+        is trimmed.  The checks hold when the right-hand sides given are
+        trimmed."""
+        log = []
+        real_substitute, real_single, real_trim = substitute, kral_single, cfg_trim
+
+        def graft(h, sigma):
+            [x] = sigma
+            assert any(x in body for _, body in h.productions), (x, h)
+            out = real_substitute(h, sigma)
+            assert out == real_trim(out), (x, h)
+            log.append("graft")
+            return out
+
+        def single(g):
+            [(_, h)] = g.rhs_languages
+            assert h == real_trim(h), h
+            return real_single(g)
+
+        def trim(g):
+            log.append("trim")
+            return real_trim(g)
+
+        monkeypatch.setattr(grammar, "substitute", graft)
+        monkeypatch.setattr(grammar, "kral_single", single)
+        monkeypatch.setattr(grammar, "cfg_trim", trim)
+        return log
+
+    def test_against_generalized_oracle(self):
+        rng = random.Random(1988)
+        for i in range(240):
+            g = random_generalized(rng, CASES[i % 3])
+            expected = lazy_generalized_words(g, 6)
+            assert set(enumerate_cfg(kral_eliminate(g), 6)) == expected, g
+            assert set(enumerate_cfg(kral_eliminate(trimmed_rhs(g)), 6)) == expected, g
+
+    def test_steps_on_trimmed_right_hand_sides(self, steps):
+        rng = random.Random(1988)
+        for i in range(240):
+            kral_eliminate(trimmed_rhs(random_generalized(rng, CASES[i % 3])))
+        assert steps.count("graft") >= 100, Counter(steps)
+
+    def test_long_right_hand_word_with_nullable_variables(self):
+        # S's one right-hand word has 7 symbols, but each X may vanish, so
+        # the oracle must erase them before it bounds the length
+        symbols = AB + ("S", "X")
+        g = GeneralizedCfg(AB, ("S", "X"), "S", (
+            ("S", Cfg(symbols, ("R",), [("R", ("X",) * 6 + ("a",))], "R")),
+            ("X", Cfg(symbols, ("Q",), [("Q", ()), ("Q", ("b",))], "Q")),
+        ))
+        expected = {"b" * k + "a" for k in range(4)}
+        assert lazy_generalized_words(g, 4) == expected
+        assert set(enumerate_cfg(kral_eliminate(g), 4)) == expected
+
+    def test_empty_closure(self, steps):
+        # X's only right-hand word is X, so S loses R -> a T, and then T
+        symbols = AB + ("S", "X")
+        g = GeneralizedCfg(AB, ("S", "X"), "S", (
+            ("S", Cfg(symbols, ("R", "T"), [("R", ("a", "T")), ("R", ("b",)), ("T", ("X",))], "R")),
+            ("X", Cfg(symbols, ("Q",), [("Q", ("X",))], "Q")),
+        ))
+        out = kral_eliminate(g)
+        assert out == Cfg(AB, ("S",), [("S", ("b",))], "S")
+        assert lazy_generalized_words(g, 6) == {"b"}
+        # no graft; one trim drops T from S's right-hand side, and the
+        # other two are the final trim and the one inside cfg_simplify
+        assert steps == ["trim"] * 3
+
+    def test_unused_variable(self, steps):
+        # S declares X (b*) among its terminals but only derives a+
+        symbols = AB + ("S", "X")
+        g = GeneralizedCfg(AB, ("S", "X"), "S", (
+            ("S", Cfg(symbols, ("R",), [("R", ("a", "R")), ("R", ("a",))], "R")),
+            ("X", Cfg(symbols, ("Q",), [("Q", ("b", "X")), ("Q", ())], "Q")),
+        ))
+        out = kral_eliminate(g)
+        assert set(enumerate_cfg(out, 6)) == {"a" * n for n in range(1, 7)}
+        assert set(out.terminals) == set(AB)
+        # no graft; the trims are the final one and the one inside cfg_simplify
+        assert steps == ["trim"] * 2
 
 
 def as_generalized(g: Cfg) -> GeneralizedCfg:
