@@ -7,9 +7,9 @@ are structurally equal, which makes equivalence checks trivial and all
 outputs deterministic.
 
 Every construction goes through one subset walk, ``_explore``, over the
-nodes of an implicit DFA: ε-closed NFA subsets, product state pairs, or
-the states of a concatenation or a rotation closure.  Only regexes, word
-lists, patterns and splice images still build an ε-NFA.
+nodes of an implicit DFA: regex positions, word prefixes, pattern
+progress, product state pairs, or the states of a concatenation or a
+rotation closure.  No construction has ε-moves to follow.
 """
 
 from __future__ import annotations
@@ -105,56 +105,6 @@ def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
     return _normalize(alphabet, delta, 0, finals)
 
 
-class Nfa:
-    """Work-in-progress NFA with epsilon moves; determinize to get a Dfa."""
-
-    def __init__(self, alphabet: tuple[str, ...]):
-        self.alphabet = tuple(alphabet)
-        self.edges: list[dict[str | None, set[int]]] = []
-        self.start = self.new_state()
-        self.finals: set[int] = set()
-
-    def new_state(self) -> int:
-        self.edges.append({})
-        return len(self.edges) - 1
-
-    def add_edge(self, src: int, symbol: str | None, dst: int) -> None:
-        self.edges[src].setdefault(symbol, set()).add(dst)
-
-    def add_word_path(self, src: int, word: str) -> int:
-        """A fresh chain of states reading ``word`` from ``src``."""
-        cur = src
-        for ch in word:
-            nxt = self.new_state()
-            self.add_edge(cur, ch, nxt)
-            cur = nxt
-        return cur
-
-    def _closure(self, states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self.edges[s].get(None, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    def determinize(self) -> Dfa:
-        edges, alphabet, closure = self.edges, self.alphabet, self._closure
-
-        def step(cur: frozenset[int]):
-            for letter in alphabet:
-                move: set[int] = set()
-                for s in cur:
-                    move |= edges[s].get(letter, set())
-                yield closure(frozenset(move))
-
-        start = closure(frozenset([self.start]))
-        return _explore(alphabet, start, step, lambda cur: not self.finals.isdisjoint(cur))
-
-
 def _letters(alphabet) -> tuple[str, ...]:
     if isinstance(alphabet, Alphabet):
         return alphabet.letters
@@ -172,25 +122,41 @@ def dfa_none(alphabet) -> Dfa:
 
 
 def dfa_from_words(alphabet, words) -> Dfa:
-    """The finite language consisting of exactly ``words``."""
+    """The finite language consisting of exactly ``words``: a node is the
+    prefix read so far, or None once no word has it."""
     letters = _letters(alphabet)
-    nfa = Nfa(letters)
-    for w in words:
-        end = nfa.add_word_path(nfa.start, w)
-        nfa.finals.add(end)
-    return nfa.determinize()
+    words = set(words)
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+
+    def step(prefix):
+        for ch in letters:
+            nxt = None if prefix is None else prefix + ch
+            yield nxt if nxt in prefixes else None
+
+    return _explore(letters, "", step, words.__contains__)
 
 
 def pattern_dfa(alphabet, prefix: str = "", suffix: str = "") -> Dfa:
-    """The language ``prefix A* suffix`` (formal concatenation)."""
+    """The language ``prefix A* suffix`` (formal concatenation).  A node is
+    the number of prefix letters read, None once one differs, and, from
+    the end of the prefix on, the lengths of the suffix's prefixes that
+    the letters read since then end with."""
     letters = _letters(alphabet)
-    nfa = Nfa(letters)
-    loop = nfa.add_word_path(nfa.start, prefix)
-    for ch in letters:
-        nfa.add_edge(loop, ch, loop)
-    end = nfa.add_word_path(loop, suffix)
-    nfa.finals.add(end)
-    return nfa.determinize()
+    n, m = len(prefix), len(suffix)
+    none, ends0 = frozenset(), frozenset([0])
+
+    def step(node):
+        i, ends = node
+        for ch in letters:
+            if i == n:
+                yield n, ends0.union([j + 1 for j in ends if j < m and suffix[j] == ch])
+            elif i is not None and ch == prefix[i]:
+                yield i + 1, ends0 if i + 1 == n else none
+            else:
+                yield None, none
+
+    start = (0, ends0 if n == 0 else none)
+    return _explore(letters, start, step, lambda node: node[0] == n and m in node[1])
 
 
 # --------------------------------------------------------------------------
@@ -337,46 +303,72 @@ def regex_letters(node: tuple) -> set[str]:
 
 
 def regex_to_dfa(regex, alphabet) -> Dfa:
-    """Compile a regex (text or AST) to the minimal DFA over ``alphabet``."""
+    """Compile a regex (text or AST) to the minimal DFA over ``alphabet``
+    by Glushkov's position construction, which needs no ε-moves: every
+    letter occurrence is a position, and a node is the set of positions
+    the word read so far may end at, with position 0 for the start."""
     node = parse_regex(regex) if isinstance(regex, str) else regex
     letters = _letters(alphabet)
     extra = regex_letters(node) - set(letters)
     if extra:
         raise ValueError(f"regex uses letters outside the alphabet: {sorted(extra)}")
-    nfa = Nfa(letters)
+    index = {a: x for x, a in enumerate(letters)}
+    letter_of: list[int] = [-1]  # position 0 reads no letter
+    follow: list[set[int]] = [set()]
 
-    def build(n: tuple, src: int) -> int:
-        if n == EMPTY:
-            return nfa.new_state()
-        if n == EPS:
-            return src
+    def scan(n: tuple) -> tuple[bool, set[int], set[int]]:
+        """Number the positions of ``n`` and link the follow sets inside
+        it; return whether it accepts the empty word and its first and
+        last positions."""
         kind = n[0]
+        if kind in ("empty", "eps"):
+            return kind == "eps", set(), set()
         if kind == "lit":
-            dst = nfa.new_state()
-            nfa.add_edge(src, n[1], dst)
-            return dst
-        if kind == "cat":
-            cur = src
-            for p in n[1]:
-                cur = build(p, cur)
-            return cur
+            p = len(letter_of)
+            letter_of.append(index[n[1]])
+            follow.append(set())
+            return False, {p}, {p}
         if kind == "union":
-            out = nfa.new_state()
-            for p in n[1]:
-                end = build(p, src)
-                nfa.add_edge(end, None, out)
-            return out
+            scans = [scan(part) for part in n[1]]
+            return (
+                any(nullable for nullable, _, _ in scans),
+                set().union(*(first for _, first, _ in scans)),
+                set().union(*(last for _, _, last in scans)),
+            )
+        if kind == "cat":
+            nullable, first, last = True, set(), set()
+            for part in n[1]:
+                part_nullable, part_first, part_last = scan(part)
+                for q in last:
+                    follow[q] |= part_first
+                if nullable:
+                    first |= part_first
+                last = last | part_last if part_nullable else part_last
+                nullable = nullable and part_nullable
+            return nullable, first, last
         if kind == "star":
-            hub = nfa.new_state()
-            nfa.add_edge(src, None, hub)
-            end = build(n[1], hub)
-            nfa.add_edge(end, None, hub)
-            return hub
+            _, first, last = scan(n[1])
+            for q in last:
+                follow[q] |= first
+            return True, first, last
         raise ValueError(f"bad regex node {n!r}")
 
-    end = build(node, nfa.start)
-    nfa.finals.add(end)
-    return nfa.determinize()
+    nullable, follow[0], last = scan(node)
+    # per position, the positions that may follow it, split by letter
+    moves = []
+    for after in follow:
+        row = [[] for _ in letters]
+        for q in after:
+            row[letter_of[q]].append(q)
+        moves.append(list(map(frozenset, row)))
+    accepting = last | {0} if nullable else last
+    # a row of empty sets keeps one column per letter when ``cur`` is empty
+    padding = [frozenset()] * len(letters)
+
+    def step(cur: frozenset[int]):
+        return [frozenset().union(*column) for column in zip(padding, *map(moves.__getitem__, cur))]
+
+    return _explore(letters, frozenset([0]), step, lambda cur: not accepting.isdisjoint(cur))
 
 
 def render_regex(node: tuple) -> str:
@@ -632,17 +624,20 @@ def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
 
 def dfa_to_regex(a: Dfa) -> tuple:
     """Recover a regex AST by state elimination; EMPTY for the empty
-    language."""
+    language.  Each state keeps its own edges in and out, so eliminating
+    it reads only those; one elimination adds at most one part to each
+    edge, so the text does not depend on the order they are read in."""
     if dfa_empty(a):
         return EMPTY
     n = a.n_states
     src, dst = n, n + 1  # fresh outer start / accept
-    edge: dict[tuple[int, int], tuple] = {}
+    out: list[dict[int, tuple]] = [{} for _ in range(n + 2)]
+    into: list[dict[int, tuple]] = [{} for _ in range(n + 2)]
 
     def add(i: int, j: int, r: tuple) -> None:
         if r == EMPTY:
             return
-        edge[(i, j)] = union(edge.get((i, j), EMPTY), r)
+        out[i][j] = into[j][i] = union(out[i].get(j, EMPTY), r)
 
     for s in range(n):
         for x, letter in enumerate(a.alphabet):
@@ -651,13 +646,14 @@ def dfa_to_regex(a: Dfa) -> tuple:
     for f in a.finals:
         add(f, dst, EPS)
     for mid in range(n):
-        loop = edge.pop((mid, mid), EMPTY)
-        loop_star = star(loop) if loop != EMPTY else EPS
-        ins = [(i, r) for (i, j), r in edge.items() if j == mid and i != mid]
-        outs = [(j, r) for (i, j), r in edge.items() if i == mid and j != mid]
-        for key in [k for k in edge if mid in k]:
-            edge.pop(key)
-        for i, rin in ins:
-            for j, rout in outs:
+        loop_star = star(out[mid].pop(mid, EMPTY))
+        into[mid].pop(mid, None)
+        ins, outs = into[mid], out[mid]
+        for i in ins:
+            del out[i][mid]
+        for j in outs:
+            del into[j][mid]
+        for i, rin in ins.items():
+            for j, rout in outs.items():
                 add(i, j, cat(rin, loop_star, rout))
-    return edge.get((src, dst), EMPTY)
+    return out[src].get(dst, EMPTY)

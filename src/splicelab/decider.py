@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa,
-    Nfa,
     conjugacy_closure,
     dfa_concat,
     dfa_difference,
@@ -45,6 +44,7 @@ from .automata import (
     difference_witness,
     enumerate_dfa,
     pattern_dfa,
+    _explore,
     _live_distances,
 )
 from .core import (
@@ -216,48 +216,51 @@ class _RuleImages:
                         return False
         return True
 
-    def splice_nfa(self, rule: SplicingRule, t: int, group: list[int]) -> Nfa:
-        """An NFA for the words u·alpha·m·beta·v with m in K ∩ gamma A* delta
-        and u·alpha·beta·v in K, cut at one of the states ``group`` that
-        alpha·beta leads to t.
-
-        It runs K on u up to a cut state p, reads alpha, the middle word
-        and beta, then resumes K at t."""
+    def resumed_image(self, rule: SplicingRule, t: int, group: list[int]) -> Dfa:
+        """The words u·alpha·m·beta·v with m in K ∩ gamma A* delta and
+        u·alpha·beta·v in K, cut at one of the states ``group`` that
+        alpha·beta leads to t.  A node is K's state on u (None once not
+        live), the positions reached in alpha, the live middle states, the
+        positions reached in beta and the live K states resumed from t;
+        ending one part starts the next."""
         K, live = self.K, self.live
-        nfa = Nfa(K.alphabet)
         middle, middle_live = self.fitting(rule.gamma, rule.delta)
         if dfa_empty(middle):
-            return nfa
-        prefix = {s: nfa.new_state() for s in live}
-        resume = {s: nfa.new_state() for s in live}
-        nfa.add_edge(nfa.start, None, prefix[K.start])
-        for s in live:
-            for letter, n in zip(K.alphabet, K.transitions[s]):
-                if n in live:
-                    nfa.add_edge(prefix[s], letter, prefix[n])
-                    nfa.add_edge(resume[s], letter, resume[n])
-            if s in K.finals:
-                nfa.finals.add(resume[s])
-        insert = nfa.new_state()
-        for p in group:
-            nfa.add_edge(prefix[p], None, insert)
-        before_beta = nfa.new_state()
-        nfa.add_edge(nfa.add_word_path(before_beta, rule.beta), None, resume[t])
-        inside = {m: nfa.new_state() for m in middle_live}
-        nfa.add_edge(nfa.add_word_path(insert, rule.alpha), None, inside[middle.start])
-        for m in middle_live:
-            for letter, n in zip(K.alphabet, middle.transitions[m]):
-                if n in middle_live:
-                    nfa.add_edge(inside[m], letter, inside[n])
-            if m in middle.finals:
-                nfa.add_edge(inside[m], None, before_beta)
-        return nfa
+            return dfa_none(K.alphabet)
+        alpha, beta, cut = rule.alpha, rule.beta, set(group)
+        T, M = K.transitions, middle.transitions
+
+        def node(u, in_alpha, inside, in_beta, resumed):
+            if u in cut:
+                in_alpha.append(0)
+            if len(alpha) in in_alpha:
+                inside.append(middle.start)
+            if not middle.finals.isdisjoint(inside):
+                in_beta.append(0)
+            if len(beta) in in_beta:
+                resumed.append(t)
+            return u, frozenset(in_alpha), frozenset(inside), frozenset(in_beta), frozenset(resumed)
+
+        def step(cur):
+            u, in_alpha, inside, in_beta, resumed = cur
+            for x, letter in enumerate(K.alphabet):
+                nu = None if u is None else T[u][x]
+                yield node(
+                    nu if nu in live else None,
+                    [i + 1 for i in in_alpha if i < len(alpha) and alpha[i] == letter],
+                    [n for m in inside if (n := M[m][x]) in middle_live],
+                    [i + 1 for i in in_beta if i < len(beta) and beta[i] == letter],
+                    [n for s in resumed if (n := T[s][x]) in live],
+                )
+
+        start = node(K.start, [], [], [], [])
+        return _explore(K.alphabet, start, step, lambda cur: not K.finals.isdisjoint(cur[4]))
 
     def image(self, rule: SplicingRule) -> Dfa:
         """Words obtainable by one application of ``rule`` to two K-words.
 
         A splice rule's image is the union over resume states t of one
-        determinized NFA each: a single NFA over all t would carry sets of
+        walk each: a single walk over all t would carry sets of
         (middle state, t) pairs whose subsets grow with the product of the
         per-t automata before minimization can merge them."""
         total = dfa_none(self.K.alphabet)
@@ -268,7 +271,7 @@ class _RuleImages:
                 return total
             return dfa_concat(left, right)
         for t, group in sorted(self.cuts(rule).items()):
-            total = dfa_union(total, self.splice_nfa(rule, t, group).determinize())
+            total = dfa_union(total, self.resumed_image(rule, t, group))
         return total
 
     def union(self, rules) -> Dfa:

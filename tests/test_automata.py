@@ -1,5 +1,6 @@
 """Deterministic automata, regexes, and the language algebra."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicelab.automata import (
+    EMPTY,
+    EPS,
     Dfa,
     conjugacy_closure,
     dfa_concat,
@@ -24,13 +27,14 @@ from splicelab.automata import (
     dfa_without_epsilon,
     difference_witness,
     enumerate_dfa,
+    lit,
     parse_regex,
     pattern_dfa,
     regex_letters,
     regex_to_dfa,
     render_regex,
 )
-from splicelab.core import ParseError
+from splicelab.core import ParseError, matches_pattern
 
 from helpers import random_regex, regex_matches
 
@@ -89,6 +93,65 @@ class TestRegexToDfa:
             d = regex_to_dfa(node, AB)
             for w in words:
                 assert d.accepts(w) == regex_matches(node, w), (text, w)
+
+    @staticmethod
+    def random_ast(rng, letters, depth):
+        """A raw AST, built without the simplifying constructors, so EMPTY
+        and EPS may sit anywhere, star bodies included."""
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice([EMPTY, EPS, *map(lit, letters)])
+        kind = rng.choice(["union", "cat", "star"])
+        if kind == "star":
+            return ("star", TestRegexToDfa.random_ast(rng, letters, depth - 1))
+        parts = rng.randint(1, 3)
+        return (kind, tuple(TestRegexToDfa.random_ast(rng, letters, depth - 1) for _ in range(parts)))
+
+    def test_against_independent_matcher_depth_4(self):
+        """Deeper regexes over three letters, and raw ASTs holding EMPTY and
+        EPS, against the matcher on every word up to length 5."""
+        rng = random.Random(13)
+        words = all_words("abc", 5)
+        seen = {"holds EMPTY": 0, "holds EPS": 0, "empty": 0, "nullable": 0, "infinite": 0}
+        for i in range(120):
+            if i % 2:
+                node = self.random_ast(rng, "abc", 4)
+            else:
+                node = parse_regex(random_regex(rng, "abc", depth=4))
+            d = regex_to_dfa(node, ("a", "b", "c"))
+            for w in words:
+                assert d.accepts(w) == regex_matches(node, w), (node, w)
+            seen["holds EMPTY"] += "'empty'" in repr(node)
+            seen["holds EPS"] += "'eps'" in repr(node)
+            seen["empty"] += dfa_empty(d)
+            seen["nullable"] += d.accepts("")
+            seen["infinite"] += not dfa_is_finite(d)
+        assert seen["empty"] >= 3, seen
+        assert min(n for key, n in seen.items() if key != "empty") >= 20, seen
+
+    @pytest.mark.parametrize(
+        "regex",
+        [
+            "(_|a)*",
+            "(a*)*",
+            "(a?b?)*",
+            "(a|_)+",
+            "(a?b?)*b",
+            "((ab)?(ba)?)*a",
+            ("star", ("star", ("lit", "a"))),
+            ("star", ("union", (EPS, ("cat", (("lit", "a"), ("star", EPS)))))),
+            ("star", ("cat", (("lit", "b"), EMPTY))),
+            ("cat", (("star", ("union", (EMPTY, EPS))), ("lit", "b"))),
+        ],
+    )
+    def test_nullable_star_bodies(self, regex):
+        node = parse_regex(regex) if isinstance(regex, str) else regex
+        d = regex_to_dfa(node, AB)
+        for w in all_words(AB, 6):
+            assert d.accepts(w) == regex_matches(node, w), w
+
+    def test_bad_node(self):
+        with pytest.raises(ValueError):
+            regex_to_dfa(("cat", (("lit", "a"), ("plus", ("lit", "b")))), AB)
 
     def test_total_transition_function(self):
         d = regex_to_dfa(parse_regex("a"), AB)
@@ -210,7 +273,56 @@ class TestQueries:
         assert min(seen.values()) >= 10, seen
 
 
+class TestFromWords:
+    def test_against_membership(self):
+        """Random lists with duplicates and shared prefixes, sometimes empty
+        or holding the empty word, against membership in their set."""
+        rng = random.Random(17)
+        pool = ["", "a", "b", "ab", "aba", "abab", "abb", "ba", "bab", "bbbb", "aaaaaa"]
+        seen = {"empty list": 0, "empty word": 0, "duplicate": 0}
+        for _ in range(200):
+            words = rng.choices(pool, k=rng.randint(0, 6))
+            d = dfa_from_words(AB, words)
+            for w in all_words(AB, 6):
+                assert d.accepts(w) == (w in words), (words, w)
+            assert enumerate_dfa(d, 6) == sorted(set(words), key=lambda w: (len(w), w))
+            seen["empty list"] += not words
+            seen["empty word"] += "" in words
+            seen["duplicate"] += len(set(words)) < len(words)
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "words, want",
+        [
+            ([], []),
+            ([""], [""]),
+            (["", "", "a"], ["", "a"]),
+            (["abba", "ab", "abb", "ab"], ["ab", "abb", "abba"]),
+            (iter(["b", "a"]), ["a", "b"]),
+        ],
+    )
+    def test_fixed_lists(self, words, want):
+        assert enumerate_dfa(dfa_from_words(AB, words), 6) == want
+
+    def test_words_outside_alphabet_are_dropped(self):
+        d = dfa_from_words(("a",), ["a", "ab", "ba"])
+        assert enumerate_dfa(d, 4) == ["a"]
+
+
 class TestPatternDfa:
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    def test_against_matches_pattern(self, letters):
+        """Every prefix and suffix of up to two letters of ``abc``, over one
+        to three letters, on every word up to length 6; handles using a
+        letter outside the alphabet give the empty language."""
+        handles = all_words("abc", 2)
+        words = all_words(letters, 6)
+        for prefix in handles:
+            for suffix in handles:
+                want = [w for w in words if matches_pattern(w, prefix, suffix)]
+                got = enumerate_dfa(pattern_dfa(tuple(letters), prefix, suffix), 6)
+                assert got == want, (prefix, suffix)
+
     def test_matches_formal_pattern(self):
         d = pattern_dfa(AB, "a", "a")
         assert not d.accepts("a")
@@ -291,6 +403,28 @@ class TestStructural:
     def test_conjugacy_closure_idempotent_on_closed(self):
         d = regex_to_dfa(parse_regex("(a|b)*"), AB)
         assert dfa_equivalent(conjugacy_closure(d), d)
+
+    def test_dfa_to_regex_text_pinned(self):
+        """The exact text state elimination renders, which ``to-flat``
+        prints, over a seeded corpus: random regexes, finite word sets and
+        the rotation closures of a few words."""
+        rng = random.Random(59)
+        texts = []
+        for _ in range(200):
+            letters = "abc"[: rng.randint(1, 3)]
+            d = regex_to_dfa(parse_regex(random_regex(rng, letters, depth=5)), tuple(letters))
+            node = dfa_to_regex(d)
+            texts.append("" if node == EMPTY else render_regex(node))
+        for _ in range(50):
+            words = [
+                "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            texts.append(render_regex(dfa_to_regex(dfa_from_words(AB, words))))
+        for word in ("aab", "abaab", "abbabaab", "aabbabbbabaaba", "abaabbbaababbbabaaab"):
+            texts.append(render_regex(dfa_to_regex(conjugacy_closure(dfa_from_words(AB, [word])))))
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "73f97a1d9afac3b073866bc3a69379d84df6453e1eb4423c71c22a1a72b965c7"
 
     def test_dfa_to_regex_roundtrip(self):
         rng = random.Random(23)
