@@ -329,7 +329,7 @@ def regex_to_dfa(regex, alphabet) -> Dfa:
             follow.append(set())
             return False, {p}, {p}
         if kind == "union":
-            scans = [scan(part) for part in n[1]]
+            scans = list(map(scan, n[1]))  # no comprehension frame per level
             return (
                 any(nullable for nullable, _, _ in scans),
                 set().union(*(first for _, first, _ in scans)),
