@@ -9,7 +9,10 @@ outputs deterministic.
 Every construction goes through one subset walk, ``_explore``, over the
 nodes of an implicit DFA: regex positions, word prefixes, pattern
 progress, product state pairs, or the states of a concatenation or a
-rotation closure.  No construction has ε-moves to follow.
+rotation closure.  No construction has ε-moves to follow.  Witness
+searches go through one breadth-first walk, ``_least_word``, over the same
+kind of implicit DFA; it stops at the first node found, with no automaton
+built.
 """
 
 from __future__ import annotations
@@ -467,28 +470,39 @@ def dfa_shortest(a: Dfa) -> str | None:
     return "".join(word)
 
 
-def difference_witness(a: Dfa, b: Dfa) -> str | None:
-    """Length-lex least word accepted by ``a`` but not ``b``.
-
-    A breadth-first walk over state pairs that expands letters in alphabet
-    order, so pairs are discovered in length-lex order of their first word;
-    it stops at the first pair accepting in ``a`` and rejecting in ``b``
-    without building the product automaton."""
-    _require_same_alphabet(a, b)
-    start = (a.start, b.start)
-    if a.start in a.finals and b.start not in b.finals:
+def _least_word(alphabet: tuple[str, ...], start, step, stop) -> str | None:
+    """Length-lex least word leading ``start`` to a node where ``stop``
+    holds, or None when no reachable node does: ``step(node)`` gives a
+    node's successors in alphabet order.  A breadth-first walk that
+    expands letters in alphabet order discovers the nodes in length-lex
+    order of their first word, so the first stopping node found ends it;
+    no automaton is built."""
+    if stop(start):
         return ""
     words = {start: ""}
     queue = deque([start])
     while queue:
-        s, t = pair = queue.popleft()
-        for letter, nxt in zip(a.alphabet, zip(a.transitions[s], b.transitions[t])):
+        node = queue.popleft()
+        for letter, nxt in zip(alphabet, step(node)):
             if nxt not in words:
-                words[nxt] = words[pair] + letter
-                if nxt[0] in a.finals and nxt[1] not in b.finals:
+                words[nxt] = words[node] + letter
+                if stop(nxt):
                     return words[nxt]
                 queue.append(nxt)
     return None
+
+
+def difference_witness(a: Dfa, b: Dfa) -> str | None:
+    """Length-lex least word accepted by ``a`` but not ``b``: the least
+    word to a state pair accepting in ``a`` and rejecting in ``b``."""
+    _require_same_alphabet(a, b)
+    ta, tb, fa, fb = a.transitions, b.transitions, a.finals, b.finals
+    return _least_word(
+        a.alphabet,
+        (a.start, b.start),
+        lambda pair: zip(ta[pair[0]], tb[pair[1]]),
+        lambda pair: pair[0] in fa and pair[1] not in fb,
+    )
 
 
 def dfa_subset(a: Dfa, b: Dfa) -> bool:

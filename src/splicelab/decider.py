@@ -12,22 +12,33 @@ by splicing two K⁺-words,
 inductively (splicing results are strictly longer than both non-empty
 operands, so a K⁺-word outside P must be an axiom).  Splicing in the empty
 word gives back the other operand, so ε is never an operand; it is settled
-apart, by the initial set's ε-flag.  (1) does not need P, so P is built
-only after (1) passes.  A rule dominated by another of the same usage (one
-with its handles shortened on their outer sides) adds nothing to P, so P
-joins the images of the undominated rules only.  Witnesses come from a walk
-over state pairs that stops at the first one.  ``alphabetic_generability``
-inverts the question: it looks for a finite alphabetic system generating K,
-using the maximal admissible rule set; a candidate rule is admissible when,
-at every cut, each word K⁺ accepts after alpha·beta is also accepted after
-alpha, any middle word and beta: an inclusion between the languages of two
-K⁺ states, tested with no automaton for the image.
+apart, by the initial set's ε-flag.  A rule dominated by another of the
+same usage (one with its handles shortened on their outer sides) adds
+nothing to P, so only the undominated rules' images count.  An image is a
+list of walks, implicit DFAs whose nodes are made as a search reaches
+them: one per splice rule and resume state, one per concat rule.  A flat
+system's (2) builds no P: a splice rule whose image stays in K passes by
+a K-state inclusion, and the witness is the least, over the walks of the
+other rules, of a breadth-first search over (walk node, K state) pairs.
+(3), a circular system's (2) (its witness lies in the rotations of P) and
+the generability residue need P whole: each walk is minimized and folded
+into it by ``dfa_union``, and (3) searches (K⁺ state, P state, axiom
+state) triples for the least witness.
+``alphabetic_generability`` inverts the question: it looks for a finite
+alphabetic system generating K, using the maximal admissible rule set; a
+candidate rule is admissible when, at every cut, each word K⁺ accepts
+after alpha·beta is also accepted after alpha, any middle word and beta:
+an inclusion between the languages of two K⁺ states, tested with no
+automaton for the image.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from typing import Any
 
 from .automata import (
     Dfa,
@@ -45,6 +56,7 @@ from .automata import (
     enumerate_dfa,
     pattern_dfa,
     _explore,
+    _least_word,
     _live_distances,
 )
 from .core import (
@@ -60,6 +72,9 @@ from .core import (
 )
 
 Inclusion = int | str  # 1 | 2 | 3 | "conjugacy"
+# an implicit DFA: (start node, node -> successors in alphabet order,
+# node -> accepts)
+Walk = tuple[Hashable, Callable[[Any], Iterable], Callable[[Any], bool]]
 
 
 @dataclass(frozen=True)
@@ -113,10 +128,11 @@ def _maximal(rules) -> list[SplicingRule]:
 
 
 class _RuleImages:
-    """One-step rule images over one K.  The rules share K's live states,
-    each language K ∩ x A* y (built once per (x, y)), the K states its
-    words lead each state to, and the inclusions between K's state
-    languages."""
+    """One-step rule images over one K, as walks: implicit DFAs whose
+    nodes are found only as a search reaches them.  The rules share K's
+    live states, each language K ∩ x A* y (built once per (x, y)), the K
+    states its words lead each state to, and the inclusions between K's
+    state languages."""
 
     def __init__(self, K: Dfa):
         self.K = K
@@ -125,6 +141,7 @@ class _RuleImages:
         self._fitting: dict[tuple[str, str], tuple[Dfa, dict[int, int]]] = {}
         self._reached: dict[tuple[int, str, str], set[int]] = {}
         self._includes: dict[tuple[int, int], bool] = {}
+        self._images: dict[SplicingRule, list[Walk]] = {}
 
     def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
         """prefix A* suffix and its live states."""
@@ -216,17 +233,15 @@ class _RuleImages:
                         return False
         return True
 
-    def resumed_image(self, rule: SplicingRule, t: int, group: list[int]) -> Dfa:
-        """The words u·alpha·m·beta·v with m in K ∩ gamma A* delta and
-        u·alpha·beta·v in K, cut at one of the states ``group`` that
-        alpha·beta leads to t.  A node is K's state on u (None once not
-        live), the positions reached in alpha, the live middle states, the
-        positions reached in beta and the live K states resumed from t;
-        ending one part starts the next."""
+    def resumed_image(self, rule: SplicingRule, t: int, group: list[int]) -> Walk:
+        """The walk of the words u·alpha·m·beta·v with m in K ∩ gamma A*
+        delta and u·alpha·beta·v in K, cut at one of the states ``group``
+        that alpha·beta leads to t.  A node is K's state on u (None once
+        not live), the positions reached in alpha, the live middle states,
+        the positions reached in beta and the live K states resumed from
+        t; ending one part starts the next."""
         K, live = self.K, self.live
         middle, middle_live = self.fitting(rule.gamma, rule.delta)
-        if dfa_empty(middle):
-            return dfa_none(K.alphabet)
         alpha, beta, cut = rule.alpha, rule.beta, set(group)
         T, M = K.transitions, middle.transitions
 
@@ -254,42 +269,67 @@ class _RuleImages:
                 )
 
         start = node(K.start, [], [], [], [])
-        return _explore(K.alphabet, start, step, lambda cur: not K.finals.isdisjoint(cur[4]))
+        return start, step, lambda cur: not K.finals.isdisjoint(cur[4])
 
-    def image(self, rule: SplicingRule) -> Dfa:
-        """Words obtainable by one application of ``rule`` to two K-words.
+    def image(self, rule: SplicingRule) -> list[Walk]:
+        """The walks whose union is the words obtainable by one
+        application of ``rule`` to two K-words, made once per rule; none
+        when a handle's language is empty.
 
-        A splice rule's image is the union over resume states t of one
-        walk each: a single walk over all t would carry sets of
-        (middle state, t) pairs whose subsets grow with the product of the
-        per-t automata before minimization can merge them."""
-        total = dfa_none(self.K.alphabet)
+        A splice rule has one walk per resume state t: a single walk over
+        all t would carry sets of (middle state, t) pairs whose subsets
+        grow with the product of the per-t walks.  A concat rule has the
+        one table of its ``dfa_concat``."""
+        if rule not in self._images:
+            self._images[rule] = self._walks(rule)
+        return self._images[rule]
+
+    def _walks(self, rule: SplicingRule) -> list[Walk]:
         if rule.usage == CONCAT:
             left, _ = self.fitting(rule.alpha, rule.beta)
             right, _ = self.fitting(rule.gamma, rule.delta)
             if dfa_empty(left) or dfa_empty(right):
-                return total
-            return dfa_concat(left, right)
-        for t, group in sorted(self.cuts(rule).items()):
-            total = dfa_union(total, self.resumed_image(rule, t, group))
-        return total
+                return []
+            table = dfa_concat(left, right)
+            return [(table.start, table.transitions.__getitem__, table.finals.__contains__)]
+        if dfa_empty(self.fitting(rule.gamma, rule.delta)[0]):
+            return []
+        return [self.resumed_image(rule, t, group) for t, group in sorted(self.cuts(rule).items())]
 
     def union(self, rules) -> Dfa:
-        """One ``dfa_union`` per image of a maximal rule."""
-        total = dfa_none(self.K.alphabet)
-        for rule in _maximal(rules):
-            total = dfa_union(total, self.image(rule))
-        return total
+        """P as a normalized DFA: the union of the images of the rules
+        that no other rule of the same usage dominates.  Each image walk
+        is minimized, and the walks are folded in by ``dfa_union``, so
+        every product is minimized before the next.  One walk over the
+        tuples of all the image walks' nodes would be the same language,
+        but it grows with the product of the walks before minimization can
+        merge them: exponentially in the number of resume states on
+        counting targets, ``(b|ab*ab*a)+`` and the like."""
+        parts = [
+            _explore(self.K.alphabet, *walk) for rule in _maximal(rules) for walk in self.image(rule)
+        ]
+        return functools.reduce(dfa_union, parts) if parts else dfa_none(self.K.alphabet)
 
 
 def splice_image(K: Dfa, rules) -> Dfa:
-    """The union P of the one-step splice images of all rules.  Only the
-    images of rules that no other rule of the same usage dominates are
-    built: a dominated rule's image lies in its dominator's.  A circular
-    system's P is this union closed under rotation once, with
-    ``conjugacy_closure``: circular splicing can paste at any arrangement,
-    and the rotations of a union are the union of the rotations."""
+    """The union P of the one-step splice images of all rules, as a
+    normalized DFA.  Only the images of rules that no other rule of the
+    same usage dominates are walked: a dominated rule's image lies in its
+    dominator's."""
     return _RuleImages(K).union(rules)
+
+
+def _least_outside(K: Dfa, walk: Walk) -> str | None:
+    """The length-lex least word of a walk that K rejects: a search over
+    (walk node, K state) pairs."""
+    start, step, final = walk
+    T, finals = K.transitions, K.finals
+    return _least_word(
+        K.alphabet,
+        (start, K.start),
+        lambda node: zip(step(node[0]), T[node[1]]),
+        lambda node: node[1] not in finals and final(node[0]),
+    )
 
 
 def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
@@ -326,19 +366,42 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
 
     # (2) splicing K⁺-words never leaves K
     core = dfa_without_epsilon(K)
-    P = splice_image(core, system.rules)
+    images = _RuleImages(core)
+    P = None
     if system.mode == CIRCULAR:
-        P = conjugacy_closure(P)
-    w = difference_witness(P, K)
+        # the least word of rot(P) − K needs rot(P) whole
+        P = conjugacy_closure(images.union(system.rules))
+        w = difference_witness(P, K)
+    else:
+        # P − K is the union of each image walk's words outside K, so its
+        # least word is the least of theirs, and P is not built
+        found = [
+            w
+            for rule in _maximal(system.rules)
+            if rule.usage == CONCAT or not images.keeps_inside(rule)
+            for walk in images.image(rule)
+            if (w := _least_outside(K, walk)) is not None
+        ]
+        w = min(found, key=lambda w: (len(w), w), default=None)
     if w is not None:
         return Verdict(False, 2, w)
 
     # (3) K⁺-words that no splice produces must be axioms
+    if P is None:
+        P = images.union(system.rules)
     if system.initial.kind == "finite":
         axioms = dfa_from_words(K.alphabet, system.initial.words)
     else:
         axioms = system.initial.dfa
-    w = difference_witness(dfa_difference(core, P), axioms)
+    C, S, A = core.transitions, P.transitions, axioms.transitions
+    w = _least_word(
+        K.alphabet,
+        (core.start, P.start, axioms.start),
+        lambda node: zip(C[node[0]], S[node[1]], A[node[2]]),
+        lambda node: (
+            node[0] in core.finals and node[1] not in P.finals and node[2] not in axioms.finals
+        ),
+    )
     if w is not None:
         return Verdict(False, 3, w)
     return Verdict(True)
@@ -366,7 +429,8 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     images = _RuleImages(core)
     admissible = [r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)]
     image = images.union(admissible)
-    residue = dfa_difference(core, image)
+    # with P empty the residue is K⁺ itself, and no product is minimized
+    residue = core if dfa_empty(image) else dfa_difference(core, image)
     if not dfa_is_finite(residue):
         return None
     words = enumerate_dfa(residue, residue.n_states)

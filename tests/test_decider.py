@@ -1,6 +1,8 @@
 """Equality of splicing languages with regular languages, one-step splice
 images, and the search for generating systems."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -37,6 +39,7 @@ from splicelab.core import (
     UnsupportedError,
     conjugates,
 )
+import splicelab.decider
 from splicelab.decider import (
     Verdict,
     _maximal,
@@ -56,6 +59,7 @@ from helpers import (
     random_regex,
     random_rule,
     random_system,
+    rotations,
 )
 
 AB = ("a", "b")
@@ -503,6 +507,47 @@ class TestMaximalRules:
         assert K.n_states == 19
         assert decide_equal(complete_system(dyck()), K) == Verdict(False, 2, "aabb")
 
+    @pytest.mark.parametrize("width, n_states", [(3, 19), (4, 35)])
+    def test_completed_dyck_wide_targets_build_no_image(self, width, n_states, monkeypatch):
+        """Inclusion (2) searches the rule's walks against K: no automaton
+        for P is explored, and folding the 1453-state P was what made the
+        35-state target slow."""
+        monkeypatch.setattr(splicelab.decider, "_explore", None)
+        K = self.target(width)
+        assert K.n_states == n_states
+        assert decide_equal(complete_system(dyck()), K) == Verdict(False, 2, "aabb")
+
+    @pytest.mark.parametrize("mode", [FLAT, CIRCULAR])
+    def test_counting_target_folds_walks_one_at_a_time(self, mode, monkeypatch):
+        """Words whose number of a's is a multiple of n: the rule -#-$-#-
+        has a walk per resume state, and one product of all n walks would
+        hold one of 2^n sets of visited resume states.  Folded into P one
+        walk at a time, each product is minimized before the next."""
+        n = 12
+        K = regex_to_dfa(parse_regex("(b|a" + "b*a" * (n - 1) + ")+"), AB)
+        explored = []
+        for walker in ("_explore", "_least_word"):
+            walk = getattr(splicelab.decider, walker)
+            monkeypatch.setattr(
+                splicelab.decider,
+                walker,
+                lambda alphabet, start, step, last, walk=walk: walk(
+                    alphabet, start, lambda node: explored.append(node) or step(node), last
+                ),
+            )
+        system = SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.finite(["b", "a" * n]),
+            rules=frozenset([SplicingRule("", "", "", "")]),
+            mode=mode,
+        )
+        assert decide_equal(system, K).equal
+        assert len(explored) < 8 * n * n
+        explored.clear()
+        generated = alphabetic_generability(K)
+        assert generated.initial.words == frozenset(["b", "a" * n])
+        assert len(explored) < 8 * n * n
+
     def test_long_word_generability(self):
         word = "a" * 200
         system = alphabetic_generability(regex_to_dfa(parse_regex(word), ("a",)))
@@ -587,6 +632,116 @@ class TestDifferential:
             else:
                 assert not system.initial.contains(w)
                 assert not in_one_step_image(nonempty, sorted(system.rules), w)
+
+
+class TestImageWalkDifferential:
+    """``decide_equal`` searches the rule image walks against K, and folds
+    them into P only where it needs P whole.  On seeded random systems,
+    flat and circular, with one- and two-letter handles and targets that
+    mostly hold the axioms, every witness is checked against the
+    brute-force one-step image and shown least by enumerating the smaller
+    words."""
+
+    # sha256 of the (equal, inclusion, witness) tuples, as computed with P
+    # built before inclusion (2); the same under every hash seed
+    DIGEST = "81806036304026b921fe899391a5ada38317ae857d5c1b52b6310984a48c180b"
+
+    @staticmethod
+    def cases():
+        rng = random.Random(71)
+        for i in range(320):
+            mode = CIRCULAR if i % 2 else FLAT
+            system = random_system(
+                rng,
+                usages=(SPLICE,) if mode == CIRCULAR else (SPLICE, CONCAT),
+                mode=mode,
+                max_rules=3,
+                handle_len=rng.randint(1, 2),
+            )
+            letters = system.alphabet.letters
+            axioms = "|".join(sorted(system.initial.words))
+            if rng.random() < 0.25:
+                axioms = random_regex(rng, "".join(letters))
+                initial = InitialSet.regular(regex_to_dfa(parse_regex(axioms), letters))
+                system = SplicingSystem(system.alphabet, initial, system.rules, mode)
+            regex = random_regex(rng, "".join(letters))
+            if rng.random() < 0.2:
+                regex = "(" + "|".join(letters) + ")+"
+            if rng.random() < 0.8:
+                # the target holds the axioms, so (1) passes
+                regex = f"{regex}|{axioms}"
+            K = regex_to_dfa(parse_regex(regex), letters)
+            if mode == CIRCULAR:
+                K = conjugacy_closure(K)
+            if K.accepts("") and rng.random() < 0.8:
+                K = dfa_without_epsilon(K)
+            yield system, K
+
+    @staticmethod
+    def words(letters, n):
+        """Every word of length at most n, in length-lex order."""
+        for k in range(n + 1):
+            yield from map("".join, itertools.product(letters, repeat=k))
+
+    def test_witnesses_against_brute_force(self):
+        digest = hashlib.sha256()
+        seen = dict.fromkeys([1, 2, 3, None], 0)
+        for system, K in self.cases():
+            verdict = decide_equal(system, K)
+            digest.update(repr((verdict.equal, verdict.failing_inclusion, verdict.witness)).encode())
+            seen[verdict.failing_inclusion] += 1
+            self.check(system, K, verdict)
+        assert digest.hexdigest() == self.DIGEST
+        assert seen[2] >= 50 and seen[3] >= 100 and seen[None] >= 30, seen
+
+    def check(self, system, K, verdict):
+        rules = sorted(system.rules)
+        circular = system.mode == CIRCULAR
+
+        def operand(u):
+            # splice operands are words of the language other than ε
+            return u != "" and K.accepts(u)
+
+        def in_image(w):
+            # circular P is the flat image closed under rotation
+            return any(
+                in_one_step_image(operand, rules, r) for r in (rotations(w) if circular else [w])
+            )
+
+        qualifies = {
+            2: lambda w: not K.accepts(w) and in_image(w),
+            3: lambda w: operand(w) and not system.initial.contains(w) and not in_image(w),
+        }
+        w, inclusion = verdict.witness, verdict.failing_inclusion
+        assert inclusion != "conjugacy"  # every target is rotation-closed
+        if inclusion == 1 or w == "":
+            return  # settled before P is walked, as in TestDifferential
+
+        # the same answer from P built as a normalized DFA
+        core = dfa_without_epsilon(K)
+        P = splice_image(core, system.rules)
+        if circular:
+            P = conjugacy_closure(P)
+        if system.initial.kind == "finite":
+            axioms = dfa_from_words(K.alphabet, system.initial.words)
+        else:
+            axioms = system.initial.dfa
+        w2 = difference_witness(P, K)
+        w3 = difference_witness(dfa_difference(core, P), axioms) if w2 is None else None
+        assert (w2, w3) == ((w, None) if inclusion == 2 else (None, w)), (system, K, verdict)
+
+        letters = K.alphabet
+        if inclusion is None:
+            bad = [u for u in self.words(letters, 4) if qualifies[2](u) or qualifies[3](u)]
+            assert not bad, (system, K, bad)
+            return
+        assert qualifies[inclusion](w), (system, K, verdict)
+        smaller = [
+            u
+            for u in self.words(letters, len(w))
+            if (len(u), u) < (len(w), w) and qualifies[inclusion](u)
+        ]
+        assert not smaller, (system, K, verdict, smaller)
 
 
 class TestLanguageWitness:
