@@ -9,10 +9,10 @@ outputs deterministic.
 Every construction goes through one subset walk, ``_explore``, over the
 nodes of an implicit DFA: regex positions, word prefixes, pattern
 progress, product state pairs, or the states of a concatenation or a
-rotation closure.  No construction has ε-moves to follow.  Witness
-searches go through one breadth-first walk, ``_least_word``, over the same
-kind of implicit DFA; it stops at the first node found, with no automaton
-built.
+rotation closure.  No construction has ε-moves to follow.  Difference
+witnesses, here and in the decider, come from one breadth-first walk,
+``_least_word``, over the same kind of implicit DFA; it stops at the first
+node found, with no automaton built.
 """
 
 from __future__ import annotations
