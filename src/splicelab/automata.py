@@ -176,6 +176,18 @@ def lit(ch: str) -> tuple:
     return ("lit", ch)
 
 
+def _contains(nodes: list[tuple], node: tuple) -> bool:
+    """Whether ``node`` equals one of ``nodes``.  ``==`` on nested tuples
+    recurses in C, one level for each level their equal part goes down,
+    so past the recursion limit the nodes are compared in post-order
+    instead, as flat lists of leaves and (kind, arity) entries."""
+    try:
+        return node in nodes
+    except RecursionError:
+        form = _postfix(node)
+        return any(_postfix(other) == form for other in nodes)
+
+
 def union(*parts: tuple) -> tuple:
     flat: list[tuple] = []
     for p in parts:
@@ -183,7 +195,7 @@ def union(*parts: tuple) -> tuple:
             continue
         if p[0] == "union":
             flat.extend(p[1])
-        elif p not in flat:
+        elif not _contains(flat, p):
             flat.append(p)
     if not flat:
         return EMPTY
@@ -218,91 +230,85 @@ def star(body: tuple) -> tuple:
     return ("star", body)
 
 
-_REGEX_META = set("()|*+?_ \t")
-
-
 def parse_regex(text: str) -> tuple:
     """Parse the concrete regex syntax: letters, ``|``, juxtaposition,
-    ``*``, ``+``, ``?``, parentheses, and ``_`` for the empty word."""
-    pos = 0
-
-    def peek() -> str | None:
-        nonlocal pos
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        return text[pos] if pos < len(text) else None
-
-    def parse_alt() -> tuple:
-        parts = [parse_seq()]
-        while peek() == "|":
-            nonlocal pos
-            pos += 1
-            parts.append(parse_seq())
-        return union(*parts)
-
-    def parse_seq() -> tuple:
-        items = []
-        while True:
-            ch = peek()
-            if ch is None or ch in ")|":
-                break
-            items.append(parse_item())
-        if not items:
-            raise ParseError("empty regex branch; use _ for the empty word")
-        return cat(*items)
-
-    def parse_item() -> tuple:
-        nonlocal pos
-        ch = peek()
+    ``*``, ``+``, ``?``, parentheses, and ``_`` for the empty word.  One
+    pass over the characters keeps a frame per open group: its finished
+    branches and the items of the branch being read."""
+    empty_branch = "empty regex branch; use _ for the empty word"
+    groups: list[tuple[list, list]] = []  # the frames of the enclosing groups
+    branches: list[tuple] = []
+    items: list[tuple] = []
+    for ch in text:
+        if ch in " \t":
+            continue
+        if ch in ")|" and not items:
+            raise ParseError(empty_branch)
         if ch == "(":
-            pos += 1
-            inner = parse_alt()
-            if peek() != ")":
-                raise ParseError("unbalanced parenthesis in regex")
-            pos += 1
-            node = inner
-        elif ch == "_":
-            pos += 1
-            node = EPS
-        elif ch is None or ch in _REGEX_META:
-            raise ParseError(f"unexpected {ch!r} in regex")
-        else:
-            pos += 1
-            node = lit(ch)
-        while True:
-            nxt = peek()
-            if nxt == "*":
-                pos += 1
-                node = star(node)
-            elif nxt == "+":
-                pos += 1
-                node = cat(node, star(node))
-            elif nxt == "?":
-                pos += 1
-                node = union(EPS, node)
+            groups.append((branches, items))
+            branches, items = [], []
+        elif ch == "|":
+            branches.append(cat(*items))
+            items = []
+        elif ch == ")":
+            if not groups:
+                raise ParseError("trailing ')' in regex")
+            node = union(*branches, cat(*items))
+            branches, items = groups.pop()
+            items.append(node)
+        elif ch in "*+?":
+            # a postfix operator rewrites the item it follows
+            if not items:
+                raise ParseError(f"unexpected {ch!r} in regex")
+            node = items[-1]
+            if ch == "*":
+                items[-1] = star(node)
+            elif ch == "+":
+                items[-1] = cat(node, star(node))
             else:
-                return node
+                items[-1] = union(EPS, node)
+        else:
+            items.append(EPS if ch == "_" else lit(ch))
+    if not items:
+        raise ParseError(empty_branch)
+    if groups:
+        raise ParseError("unbalanced parenthesis in regex")
+    return union(*branches, cat(*items))
 
-    try:
-        node = parse_alt()
-    except RecursionError:
-        raise ParseError("regex nested too deeply") from None
-    if peek() is not None:
-        raise ParseError(f"trailing {peek()!r} in regex")
-    return node
+
+def _postorder(node: tuple) -> list[tuple]:
+    """The nodes of an AST, children before their parent and left to
+    right: a walker keeps a stack of finished results, and a parent takes
+    the last ones, one per child."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        if n[0] in ("union", "cat"):
+            stack.extend(n[1])
+        elif n[0] == "star":
+            stack.append(n[1])
+    out.reverse()
+    return out
+
+
+def _postfix(node: tuple) -> list[tuple]:
+    return [
+        (n[0], len(n[1])) if n[0] in ("union", "cat") else n[:1] if n[0] == "star" else n
+        for n in _postorder(node)
+    ]
+
+
+def _children(done: list, n: tuple) -> list:
+    """Pop the finished results of the parts of a union or cat ``n``."""
+    cut = len(done) - len(n[1])
+    parts = done[cut:]
+    del done[cut:]
+    return parts
 
 
 def regex_letters(node: tuple) -> set[str]:
-    if node[0] == "lit":
-        return {node[1]}
-    if node[0] in ("union", "cat"):
-        out: set[str] = set()
-        for p in node[1]:
-            out |= regex_letters(p)
-        return out
-    if node[0] == "star":
-        return regex_letters(node[1])
-    return set()
+    return {n[1] for n in _postorder(node) if n[0] == "lit"}
 
 
 def regex_to_dfa(regex, alphabet) -> Dfa:
@@ -318,45 +324,45 @@ def regex_to_dfa(regex, alphabet) -> Dfa:
     index = {a: x for x, a in enumerate(letters)}
     letter_of: list[int] = [-1]  # position 0 reads no letter
     follow: list[set[int]] = [set()]
-
-    def scan(n: tuple) -> tuple[bool, set[int], set[int]]:
-        """Number the positions of ``n`` and link the follow sets inside
-        it; return whether it accepts the empty word and its first and
-        last positions."""
+    # per finished subtree: whether it accepts the empty word, and its
+    # first and last positions; positions are numbered left to right and
+    # the follow sets inside a subtree are linked when it is finished
+    done: list[tuple[bool, set[int], set[int]]] = []
+    for n in _postorder(node):
         kind = n[0]
         if kind in ("empty", "eps"):
-            return kind == "eps", set(), set()
-        if kind == "lit":
+            done.append((kind == "eps", set(), set()))
+        elif kind == "lit":
             p = len(letter_of)
             letter_of.append(index[n[1]])
             follow.append(set())
-            return False, {p}, {p}
-        if kind == "union":
-            scans = list(map(scan, n[1]))  # no comprehension frame per level
-            return (
+            done.append((False, {p}, {p}))
+        elif kind == "union":
+            scans = _children(done, n)
+            done.append((
                 any(nullable for nullable, _, _ in scans),
                 set().union(*(first for _, first, _ in scans)),
                 set().union(*(last for _, _, last in scans)),
-            )
-        if kind == "cat":
+            ))
+        elif kind == "cat":
             nullable, first, last = True, set(), set()
-            for part in n[1]:
-                part_nullable, part_first, part_last = scan(part)
+            for part_nullable, part_first, part_last in _children(done, n):
                 for q in last:
                     follow[q] |= part_first
                 if nullable:
                     first |= part_first
                 last = last | part_last if part_nullable else part_last
                 nullable = nullable and part_nullable
-            return nullable, first, last
-        if kind == "star":
-            _, first, last = scan(n[1])
+            done.append((nullable, first, last))
+        elif kind == "star":
+            _, first, last = done.pop()
             for q in last:
                 follow[q] |= first
-            return True, first, last
-        raise ValueError(f"bad regex node {n!r}")
+            done.append((True, first, last))
+        else:
+            raise ValueError(f"bad regex node {n!r}")
 
-    nullable, follow[0], last = scan(node)
+    nullable, follow[0], last = done.pop()
     # per position, the positions that may follow it, split by letter
     moves = []
     for after in follow:
@@ -377,28 +383,27 @@ def regex_to_dfa(regex, alphabet) -> Dfa:
 def render_regex(node: tuple) -> str:
     """Render an AST back to the concrete syntax (no node for the empty
     language: callers must special-case it)."""
-    kind = node[0]
-    if kind == "eps":
-        return "_"
-    if kind == "lit":
-        return node[1]
-    if kind == "star":
-        body = node[1]
-        inner = render_regex(body)
-        if body[0] in ("union", "cat"):
-            inner = f"({inner})"
-        return inner + "*"
-    if kind == "cat":
-        parts = []
-        for p in node[1]:
-            s = render_regex(p)
-            if p[0] == "union":
-                s = f"({s})"
-            parts.append(s)
-        return "".join(parts)
-    if kind == "union":
-        return "|".join(render_regex(p) for p in node[1])
-    raise ValueError(f"cannot render {node!r}")
+    done: list[str] = []
+    for n in _postorder(node):
+        kind = n[0]
+        if kind == "eps":
+            text = "_"
+        elif kind == "lit":
+            text = n[1]
+        elif kind == "star":
+            text = done.pop()
+            if n[1][0] in ("union", "cat"):
+                text = f"({text})"
+            text += "*"
+        elif kind == "cat":
+            parts = zip(n[1], _children(done, n))
+            text = "".join(f"({s})" if p[0] == "union" else s for p, s in parts)
+        elif kind == "union":
+            text = "|".join(_children(done, n))
+        else:
+            raise ValueError(f"cannot render {n!r}")
+        done.append(text)
+    return done.pop()
 
 
 # --------------------------------------------------------------------------
@@ -452,22 +457,6 @@ def dfa_without_epsilon(a: Dfa) -> Dfa:
 def dfa_empty(a: Dfa) -> bool:
     """Normalized DFAs are trimmed, so emptiness is the absence of finals."""
     return not a.finals
-
-
-def dfa_shortest(a: Dfa) -> str | None:
-    """Length-lex least accepted word, or None for the empty language:
-    from the start, always the first letter that brings acceptance one
-    step closer."""
-    dist = _live_distances(a)
-    if a.start not in dist:
-        return None
-    s, word = a.start, []
-    while dist[s]:
-        letter, s = next(
-            (c, t) for c, t in zip(a.alphabet, a.transitions[s]) if dist.get(t) == dist[s] - 1
-        )
-        word.append(letter)
-    return "".join(word)
 
 
 def _least_word(alphabet: tuple[str, ...], start, step, stop) -> str | None:

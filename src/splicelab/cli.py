@@ -22,7 +22,6 @@ from .core import (
     ProductionSequence,
     SpliceError,
     SplicingSystem,
-    UnsupportedError,
 )
 from .decider import alphabetic_generability, decide_equal
 from .fileformat import (
@@ -261,10 +260,7 @@ def run_command(argv) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnsupportedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpliceError as exc:
+    except (SpliceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

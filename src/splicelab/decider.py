@@ -23,7 +23,8 @@ other rules, of a breadth-first search over (walk node, K state) pairs.
 (3), a circular system's (2) (its witness lies in the rotations of P) and
 the generability residue need P whole: each walk is minimized and folded
 into it by ``dfa_union``, and (3) searches (K⁺ state, P state, axiom
-state) triples for the least witness.
+state) triples for the least witness; a circular system's axioms are
+every rotation of its initial words.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
@@ -70,6 +71,7 @@ from .core import (
     SplicingSystem,
     UnsupportedError,
 )
+from .transform import _linearize_initial
 
 Inclusion = int | str  # 1 | 2 | 3 | "conjugacy"
 # an implicit DFA: (start node, node -> successors in alphabet order,
@@ -386,13 +388,15 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     if w is not None:
         return Verdict(False, 2, w)
 
-    # (3) K⁺-words that no splice produces must be axioms
+    # (3) K⁺-words that no splice produces must be axioms; in circular
+    # mode, rotations of axioms
     if P is None:
         P = images.union(system.rules)
-    if system.initial.kind == "finite":
-        axioms = dfa_from_words(K.alphabet, system.initial.words)
+    initial = _linearize_initial(system) if system.mode == CIRCULAR else system.initial
+    if initial.kind == "finite":
+        axioms = dfa_from_words(K.alphabet, initial.words)
     else:
-        axioms = system.initial.dfa
+        axioms = initial.dfa
     C, S, A = core.transitions, P.transitions, axioms.transitions
     w = _least_word(
         K.alphabet,

@@ -37,7 +37,7 @@ letters, words, and rules).
 
 from __future__ import annotations
 
-from .automata import Dfa, _normalize, dfa_to_regex, parse_regex, regex_letters, regex_to_dfa, render_regex
+from .automata import Dfa, _normalize, dfa_to_regex, regex_to_dfa, render_regex
 from .core import (
     CIRCULAR,
     CONCAT,
@@ -130,17 +130,10 @@ def parse_system(text: str) -> SplicingSystem:
                 if not payload:
                     raise ParseError("initial regex needs a pattern", lineno)
                 try:
-                    node = parse_regex(payload)
-                except ParseError as exc:
+                    dfa = regex_to_dfa(payload, alphabet.letters)
+                except (ParseError, ValueError) as exc:
                     raise ParseError(str(exc), lineno) from exc
-                stray = regex_letters(node) - set(alphabet.letters)
-                if stray:
-                    raise ParseError(
-                        f"regex uses letters outside the alphabet: {sorted(stray)}", lineno
-                    )
-                initial = InitialSet.regular(
-                    regex_to_dfa(node, alphabet.letters), source_regex=payload
-                )
+                initial = InitialSet.regular(dfa, source_regex=payload)
             else:
                 raise ParseError(f"initial kind is 'finite' or 'regex', got {kind!r}", lineno)
         elif keyword in (SPLICE, CONCAT):

@@ -20,7 +20,6 @@ from splicelab.automata import (
     dfa_intersect,
     dfa_is_finite,
     dfa_none,
-    dfa_shortest,
     dfa_subset,
     dfa_to_regex,
     dfa_union,
@@ -35,6 +34,7 @@ from splicelab.automata import (
     render_regex,
 )
 from splicelab.core import ParseError, matches_pattern
+from splicelab.fileformat import parse_system
 
 from helpers import random_regex, regex_matches
 
@@ -81,6 +81,54 @@ class TestRegexParsing:
             node = parse_regex(text)
             again = parse_regex(render_regex(node))
             assert dfa_equivalent(regex_to_dfa(node, AB), regex_to_dfa(again, AB))
+
+
+class TestDeepRegexes:
+    """Nesting depth is bounded by memory, not by the recursion limit: the
+    parser and the AST walkers keep explicit stacks.  These run at the
+    interpreter's default limit of 1000 frames."""
+
+    N = 100_000
+
+    @staticmethod
+    def alternation(depth):
+        """``a|b(a|b(…a|ba…))`` with ``depth`` groups: the words b^i a
+        for i <= depth + 1, in the text ``render_regex`` gives back."""
+        return "a|b(" * depth + "a|ba" + ")" * depth
+
+    def test_many_nested_groups(self):
+        assert parse_regex("(" * self.N + "a" + ")" * self.N) == lit("a")
+        with pytest.raises(ParseError, match="unbalanced"):
+            parse_regex("(" * self.N + "a")
+
+    def test_deep_raw_ast(self):
+        node = lit("a")
+        for _ in range(self.N):
+            node = ("star", node)
+        assert regex_letters(node) == {"a"}
+        assert render_regex(node) == "a" + "*" * self.N
+        assert regex_to_dfa(node, AB) == regex_to_dfa("a*", AB)
+
+    def test_deep_alternation(self):
+        depth = 1000
+        text = self.alternation(depth)
+        node = parse_regex(text)
+        assert render_regex(node) == text
+        system = parse_system(f"alphabet a b\ninitial regex {text}\n")
+        d = system.initial.dfa
+        # one state per count of leading b's, the accepting one and the sink
+        assert d.n_states == depth + 4
+        assert d.accepts("a") and d.accepts("b" * (depth + 1) + "a")
+        assert not d.accepts("b" * (depth + 2) + "a") and not d.accepts("ab")
+
+    def test_deep_equal_branches(self):
+        """A union drops a branch equal to an earlier one, however deep
+        the two are; branches that differ only at the bottom both stay."""
+        deep = self.alternation(1000)
+        assert render_regex(parse_regex(f"({deep})b|({deep})b")) == f"({deep})b"
+        other = deep.replace("a|ba", "a|bb")
+        both = render_regex(parse_regex(f"({deep})b|({other})b"))
+        assert both == f"({deep})b|({other})b"
 
 
 class TestRegexToDfa:
@@ -198,14 +246,8 @@ class TestBooleans:
 
 
 class TestQueries:
-    def test_emptiness_and_shortest(self):
+    def test_emptiness(self):
         assert dfa_empty(dfa_none(AB))
-        assert dfa_shortest(dfa_none(AB)) is None
-        assert dfa_shortest(dfa_from_words(AB, ["ba", "b"])) == "b"
-
-    def test_shortest_is_length_lex_least(self):
-        d = dfa_from_words(AB, ["bb", "ba", "ab"])
-        assert dfa_shortest(d) == "ab"
 
     def test_difference_witness(self):
         a = dfa_from_words(AB, ["a", "ab"])
@@ -266,7 +308,12 @@ class TestQueries:
             b = regex_to_dfa(parse_regex(random_regex(rng, "ab")), AB)
             if i % 3 == 0:
                 b = dfa_union(a, b)
-            want = dfa_shortest(dfa_difference(a, b))
+            # no shorter path reaches a final state of the minimal DFA of
+            # the difference than one visiting each state at most once
+            bound = dfa_difference(a, b).n_states - 1
+            want = next(
+                (w for w in all_words(AB, bound) if a.accepts(w) and not b.accepts(w)), None
+            )
             assert difference_witness(a, b) == want
             assert dfa_subset(a, b) == (want is None)
             seen["none" if want is None else "empty" if want == "" else "word"] += 1

@@ -16,7 +16,6 @@ from splicelab.automata import (
     dfa_intersect,
     dfa_is_finite,
     dfa_none,
-    dfa_shortest,
     dfa_subset,
     dfa_union,
     dfa_without_epsilon,
@@ -634,6 +633,76 @@ class TestDifferential:
                 assert not in_one_step_image(nonempty, sorted(system.rules), w)
 
 
+class TestCircularDifferential:
+    """Circular systems against ground truth.  The axioms, finite or
+    regular, are mostly not closed under rotation, and most targets are
+    the rotations of the axioms, with or without more words.  Every EQUAL
+    is checked against the linearized bounded closure, and every witness
+    against the brute-force one-step image of rotations."""
+
+    MAX_LEN = 7
+
+    def test_verdicts_against_linearized_closure(self):
+        rng = random.Random(83)
+        seen = dict.fromkeys([1, 2, 3, None], 0)
+        for _ in range(150):
+            system = random_system(rng, mode=CIRCULAR, max_initial=3)
+            letters = system.alphabet.letters
+            axioms = "|".join(sorted(system.initial.words))
+            if rng.random() < 0.3:
+                axioms = random_regex(rng, "".join(letters))
+                initial = InitialSet.regular(regex_to_dfa(parse_regex(axioms), letters))
+                system = SplicingSystem(system.alphabet, initial, system.rules, CIRCULAR)
+            regex = axioms
+            if rng.random() < 0.3:
+                regex = f"{axioms}|{random_regex(rng, ''.join(letters))}"
+            K = conjugacy_closure(regex_to_dfa(parse_regex(regex), letters))
+            verdict = decide_equal(system, K)
+            seen[verdict.failing_inclusion] += 1
+            if verdict.equal:
+                language = self.linearized_closure(system, self.MAX_LEN)
+                assert language == set(enumerate_dfa(K, self.MAX_LEN)), (system, regex)
+            else:
+                self.check_witness(system, K, verdict)
+        assert seen[None] >= 40 and seen[3] >= 20, seen
+
+    @staticmethod
+    def linearized_closure(system, max_len):
+        """The words of length at most ``max_len`` that some rotation of a
+        generated circular word spells, with ε when it is an axiom."""
+        words = {lin for w in closure_bounded(system, max_len) for lin in w.linearize()}
+        return words | {""} if system.initial.had_epsilon else words
+
+    def check_witness(self, system, K, verdict):
+        w = verdict.witness
+        rules = sorted(system.rules)
+
+        def operand(u):
+            # splice operands are words of the language other than ε
+            return u != "" and K.accepts(u)
+
+        def in_image(u):
+            return any(in_one_step_image(operand, rules, r) for r in rotations(u))
+
+        assert verdict.failing_inclusion != "conjugacy"  # every target is rotation-closed
+        if verdict.failing_inclusion == 1:
+            assert (w == "" and system.initial.had_epsilon) or system.initial.contains(w)
+            assert not K.accepts(w)
+        elif verdict.failing_inclusion == 2:
+            assert not K.accepts(w) and in_image(w), (system, verdict)
+        else:
+            assert verdict.failing_inclusion == 3
+            assert K.accepts(w), (system, verdict)
+            if w == "":
+                assert not system.initial.had_epsilon
+                return
+            assert not system.initial_contains(w), (system, verdict)
+            assert not in_image(w), (system, verdict)
+            # (1) and (2) held, so the language lies inside K and w, which
+            # no splice of K-words makes, is missing from it
+            assert w not in self.linearized_closure(system, len(w)), (system, verdict)
+
+
 class TestImageWalkDifferential:
     """``decide_equal`` searches the rule image walks against K, and folds
     them into P only where it needs P whole.  On seeded random systems,
@@ -642,9 +711,9 @@ class TestImageWalkDifferential:
     brute-force one-step image and shown least by enumerating the smaller
     words."""
 
-    # sha256 of the (equal, inclusion, witness) tuples, as computed with P
-    # built before inclusion (2); the same under every hash seed
-    DIGEST = "81806036304026b921fe899391a5ada38317ae857d5c1b52b6310984a48c180b"
+    # sha256 of the (equal, inclusion, witness) tuples, the same under
+    # every hash seed; in circular mode (3) accepts a rotation of an axiom
+    DIGEST = "ab26f8a454c628b45a05f9c2e08dd38c75be049d00b46fb73333037ef9bb6e48"
 
     @staticmethod
     def cases():
@@ -710,7 +779,7 @@ class TestImageWalkDifferential:
 
         qualifies = {
             2: lambda w: not K.accepts(w) and in_image(w),
-            3: lambda w: operand(w) and not system.initial.contains(w) and not in_image(w),
+            3: lambda w: operand(w) and not system.initial_contains(w) and not in_image(w),
         }
         w, inclusion = verdict.witness, verdict.failing_inclusion
         assert inclusion != "conjugacy"  # every target is rotation-closed
@@ -726,6 +795,8 @@ class TestImageWalkDifferential:
             axioms = dfa_from_words(K.alphabet, system.initial.words)
         else:
             axioms = system.initial.dfa
+        if circular:
+            axioms = conjugacy_closure(axioms)
         w2 = difference_witness(P, K)
         w3 = difference_witness(dfa_difference(core, P), axioms) if w2 is None else None
         assert (w2, w3) == ((w, None) if inclusion == 2 else (None, w)), (system, K, verdict)
@@ -742,9 +813,3 @@ class TestImageWalkDifferential:
             if (len(u), u) < (len(w), w) and qualifies[inclusion](u)
         ]
         assert not smaller, (system, K, verdict, smaller)
-
-
-class TestLanguageWitness:
-    def test_shortest_word(self):
-        assert dfa_shortest(regex_to_dfa(parse_regex("a*b"), AB)) == "b"
-        assert dfa_shortest(regex_to_dfa(parse_regex("a(a)*"), AB)) == "a"
