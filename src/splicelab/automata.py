@@ -17,7 +17,7 @@ node found, with no automaton built.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .core import Alphabet, ParseError
@@ -188,15 +188,44 @@ def _contains(nodes: list[tuple], node: tuple) -> bool:
         return any(_postfix(other) == form for other in nodes)
 
 
+def _head(node: tuple) -> tuple:
+    """The first 16 entries of the pre-order form of ``node``, as leaves
+    and (kind, arity) entries: equal nodes share it, and it takes at most
+    16 steps however large or deep the node is.  (Hashing the node itself
+    recurses in C with no limit, and a deep enough one overflows the C
+    stack.)"""
+    out, stack = [], [node]
+    while stack and len(out) < 16:
+        n = stack.pop()
+        if n[0] in ("union", "cat"):
+            out.append((n[0], len(n[1])))
+            stack.extend(reversed(n[1][:16]))
+        elif n[0] == "star":
+            out.append(n[:1])
+            stack.append(n[1])
+        else:
+            out.append(n)
+    return tuple(out)
+
+
 def union(*parts: tuple) -> tuple:
+    """The union of ``parts``, flattened, with a part that equals one kept
+    before it left out.  The kept parts are grouped by their heads, so a
+    part is compared only with those that share its head."""
     flat: list[tuple] = []
+    kept: dict[tuple, list[tuple]] = defaultdict(list)
     for p in parts:
         if p == EMPTY:
             continue
         if p[0] == "union":
             flat.extend(p[1])
-        elif not _contains(flat, p):
+            for q in p[1]:
+                kept[_head(q)].append(q)
+            continue
+        same = kept[_head(p)]
+        if not _contains(same, p):
             flat.append(p)
+            same.append(p)
     if not flat:
         return EMPTY
     if len(flat) == 1:

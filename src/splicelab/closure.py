@@ -6,8 +6,11 @@ result is as long as both operands together, so the words of the language
 up to length n can only ever be built from other words up to length n.
 Saturation therefore pairs each word only with the earlier words that fit
 beside it under the bound.  Splice rules, whatever their handle lengths,
-go through one matcher that serves forward saturation and the backward
-search of flat and circular words alike.
+go through one occurrence scan that serves flat saturation and the
+backward search of flat and circular words alike: a seam is a pair of
+handles that meet at a cut (alpha and beta, alpha and gamma, delta and
+beta), and a word is searched once for each seam, with str.find, so the
+work follows the occurrences and not the number of cuts or spans.
 
 Saturation does per-word work once, not once per pair.  Flat words are
 grouped by the context table of the splice rules they can be inserted by,
@@ -21,7 +24,11 @@ axiom or some undo move splits it into two parts that are both in it, so
 one memo over words serves the whole search.  A flat undo move takes out
 a span with alpha before it and beta after it; a circular one takes out
 an arc of the circle with alpha before it and beta after it, both inside
-the rest.
+the rest.  The moves of a word come from its seams: a span runs from a
+place where alpha ends and gamma starts to one where delta ends and beta
+starts.  Each move names the first rule, in one fixed order, that makes
+it, and a rule that an earlier one dominates is never looked for.  Each
+distinct arc of a circular search is canonicalized once.
 
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
 word, guaranteed to replay; which one is not fixed.
@@ -29,12 +36,14 @@ word, guaranteed to replay; which one is not fixed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from functools import partial
-from itertools import chain
+from itertools import chain, product, repeat
+from operator import attrgetter
 
 from .core import (
     CIRCULAR,
+    SPLICE,
     BudgetExceededError,
     CircularWord,
     InitialRef,
@@ -46,64 +55,86 @@ from .core import (
     StepRef,
     apply_concat,
     matches_pattern,
+    shortenings,
 )
 
 DEFAULT_BUDGET = 10**6
+_handles = attrgetter("alpha", "beta", "gamma", "delta")
+
+
+def _seams(text: str, stop: int, seams, cyclic: bool = False) -> list:
+    """For each (left, right) of the distinct ``seams``, the positions,
+    ascending, at which ``left`` ends and ``right`` starts in ``text``:
+    where ``left + right`` starts below ``stop``, moved on by
+    ``len(left)``.  A cyclic ``text`` is a circle of ``stop`` letters
+    written twice, and its positions count round the circle."""
+    out = []
+    for left, right in seams:
+        seam = left + right
+        if not seam:
+            out.append(range(stop))
+            continue
+        found, k = [], len(left)
+        i = text.find(seam)
+        while 0 <= i < stop:
+            found.append(i + k)
+            i = text.find(seam, i + 1)
+        out.append(sorted(i % stop for i in found) if cyclic else found)
+    return out
 
 
 class _Contexts:
     """The merged cut contexts of the splice rules an inserted word
-    matches: (alpha, beta) -> rule, and the distinct (len alpha, len beta)
-    shapes among those keys.  Words that match the same rules share one
-    table, which hashes by identity."""
+    matches: the (alpha, beta) keys with their rules, less a key that a
+    shorter one dominates, shortest (len alpha, len beta) first.  Words
+    that match the same rules share one table, which hashes by identity."""
 
-    __slots__ = ("ctx", "shapes")
+    __slots__ = ("keys", "rules")
 
     def __init__(self, ctx: dict[tuple[str, str], SplicingRule]):
-        self.ctx = ctx
-        self.shapes = sorted({(len(a), len(b)) for a, b in ctx})
-
-    def rule_at(
-        self, s: str, p: int, q: int, room: int | None = None
-    ) -> SplicingRule | None:
-        """A rule whose alpha ends ``s[:p]`` and whose beta starts
-        ``s[q:]``, or None: the cut context of an insertion at ``p``
-        (forward, ``q == p``) or of the span ``s[p:q]`` (backward).  With
-        ``room``, alpha and beta together take at most ``room`` letters."""
-        ctx = self.ctx
-        for la, lb in self.shapes:
-            if room is not None and la + lb > room:
-                continue
-            # near an end of s a slice comes out short, but it is still a
-            # suffix of s[:p] or a prefix of s[q:], so any key it equals
-            # fits here too
-            rule = ctx.get((s[p - la : p], s[q : q + lb]))
-            if rule is not None:
-                return rule
-        return None
+        keys = list(ctx)
+        if len(keys) > 1:
+            keys = [
+                (a, b)
+                for a, b in keys
+                if not any(
+                    (x, y) in ctx and (x, y) != (a, b)
+                    for x in shortenings(SPLICE, 0, a)
+                    for y in shortenings(SPLICE, 1, b)
+                )
+            ]
+            keys.sort(key=lambda key: (len(key[0]), len(key[1])))
+        self.keys = keys
+        self.rules = [ctx[key] for key in keys]
 
     def cuts(self, host: str) -> list[tuple[int, SplicingRule]]:
         """(cut, rule) for every insertion point of ``host`` at which a
-        word of this table may go in, cuts ascending."""
-        if not self.ctx:
-            return []
-        if self.shapes[0] == (0, 0):
-            # ("", "") is a key, and it fits at every cut
-            rule = self.ctx[("", "")]
-            return [(i, rule) for i in range(len(host) + 1)]
-        hits = ((i, self.rule_at(host, i, i)) for i in range(len(host) + 1))
-        return [hit for hit in hits if hit[1] is not None]
+        word of this table may go in, cuts ascending: at each, the rule
+        of the first key that fits."""
+        found = _seams(host, len(host) + 1, self.keys)
+        windows = [(ps, k) for k, ps in enumerate(found) if ps]
+        return [(i, self.rules[k]) for i, k in _firsts(windows)]
 
 
-class _FlatProducer:
-    """The splice rules of a system indexed by (gamma, delta), for flat
-    and circular words alike.
+# Saturation pairs each word z taken off the agenda with groups of words
+# taken off before it.  A mode's pairing has three parts: ``admit`` turns
+# a result into a word, ``entry`` gives a word's group and what the
+# pairing keeps of it, and ``results`` yields (result, parent) for z
+# against one group, both ways round.
 
-    Each inserted word gets, once, the merged cut contexts of the rules it
-    matches, so a cut costs one dict lookup per context shape whatever the
-    handle lengths."""
 
-    def __init__(self, system: SplicingSystem):
+class _FlatPairs:
+    """Flat productions, with per-word work done once.
+
+    Each word gets, once, the merged cut contexts of the splice rules whose
+    gamma and delta it matches.  A group holds the words that share one
+    context table, so a host's cut list for that table is built once, the
+    first time the host meets the group, and serves every word in it: a
+    pair then costs only its hits.  Each word also carries two bit masks
+    of the concat rules it may be the left or the right operand of; the
+    lowest common bit is the first rule in rule order."""
+
+    def __init__(self, system: SplicingSystem, seen: dict):
         self.concat = system.concat_rules
         self.by_gd: dict[tuple[str, str], list[SplicingRule]] = defaultdict(list)
         for rule in system.splice_rules:
@@ -111,10 +142,14 @@ class _FlatProducer:
         self._by_word: dict[str, _Contexts] = {}
         # words that match the same (gamma, delta) pairs share one table
         self._by_gds: dict[tuple, _Contexts] = {}
+        self.seen = seen
+        # table -> host -> the host's cut list for the words of that table
+        self.cut_lists: dict[_Contexts, dict[str, list]] = defaultdict(dict)
 
     def contexts(self, v: str) -> _Contexts:
         """The merged cut contexts of the splice rules whose gamma and delta
-        ``v`` matches."""
+        ``v`` matches; an (alpha, beta) key keeps its first rule in
+        (gamma, delta) order."""
         got = self._by_word.get(v)
         if got is None:
             gds = tuple(gd for gd in self.by_gd if matches_pattern(v, *gd))
@@ -127,30 +162,6 @@ class _FlatProducer:
                 got = self._by_gds[gds] = _Contexts(ctx)
             self._by_word[v] = got
         return got
-
-
-# Saturation pairs each word z taken off the agenda with groups of words
-# taken off before it.  A mode's pairing has three parts: ``admit`` turns
-# a result into a word, ``entry`` gives a word's group and what the
-# pairing keeps of it, and ``results`` yields (result, parent) for z
-# against one group, both ways round.
-
-
-class _FlatPairs(_FlatProducer):
-    """Flat productions, with per-word work done once.
-
-    A group holds the words that share one context table, so a host's cut
-    list for that table is built once, the first time the host meets the
-    group, and serves every word in it: a pair then costs only its hits.
-    Each word also carries two bit masks of the concat rules it may be the
-    left or the right operand of; the lowest common bit is the first rule
-    in rule order."""
-
-    def __init__(self, system: SplicingSystem, seen: dict):
-        super().__init__(system)
-        self.seen = seen
-        # table -> host -> the host's cut list for the words of that table
-        self.cut_lists: dict[_Contexts, dict[str, list]] = defaultdict(dict)
 
     @staticmethod
     def admit(s: str) -> str:
@@ -172,7 +183,7 @@ class _FlatPairs(_FlatProducer):
         z_cuts = cuts.get(z)
         if z_cuts is None:
             z_cuts = cuts[z] = table.cuts(z)
-        y_cuts = self.cut_lists[z_table] if z_table.ctx else None
+        y_cuts = self.cut_lists[z_table] if z_table.keys else None
         if not (z_cuts or y_cuts is not None or zl or zr):
             return
         z_splits = [(z[:i], z[i:], i, rule) for i, rule in z_cuts]
@@ -341,44 +352,147 @@ def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
 # Membership by a memo over words
 
 
-def _flat_undos(produce: _FlatProducer, seg: str):
-    """Undo moves for a flat word: each forward production that could have
-    produced ``seg``, as (rule, u, v, cut)."""
-    n = len(seg)
-    for p in range(n):
-        for q in range(p + 1, n + 1):
-            if p == 0 and q == n:
-                continue
-            v = seg[p:q]
-            rule = produce.contexts(v).rule_at(seg, p, q)
-            if rule is not None:
-                yield rule, seg[:p] + seg[q:], v, p
-    for p in range(1, n):
-        u, v = seg[:p], seg[p:]
-        for rule in produce.concat:
-            if apply_concat(rule, u, v) is not None:
-                yield rule, u, v, p
-                break
+def _undo_rules(system: SplicingSystem) -> list[SplicingRule]:
+    """The splice rules in the order an undo move prefers them, the order
+    the forward context tables give: shorter (alpha, beta) first, then by
+    the first splice rule with the same (gamma, delta).  A rule that a
+    rule before it dominates is left out, as it could never be preferred."""
+    keyed = [(_handles(r), r) for r in system.rules if r.usage == SPLICE]
+    first: dict[tuple[str, str], tuple] = {}  # (gamma, delta) -> least handles
+    for h, _ in keyed:
+        first[h[2:]] = min(first.get(h[2:], h), h)
+    keyed.sort(key=lambda hr: (len(hr[0][0]), len(hr[0][1]), first[hr[0][2:]], hr[0]))
+    rank = {h: k for k, (h, _) in enumerate(keyed)}
+    # (place, handle) -> its shortenings that some rule has at that place
+    options: dict[tuple[int, str], list[str]] = {}
+    for i, place in enumerate(map(set, zip(*rank))):
+        for h in place:
+            options[(i, h)] = [s for s in shortenings(SPLICE, i, h) if s in place]
+    return [
+        r
+        for k, (h, r) in enumerate(keyed)
+        if all(rank.get(g, k) >= k for g in product(*map(options.get, enumerate(h))))
+    ]
 
 
-def _circular_undos(produce: _FlatProducer, seg: CircularWord):
-    """Undo moves for a circular word: each split of the circle into an arc
-    u, which starts with beta and ends with alpha, and the arc v after it,
-    which matches gamma..delta."""
-    rep = seg.representative
-    n = len(rep)
-    # every arc of the circle, and the letters on both sides of it, is a
-    # slice of the ring
-    ring = rep * 3
-    for start in range(n):
-        for k in range(1, n):
-            v = ring[start + k : start + n]
-            rule = produce.contexts(v).rule_at(ring, start + k, start + n, k)
-            if rule is not None:
-                u = ring[start : start + k]
-                cu, cv = CircularWord(u), CircularWord(v)
-                cut = (cu.representative * 2).index(u), (cv.representative * 2).index(v)
-                yield rule, cu, cv, cut
+def _grouped(lists):
+    """(position, ks) for each position of the (ascending positions, k)
+    ``lists``, ascending: the k of the lists that hold it, in list order."""
+    if len(lists) == 1:
+        ((ps, k),) = lists
+        return zip(ps, repeat((k,)))
+    at = defaultdict(list)
+    for ps, k in lists:
+        for x in ps:
+            at[x].append(k)
+    return sorted(at.items())
+
+
+def _firsts(windows):
+    """(position, k) for each position of the ``windows``, ascending, with
+    the least k that holds it; a window is (ascending positions, k), and
+    the windows come by ascending k."""
+    if len(windows) == 1:
+        ((ps, k),) = windows
+        return zip(ps, repeat(k))
+    first: dict[int, int] = {}
+    for ps, k in reversed(windows):
+        first.update(zip(ps, repeat(k)))
+    return sorted(first.items())
+
+
+class _Undos:
+    """The undo moves of one membership search, found from where the
+    rules' handles occur rather than by trying every span.
+
+    Each word is scanned once for its seams: for every rule, the positions
+    where alpha ends and gamma starts, and those where delta ends and beta
+    starts.  An undo move of the rule takes out the part between one of
+    each, when it is long enough for gamma and delta and what is left long
+    enough for alpha and beta.  A move keeps the first rule, in the order
+    of ``_undo_rules``, that makes it.  A move whose taken-out part v the
+    search ``known`` already holds to be out of the language is left out,
+    as the search would turn it down."""
+
+    def __init__(self, system: SplicingSystem, known: dict):
+        self.rules = _undo_rules(system)
+        self.bounds = [
+            (max(1, len(r.alpha) + len(r.beta)), max(1, len(r.gamma) + len(r.delta)))
+            for r in self.rules
+        ]
+        # each rule's two seams, (alpha, gamma) and (delta, beta), as
+        # indices into the distinct seams that each word is scanned for
+        pairs = [(r.alpha, r.gamma) for r in self.rules]
+        pairs += [(r.delta, r.beta) for r in self.rules]
+        index = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+        self.seams = list(index)
+        self.at = [index[pair] for pair in pairs]
+        self.concat = system.concat_rules
+        # arc -> its circular word and the arc's rotation offset in it
+        self.arcs: dict[str, tuple[CircularWord, int]] = {}
+        self.known = known
+
+    def flat(self, seg: str):
+        """Each forward production that could have produced ``seg``, as
+        (rule, u, v, cut): the taken-out v = seg[p:q] by p, then q, and
+        then the concatenations."""
+        rules, bounds, known = self.rules, self.bounds, self.known
+        n, m = len(seg), len(rules)
+        found = _seams(seg, n + 1, self.seams)
+        seams = [found[i] for i in self.at]
+        # a rule takes part only where both its seams occur
+        live = [(seams[k], k) for k in range(m) if seams[k] and seams[m + k]]
+        for p, ks in _grouped(live):
+            windows = []
+            for k in ks:
+                qs = seams[m + k]
+                lo = bisect_left(qs, p + bounds[k][1])
+                # v is never the whole word
+                hi = bisect_left(qs, n) if p == 0 else len(qs)
+                if lo < hi:
+                    windows.append((qs[lo:hi], k))
+            for q, k in _firsts(windows):
+                v = seg[p:q]
+                if known.get(v) is not False:
+                    yield rules[k], seg[:p] + seg[q:], v, p
+        for p in range(1, n):
+            u, v = seg[:p], seg[p:]
+            for rule in self.concat:
+                if apply_concat(rule, u, v) is not None:
+                    yield rule, u, v, p
+                    break
+
+    def circular(self, seg: CircularWord):
+        """Each split of the circle into an arc u, which starts with beta
+        and ends with alpha, and the arc v after it, which matches
+        gamma..delta: by where u starts, then by its length."""
+        rep, arcs, known = seg.representative, self.arcs, self.known
+        n, m = len(rep), len(self.rules)
+        ring = rep + rep
+        found = _seams(ring, n, self.seams, cyclic=True)
+        seams = [found[i] for i in self.at]
+        live = [(seams[m + k], k) for k in range(m) if seams[k] and seams[m + k]]
+        # where u may end (and v start), once more a round later
+        ends = {k: [*seams[k], *(p + n for p in seams[k])] for _, k in live}
+        for q, ks in _grouped(live):
+            windows = []
+            for k in ks:
+                ps, (lu, lv) = ends[k], self.bounds[k]
+                lo, hi = bisect_left(ps, q + lu), bisect_right(ps, q + n - lv)
+                if lo < hi:
+                    windows.append((ps[lo:hi], k))
+            for p, k in _firsts(windows):
+                v = ring[p : q + n]
+                cv, j = arcs.get(v) or self._arc(v)
+                if known.get(cv) is not False:
+                    u = ring[q:p]
+                    cu, i = arcs.get(u) or self._arc(u)
+                    yield self.rules[k], cu, cv, (i, j)
+
+    def _arc(self, arc: str) -> tuple[CircularWord, int]:
+        w = CircularWord(arc)
+        got = self.arcs[arc] = w, (w.representative * 2).index(arc)
+        return got
 
 
 def _decide(system: SplicingSystem, word, budget: int) -> dict:
@@ -389,10 +503,9 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
     Every undo move makes both parts strictly shorter than the word, so no
     word depends on itself and each is decided once, on an explicit stack.
     Each distinct word the search takes up spends one unit of ``budget``."""
-    undos = partial(
-        _circular_undos if system.mode == CIRCULAR else _flat_undos, _FlatProducer(system)
-    )
     known: dict = {}
+    search = _Undos(system, known)
+    undos = search.circular if system.mode == CIRCULAR else search.flat
     stack: list[list] = []  # [word, its undo moves, the move being tried]
 
     def take_up(w) -> None:
@@ -406,26 +519,32 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
             stack.append([w, undos(w), None])
 
     take_up(word)
+    unseen = object()
     while stack:
         frame = stack[-1]
-        move = frame[2]
-        if move is not None:
+        w, moves, move = frame
+        while True:
+            if move is None:
+                move = next(moves, None)
+                if move is None:
+                    known[w] = False
+                    stack.pop()
+                    break
             # the right part first: for an insertion it is the inserted
             # word, often short
             for part in (move[2], move[1]):
-                if known.get(part, False) is False:
+                got = known.get(part, unseen)
+                if got is False or got is unseen:
                     break
             else:
-                known[frame[0]] = move
+                known[w] = move
                 stack.pop()
-                continue
-            if part not in known:
+                break
+            if got is unseen:
+                frame[2] = move
                 take_up(part)
-                continue
-        frame[2] = next(frame[1], None)
-        if frame[2] is None:
-            known[frame[0]] = False
-            stack.pop()
+                break
+            move = None
     return known
 
 

@@ -186,6 +186,20 @@ class SplicingRule:
         return self.notation()
 
 
+def shortenings(usage: str, place: int, handle: str) -> list[str]:
+    """The handles a rule of ``usage`` may have at ``place`` (0 to 3:
+    alpha, beta, gamma, delta) instead of ``handle`` and still make every
+    production that one with ``handle`` there makes: ``handle`` shortened
+    on its outer side (splice: alpha's suffixes, beta's and gamma's
+    prefixes, delta's suffixes; concat: alpha's and gamma's prefixes,
+    beta's and delta's suffixes), shortest first.  A rule dominates
+    another of the same usage when it differs from it and each of its
+    handles is among these for the other's."""
+    if place == 3 or place == (0 if usage == SPLICE else 1):
+        return [handle[i:] for i in range(len(handle), -1, -1)]
+    return [handle[:i] for i in range(len(handle) + 1)]
+
+
 def matches_pattern(word: str, prefix: str, suffix: str) -> bool:
     """Whether ``word`` lies in ``prefix A* suffix`` (formal concatenation:
     when both handles are nonempty the word must be long enough to contain

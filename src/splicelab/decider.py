@@ -70,6 +70,7 @@ from .core import (
     SplicingRule,
     SplicingSystem,
     UnsupportedError,
+    shortenings,
 )
 from .transform import _linearize_initial
 
@@ -94,20 +95,6 @@ class Verdict:
             raise ValueError("an equal verdict carries no witness")
 
 
-def _shortenings(usage: str, handles: tuple[str, str, str, str]) -> list[list[str]]:
-    """Per handle, the handles a rule may have in its place and still make
-    every splice the rule with ``handles`` makes: the handle shortened on
-    its outer side (splice: alpha's suffixes, beta's and gamma's prefixes,
-    delta's suffixes; concat: alpha's and gamma's prefixes, beta's and
-    delta's suffixes)."""
-    a, b, g, d = handles
-    prefixes = lambda h: [h[:i] for i in range(len(h) + 1)]
-    suffixes = lambda h: [h[i:] for i in range(len(h) + 1)]
-    if usage == SPLICE:
-        return [suffixes(a), prefixes(b), prefixes(g), suffixes(d)]
-    return [prefixes(a), suffixes(b), prefixes(g), suffixes(d)]
-
-
 def _maximal(rules) -> list[SplicingRule]:
     """The rules that no other rule of the same usage dominates: a
     dominated rule's image lies inside its dominator's, so it adds
@@ -119,8 +106,8 @@ def _maximal(rules) -> list[SplicingRule]:
 
     def dominated(usage, handles) -> bool:
         options = [
-            [h for h in hs if (usage, i, h) in occurring]
-            for i, hs in enumerate(_shortenings(usage, handles))
+            [h for h in shortenings(usage, i, handle) if (usage, i, h) in occurring]
+            for i, handle in enumerate(handles)
         ]
         return any(
             h != handles and (usage, h) in present for h in itertools.product(*options)

@@ -105,6 +105,54 @@ def naive_flat_closure(system: SplicingSystem, max_len: int) -> set[str]:
         words |= fresh
 
 
+def naive_undos(system: SplicingSystem, word: str) -> list[tuple]:
+    """Every way to split ``word`` into the two operands of one production,
+    in the order the membership search offers them, with the rules that
+    make each split.  Flat: (u, v, cut, rules), every span v = word[p:q]
+    by p, then q, taken out of u = the rest, then every concatenation u v
+    by the length of u.  Circular: (u, v, rules), every rotation of the
+    least rotation of ``word`` by its offset, cut after its first k letters
+    into u and v, by k."""
+    rules = sorted(system.rules)
+    n = len(word)
+    out = []
+    if system.mode == CIRCULAR:
+        least = min(rotations(word))
+        for start in range(n):
+            rot = least[start:] + least[:start]
+            for k in range(1, n):
+                u, v = rot[:k], rot[k:]
+                fit = [r for r in rules if _fits(u, r.beta, r.alpha) and _fits(v, r.gamma, r.delta)]
+                if fit:
+                    out.append((u, v, fit))
+        return out
+    for p in range(n):
+        for q in range(p + 1, n + 1):
+            if (p, q) == (0, n):
+                continue
+            u, v = word[:p] + word[q:], word[p:q]
+            fit = [
+                r
+                for r in rules
+                if r.usage == SPLICE
+                and u[:p].endswith(r.alpha)
+                and u[p:].startswith(r.beta)
+                and _fits(v, r.gamma, r.delta)
+            ]
+            if fit:
+                out.append((u, v, p, fit))
+    for p in range(1, n):
+        u, v = word[:p], word[p:]
+        fit = [
+            r
+            for r in rules
+            if r.usage == CONCAT and _fits(u, r.alpha, r.beta) and _fits(v, r.gamma, r.delta)
+        ]
+        if fit:
+            out.append((u, v, p, fit))
+    return out
+
+
 def rotations(word: str) -> set[str]:
     return {word[i:] + word[:i] for i in range(max(len(word), 1))}
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,28 @@ class TestDeepRegexes:
         other = deep.replace("a|ba", "a|bb")
         both = render_regex(parse_regex(f"({deep})b|({other})b"))
         assert both == f"({deep})b|({other})b"
+
+
+class TestWideUnions:
+    def test_many_distinct_branches(self):
+        """A union compares a branch only with the kept branches that share
+        its head, so n distinct branches take about n comparisons."""
+        rng = random.Random(43)
+        words: dict[str, None] = {}
+        while len(words) < 8000:
+            words["".join(rng.choice("abcd") for _ in range(rng.randint(12, 16)))] = None
+        text = "|".join([*words, *list(words)[::7]])
+        start = time.perf_counter()
+        node = parse_regex(text)
+        elapsed = time.perf_counter() - start
+        assert node == ("union", tuple(("cat", tuple(map(lit, w))) for w in words))
+        assert elapsed < 0.5, elapsed
+
+    def test_branches_with_one_head(self):
+        # the first 16 pre-order entries agree; the letter after them decides
+        head = "a" * 20
+        node = parse_regex(f"{head}b|{head}c|{head}b|({head}c)")
+        assert render_regex(node) == f"{head}b|{head}c"
 
 
 class TestRegexToDfa:

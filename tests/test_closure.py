@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from splicelab.closure import closure_bounded, derivation, member, witness
+from splicelab.closure import _Undos, closure_bounded, derivation, member, witness
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -16,7 +16,10 @@ from splicelab.core import (
     Alphabet,
     BudgetExceededError,
     CircularWord,
+    InitialRef,
     InitialSet,
+    Production,
+    ProductionSequence,
     SpliceError,
     SplicingRule,
     SplicingSystem,
@@ -41,6 +44,7 @@ from helpers import (
     is_balanced,
     naive_circular_closure,
     naive_flat_closure,
+    naive_undos,
     random_system,
 )
 
@@ -418,3 +422,71 @@ class TestClosureBytes:
         words = closure_bounded(fixture_form(fixture, form), CLOSURE_BOUND)
         text = "".join(f"{w}\n" for w in words)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def replay_move(system, rule, u, v, cut, result):
+    """The word one production of ``rule`` on the operands u and v makes,
+    replayed through ``core`` with u and v taken as axioms."""
+    words = [x.representative if isinstance(x, CircularWord) else x for x in (u, v)]
+    operands = replace(system, initial=InitialSet.finite(words))
+    step = Production(rule, InitialRef(u), InitialRef(v), cut, result)
+    return replay_sequence(operands, ProductionSequence((step,)))
+
+
+def arc_text(w: CircularWord, offset: int) -> str:
+    rep = w.representative
+    return rep[offset:] + rep[:offset]
+
+
+# sha256 of repr(derivation(...)), one a line, for the longest closure words
+# of each pinned fixture form: a change to the membership search that moves
+# one chosen rule, operand or cut fails here.
+DERIVATION_BOUND = 10
+DERIVATION_DIGEST = "11374a8c277a5cf37b908e4cacaed7ab3669a7e7c30690762afaf42d6a086bd5"
+
+
+class TestUndoMoves:
+    def test_against_naive_undos(self):
+        rng = random.Random(113)
+        flat_moves = circular_moves = 0
+        for i in range(320):
+            circular = i % 2 == 1
+            system = random_system(
+                rng,
+                max_letters=3,
+                max_rules=4,
+                usages=(SPLICE,) if circular else (SPLICE, CONCAT),
+                mode=CIRCULAR if circular else FLAT,
+                handle_len=1 + i % 3,
+            )
+            if i % 6 in (0, 3):  # one-letter handles: complete them
+                system = replace(complete_system(replace(system, mode=FLAT)), mode=system.mode)
+            undos = _Undos(system, {})
+            letters = "".join(system.alphabet.letters)
+            for _ in range(8):
+                word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+                want = naive_undos(system, word)
+                if circular:
+                    result = CircularWord(word)
+                    got = list(undos.circular(result))
+                    splits = [(arc_text(u, cut[0]), arc_text(v, cut[1])) for _, u, v, cut in got]
+                    assert splits == [(u, v) for u, v, _ in want], (system, word)
+                    circular_moves += len(got)
+                else:
+                    result = word
+                    got = list(undos.flat(word))
+                    assert [move[1:] for move in got] == [move[:3] for move in want], (system, word)
+                    flat_moves += len(got)
+                for (rule, u, v, cut), (*_, fit) in zip(got, want):
+                    assert rule in fit, (system, word, rule)
+                    assert replay_move(system, rule, u, v, cut, result) == result
+        assert flat_moves > 3000 and circular_moves > 3000
+
+    def test_derivation_digest(self):
+        lines = []
+        for fixture, form, _ in CLOSURE_DIGESTS:
+            system = fixture_form(fixture, form)
+            for word in closure_bounded(system, DERIVATION_BOUND)[-8:]:
+                lines.append(f"{repr(derivation(system, word))}\n")
+        text = "".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == DERIVATION_DIGEST, text
