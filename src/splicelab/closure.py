@@ -39,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from itertools import chain, product, repeat
-from operator import attrgetter
 
 from .core import (
     CIRCULAR,
@@ -53,13 +52,13 @@ from .core import (
     SplicingRule,
     SplicingSystem,
     StepRef,
+    _handles,
     apply_concat,
     matches_pattern,
     shortenings,
 )
 
 DEFAULT_BUDGET = 10**6
-_handles = attrgetter("alpha", "beta", "gamma", "delta")
 
 
 def _seams(text: str, stop: int, seams, cyclic: bool = False) -> list:
@@ -85,27 +84,15 @@ def _seams(text: str, stop: int, seams, cyclic: bool = False) -> list:
 
 class _Contexts:
     """The merged cut contexts of the splice rules an inserted word
-    matches: the (alpha, beta) keys with their rules, less a key that a
-    shorter one dominates, shortest (len alpha, len beta) first.  Words
-    that match the same rules share one table, which hashes by identity."""
+    matches: the (alpha, beta) keys with their rules, in the order of
+    ``_undo_rules``.  Words that match the same rules share one table,
+    which hashes by identity."""
 
     __slots__ = ("keys", "rules")
 
     def __init__(self, ctx: dict[tuple[str, str], SplicingRule]):
-        keys = list(ctx)
-        if len(keys) > 1:
-            keys = [
-                (a, b)
-                for a, b in keys
-                if not any(
-                    (x, y) in ctx and (x, y) != (a, b)
-                    for x in shortenings(SPLICE, 0, a)
-                    for y in shortenings(SPLICE, 1, b)
-                )
-            ]
-            keys.sort(key=lambda key: (len(key[0]), len(key[1])))
-        self.keys = keys
-        self.rules = [ctx[key] for key in keys]
+        self.keys = list(ctx)
+        self.rules = list(ctx.values())
 
     def cuts(self, host: str) -> list[tuple[int, SplicingRule]]:
         """(cut, rule) for every insertion point of ``host`` at which a
@@ -136,9 +123,8 @@ class _FlatPairs:
 
     def __init__(self, system: SplicingSystem, seen: dict):
         self.concat = system.concat_rules
-        self.by_gd: dict[tuple[str, str], list[SplicingRule]] = defaultdict(list)
-        for rule in system.splice_rules:
-            self.by_gd[(rule.gamma, rule.delta)].append(rule)
+        self.rules = _undo_rules(system)
+        self.gds = list(dict.fromkeys((r.gamma, r.delta) for r in self.rules))
         self._by_word: dict[str, _Contexts] = {}
         # words that match the same (gamma, delta) pairs share one table
         self._by_gds: dict[tuple, _Contexts] = {}
@@ -148,16 +134,16 @@ class _FlatPairs:
 
     def contexts(self, v: str) -> _Contexts:
         """The merged cut contexts of the splice rules whose gamma and delta
-        ``v`` matches; an (alpha, beta) key keeps its first rule in
-        (gamma, delta) order."""
+        ``v`` matches; an (alpha, beta) key keeps its first rule in the
+        order of ``_undo_rules``."""
         got = self._by_word.get(v)
         if got is None:
-            gds = tuple(gd for gd in self.by_gd if matches_pattern(v, *gd))
+            gds = tuple(gd for gd in self.gds if matches_pattern(v, *gd))
             got = self._by_gds.get(gds)
             if got is None:
                 ctx: dict[tuple[str, str], SplicingRule] = {}
-                for gd in gds:
-                    for rule in self.by_gd[gd]:
+                for rule in self.rules:
+                    if (rule.gamma, rule.delta) in gds:
                         ctx.setdefault((rule.alpha, rule.beta), rule)
                 got = self._by_gds[gds] = _Contexts(ctx)
             self._by_word[v] = got
@@ -353,10 +339,11 @@ def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
 
 
 def _undo_rules(system: SplicingSystem) -> list[SplicingRule]:
-    """The splice rules in the order an undo move prefers them, the order
-    the forward context tables give: shorter (alpha, beta) first, then by
-    the first splice rule with the same (gamma, delta).  A rule that a
-    rule before it dominates is left out, as it could never be preferred."""
+    """The splice rules in the order that saturation's context tables and
+    membership's undo moves both prefer them: shorter (alpha, beta) first,
+    then by the first splice rule with the same (gamma, delta).  A rule
+    that a rule before it dominates is left out, as it could never be
+    preferred."""
     keyed = [(_handles(r), r) for r in system.rules if r.usage == SPLICE]
     first: dict[tuple[str, str], tuple] = {}  # (gamma, delta) -> least handles
     for h, _ in keyed:
@@ -455,7 +442,7 @@ class _Undos:
                 v = seg[p:q]
                 if known.get(v) is not False:
                     yield rules[k], seg[:p] + seg[q:], v, p
-        for p in range(1, n):
+        for p in range(1, n) if self.concat else ():
             u, v = seg[:p], seg[p:]
             for rule in self.concat:
                 if apply_concat(rule, u, v) is not None:

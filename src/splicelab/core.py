@@ -11,6 +11,7 @@ conjugacy classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -351,6 +352,8 @@ class InitialSet:
 
 FLAT = "flat"
 CIRCULAR = "circular"
+# the dataclass order of rules of one usage, without its generated __lt__
+_handles = attrgetter("alpha", "beta", "gamma", "delta")
 
 
 @dataclass(frozen=True)
@@ -377,11 +380,11 @@ class SplicingSystem:
 
     @property
     def splice_rules(self) -> list[SplicingRule]:
-        return sorted(r for r in self.rules if r.usage == SPLICE)
+        return sorted((r for r in self.rules if r.usage == SPLICE), key=_handles)
 
     @property
     def concat_rules(self) -> list[SplicingRule]:
-        return sorted(r for r in self.rules if r.usage == CONCAT)
+        return sorted((r for r in self.rules if r.usage == CONCAT), key=_handles)
 
     @property
     def is_alphabetic(self) -> bool:

@@ -1,11 +1,13 @@
 """System-to-system rewrites: rule-set completion, splitting a complete
 system into pure insertions plus concatenations, flattening circular
-systems, and normalizing recorded sequences so concatenations come first.
+systems, and normalizing recorded sequences so concatenations come first:
+each word's skeleton of glued axioms is built before its insertions.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable
 
 from .automata import conjugacy_closure
@@ -153,84 +155,26 @@ def circular_to_flat(system: SplicingSystem) -> SplicingSystem:
 # Sequence normalization (concatenations first)
 
 
-def _resolve_word(steps: list[Production], ref: Ref):
-    if isinstance(ref, InitialRef):
-        return ref.word
-    return steps[ref.index].result
+@dataclass(eq=False)
+class _Word:
+    """A trace word as a chain of insertions on a skeleton: a word emitted
+    at ``out`` that spells ``word``, or, until it is emitted, the insertion
+    that the trace's ``step`` makes at ``cut`` into ``prev``."""
+
+    prev: _Word | None = None
+    step: Production | None = None
+    cut: int = 0
+    out: Ref | None = None
+    word: str = ""
 
 
-def _remap_refs(step: Production, mapping: dict[int, int]) -> Production:
-    def remap(ref: Ref) -> Ref:
-        if isinstance(ref, StepRef) and ref.index in mapping:
-            return StepRef(mapping[ref.index])
-        return ref
-
-    return Production(step.rule, remap(step.left), remap(step.right), step.cut, step.result)
-
-
-def _bubble(steps: list[Production], i: int) -> list[Production]:
-    """Move the concatenation at index i one step left past the insertion
-    at i-1, rewriting per the exchange argument when the concatenation
-    consumes the insertion's result."""
-    p = i - 1
-    ins, cat = steps[p], steps[i]
-    uses_left = cat.left == StepRef(p)
-    uses_right = cat.right == StepRef(p)
-    u_word = _resolve_word(steps, ins.left)
-    v_word = _resolve_word(steps, ins.right)
-    k0 = ins.cut
-    assert isinstance(k0, int)
-    needed_later = any(
-        StepRef(p) in (later.left, later.right) for later in steps[i + 1 :]
-    )
-    reemit = [Production(ins.rule, ins.left, ins.right, k0, ins.result)]
-
-    if not uses_left and not uses_right:
-        block = [cat, ins]
-        mapping = {p: p + 1, i: p}
-        shift = 0
-    elif uses_left and uses_right:
-        # Self-concatenation w.w: concatenate the uninserted word with
-        # itself, then insert at both seams.
-        uu = u_word + u_word
-        after4 = uu[:k0] + v_word + uu[k0:]
-        cut5 = len(u_word) + len(v_word) + k0
-        final = after4[:cut5] + v_word + after4[cut5:]
-        assert final == cat.result
-        p3 = Production(cat.rule, ins.left, ins.left, len(u_word), uu)
-        p4 = Production(ins.rule, StepRef(p), ins.right, k0, after4)
-        p5 = Production(ins.rule, StepRef(p + 1), ins.right, cut5, final)
-        block = [p3, p4, p5] + (reemit if needed_later else [])
-        mapping = {i: p + 2, p: p + len(block) - 1}
-        shift = len(block) - 2
-    else:
-        # One-sided use: concatenate with the uninserted word, then insert
-        # at the shifted seam.
-        if uses_left:
-            other = cat.right
-            s_word = _resolve_word(steps, other)
-            glued = u_word + s_word
-            p3 = Production(cat.rule, ins.left, other, len(u_word), glued)
-            cut4 = k0
-        else:
-            other = cat.left
-            s_word = _resolve_word(steps, other)
-            glued = s_word + u_word
-            p3 = Production(cat.rule, other, ins.left, len(s_word), glued)
-            cut4 = len(s_word) + k0
-        final = glued[:cut4] + v_word + glued[cut4:]
-        assert final == cat.result
-        p4 = Production(ins.rule, StepRef(p), ins.right, cut4, final)
-        block = [p3, p4] + (reemit if needed_later else [])
-        mapping = {i: p + 1, p: p + len(block) - 1}
-        shift = len(block) - 2
-    for j in range(i + 1, len(steps)):
-        mapping.setdefault(j, j + shift)
-    tail = [_remap_refs(stp, mapping) for stp in steps[i + 1 :]]
-    head = steps[:p]
-    if not uses_left and not uses_right:
-        block = [_remap_refs(stp, mapping) for stp in block]
-    return head + block + tail
+def _unemitted(w: _Word) -> tuple[_Word, list[_Word]]:
+    """The last emitted word of ``w``'s chain and the insertions after it."""
+    chain = []
+    while w.out is None:
+        chain.append(w)
+        w = w.prev
+    return w, chain[::-1]
 
 
 def normalize_sequence(
@@ -238,7 +182,15 @@ def normalize_sequence(
 ) -> ProductionSequence:
     """An equivalent sequence (same final word) in which every
     concatenation precedes every insertion.  Defined for alphabetic flat
-    systems; the rewriting is unsound otherwise."""
+    systems with pure insertions; the rewriting is unsound otherwise.
+
+    Each trace word is a skeleton glued from axioms with a chain of
+    insertions on it; x.y chains y's insertions after x's, cuts moved on by
+    len(x).  A pure insertion cuts strictly inside its host and keeps its
+    end letters, so an alphabetic concatenation rule that accepts two words
+    accepts their skeletons.  So the skeletons are glued first, in trace
+    order, and then the chains of the final word and of the words inserted
+    are emitted, each inserted word before its use."""
     if system.mode == CIRCULAR:
         raise UnsupportedError("sequence normalization applies to flat systems")
     if not system.is_alphabetic:
@@ -250,16 +202,34 @@ def normalize_sequence(
                 f"{step.rule} is impure"
             )
     replay_sequence(system, seq)
-    steps = list(seq.steps)
-    while True:
-        target = None
-        for i in range(1, len(steps)):
-            if steps[i].rule.usage == CONCAT and steps[i - 1].rule.usage == SPLICE:
-                target = i
-                break
-        if target is None:
-            break
-        steps = _bubble(steps, target)
+    steps: list[Production] = []
+    words: list[_Word] = []  # per trace step
+
+    def word_at(ref: Ref) -> _Word:
+        return _Word(out=ref, word=ref.word) if isinstance(ref, InitialRef) else words[ref.index]
+
+    for step in seq.steps:
+        if step.rule.usage == SPLICE:
+            words.append(_Word(word_at(step.left), step, step.cut))
+            continue
+        # only skeletons are emitted so far, so these are whole chains
+        x, x_chain = _unemitted(word_at(step.left))
+        y, y_chain = _unemitted(word_at(step.right))
+        w = _Word(out=StepRef(len(steps)), word=x.word + y.word)
+        steps.append(Production(step.rule, x.out, y.out, len(x.word), w.word))
+        x_len = len(seq.steps[step.left.index].result) if x_chain else len(x.word)
+        for chain, shift in ((x_chain, 0), (y_chain, x_len)):
+            for ins in chain:
+                w = _Word(w, ins.step, ins.cut + shift)
+        words.append(w)
+
+    inserted = {step.right for step in seq.steps if step.rule.usage == SPLICE}
+    for w in [w for i, w in enumerate(words) if StepRef(i) in inserted] + words[-1:]:
+        for ins in _unemitted(w)[1]:
+            host, v = ins.prev, word_at(ins.step.right)
+            ins.word = host.word[: ins.cut] + v.word + host.word[ins.cut :]
+            ins.out = StepRef(len(steps))
+            steps.append(Production(ins.step.rule, host.out, v.out, ins.cut, ins.word))
     out = ProductionSequence(tuple(steps), seed=seq.seed)
     replay_sequence(system, out)
     return out

@@ -5,16 +5,20 @@ import random
 
 import pytest
 
-from splicelab.closure import closure_bounded, witness
+from splicelab.closure import closure_bounded, derivation, witness
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
     FLAT,
     SPLICE,
     Alphabet,
+    InitialRef,
     InitialSet,
+    Production,
+    ProductionSequence,
     SplicingRule,
     SplicingSystem,
+    StepRef,
     UnsupportedError,
     replay_sequence,
 )
@@ -191,29 +195,48 @@ class TestCircularToFlat:
 
 
 class TestNormalizeSequence:
+    INSERT = SplicingRule("a", "b", "a", "b")
+    GLUE = SplicingRule("", "b", "a", "", usage=CONCAT)
+    AB = InitialRef("ab")
+
     def heterogeneous(self, rng):
         return to_heterogeneous(
             complete_system(random_system(rng, usages=(SPLICE, CONCAT)))
         )
 
+    def glue_insert(self):
+        """ab, inserting ab between a and b and gluing w.v for w ending in
+        b and v starting with a."""
+        return SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.finite(["ab"]),
+            rules=frozenset([self.INSERT, self.GLUE]),
+            mode=FLAT,
+        )
+
+    def normalized(self, system, seq):
+        """``normalize_sequence(system, seq)``, checked to put every
+        concatenation first and to replay to the input's word."""
+        out = normalize_sequence(system, seq)
+        usages = [s.rule.usage for s in out.steps]
+        assert usages == sorted(usages, key=lambda u: u == SPLICE)
+        assert replay_sequence(system, out) == replay_sequence(system, seq)
+        return out
+
     def test_concatenations_move_first(self):
         rng = random.Random(44)
-        for _ in range(60):
+        steps_in = steps_out = 0
+        for _ in range(100):
             system = self.heterogeneous(rng)
-            words = closure_bounded(system, 6)
-            for word in words[:5]:
-                seq = witness(system, word, 6)
-                out = normalize_sequence(system, seq)
-                usages = [s.rule.usage for s in out.steps]
-                first_splice = next(
-                    (i for i, u in enumerate(usages) if u == SPLICE), len(usages)
-                )
-                assert all(u == SPLICE for u in usages[first_splice:])
-                assert replay_sequence(system, out) == word
+            for word in closure_bounded(system, 7)[:12]:
+                for seq in (witness(system, word, 7), derivation(system, word)):
+                    out = self.normalized(system, seq)
+                    steps_in += len(seq.steps)
+                    steps_out += len(out.steps)
+        # no chain of this corpus is emitted twice
+        assert steps_in == steps_out > 500
 
     def test_interleaved_sequence_reordered(self):
-        from splicelab.core import InitialRef, Production, ProductionSequence, StepRef
-
         insert = SplicingRule("a", "b", "a", "b")
         extend = SplicingRule("", "c", "", "b", usage=CONCAT)
         system = SplicingSystem(
@@ -230,9 +253,60 @@ class TestNormalizeSequence:
             )
         )
         assert replay_sequence(system, seq) == "caabb"
-        out = normalize_sequence(system, seq)
+        out = self.normalized(system, seq)
         assert [s.rule.usage for s in out.steps] == [CONCAT, SPLICE]
-        assert replay_sequence(system, out) == "caabb"
+
+    def test_long_interleaved_trace(self):
+        """Each round inserts ab at cut 1 and glues ab in front: every
+        insertion has to pass every later concatenation."""
+        system, steps, word = self.glue_insert(), [], "ab"
+        for _ in range(200):
+            host = StepRef(len(steps) - 1) if steps else self.AB
+            word = word[:1] + "ab" + word[1:]
+            steps.append(Production(self.INSERT, host, self.AB, 1, word))
+            word = "ab" + word
+            steps.append(Production(self.GLUE, self.AB, StepRef(len(steps) - 1), 2, word))
+        out = self.normalized(system, ProductionSequence(tuple(steps)))
+        assert len(out.steps) == 400
+
+    def test_self_concatenation_of_an_inserted_word(self):
+        system = self.glue_insert()
+        seq = ProductionSequence(
+            (
+                Production(self.INSERT, self.AB, self.AB, 1, "aabb"),
+                Production(self.GLUE, StepRef(0), StepRef(0), 4, "aabbaabb"),
+            )
+        )
+        out = self.normalized(system, seq)
+        # the two skeletons are glued, then each copy takes its insertion
+        assert [(s.left, s.right, s.cut, s.result) for s in out.steps] == [
+            (self.AB, self.AB, 2, "abab"),
+            (StepRef(0), self.AB, 1, "aabbab"),
+            (StepRef(1), self.AB, 5, "aabbaabb"),
+        ]
+
+    def test_inserted_word_carries_insertions(self):
+        system = self.glue_insert()
+        seq = ProductionSequence(
+            (
+                Production(self.INSERT, self.AB, self.AB, 1, "aabb"),
+                Production(self.GLUE, self.AB, self.AB, 2, "abab"),
+                Production(self.INSERT, StepRef(1), StepRef(0), 3, "abaaabbb"),
+                Production(self.GLUE, self.AB, StepRef(2), 2, "ababaaabbb"),
+            )
+        )
+        out = self.normalized(system, seq)
+        # aabb is built before it goes in, at cut 3 moved on by the ab glued in front
+        assert [(s.left, s.right, s.cut, s.result) for s in out.steps] == [
+            (self.AB, self.AB, 2, "abab"),
+            (self.AB, StepRef(0), 2, "ababab"),
+            (self.AB, self.AB, 1, "aabb"),
+            (StepRef(1), StepRef(2), 5, "ababaaabbb"),
+        ]
+
+    def test_bare_axiom(self):
+        seq = ProductionSequence((), seed="ab")
+        assert normalize_sequence(self.glue_insert(), seq) == seq
 
     def test_rejects_circular(self):
         system = anbn_circular()
