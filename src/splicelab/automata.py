@@ -6,10 +6,17 @@ normalized DFAs over the same alphabet accept the same language iff they
 are structurally equal, which makes equivalence checks trivial and all
 outputs deterministic.
 
-Every construction goes through one subset walk, ``_explore``, over the
+Every construction goes through one subset walk, ``_reach``, over the
 nodes of an implicit DFA: regex positions, word prefixes, pattern
 progress, product state pairs, or the states of a concatenation or a
-rotation closure.  No construction has ε-moves to follow.  Difference
+rotation closure.  No construction has ε-moves to follow.  ``_reach``
+numbers the nodes and minimizes nothing; ``_explore`` is ``_reach``
+followed by ``_normalize``, and every public function returns through it.
+The private builders behind ``pattern_dfa``, ``dfa_from_words``,
+``dfa_boolean`` and ``conjugacy_closure`` return their walks, so that the
+decider can ``_reach`` an automaton it only searches: minimizing pays only
+where the result is returned or a new automaton is built from it, since a
+product or a subset walk grows with the states of its operands.  Difference
 witnesses, here and in the decider, come from one breadth-first walk,
 ``_least_word``, over the same kind of implicit DFA; it stops at the first
 node found, with no automaton built.
@@ -18,9 +25,15 @@ node found, with no automaton built.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from .core import Alphabet, ParseError
+
+# an implicit DFA: (start node, node -> successors in alphabet order,
+# node -> accepts)
+Walk = tuple[Hashable, Callable[[Any], Iterable], Callable[[Any], bool]]
 
 
 @dataclass(frozen=True)
@@ -48,9 +61,9 @@ class Dfa:
 
 def _normalize(
     alphabet: tuple[str, ...],
-    delta: list[list[int]],
+    delta: Sequence[Sequence[int]],
     start: int,
-    finals: set[int],
+    finals: Collection[int],
 ) -> Dfa:
     """Minimize (partition refinement) and renumber by BFS order from the
     start, which drops every unreachable state."""
@@ -87,14 +100,16 @@ def _normalize(
     )
 
 
-def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
-    """The normalized DFA whose states are the nodes reachable from
-    ``start``: ``step(node)`` gives a node's successors in alphabet order
-    and ``final(node)`` whether it accepts.  Nodes are numbered in
-    breadth-first discovery order."""
+def _reach(alphabet: tuple[str, ...], start, step, final) -> Dfa:
+    """The total DFA whose states are the nodes reachable from ``start``,
+    numbered in breadth-first discovery order: ``step(node)`` gives a
+    node's successors in alphabet order and ``final(node)`` whether it
+    accepts.  Nothing is minimized, so equivalent or dead states may stay;
+    every state is reachable, so it has a final state iff its language is
+    not empty."""
     ids = {start: 0}
     nodes = [start]
-    delta: list[list[int]] = []
+    delta: list[tuple[int, ...]] = []
     for node in nodes:  # grows as new nodes are found
         row = []
         for nxt in step(node):
@@ -103,9 +118,15 @@ def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
                 i = ids[nxt] = len(nodes)
                 nodes.append(nxt)
             row.append(i)
-        delta.append(row)
-    finals = {i for i, node in enumerate(nodes) if final(node)}
-    return _normalize(alphabet, delta, 0, finals)
+        delta.append(tuple(row))
+    finals = frozenset(i for i, node in enumerate(nodes) if final(node))
+    return Dfa(alphabet, tuple(delta), 0, finals)
+
+
+def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
+    """The normalized DFA of the nodes reachable from ``start``."""
+    d = _reach(alphabet, start, step, final)
+    return _normalize(alphabet, d.transitions, 0, d.finals)
 
 
 def _letters(alphabet) -> tuple[str, ...]:
@@ -125,9 +146,14 @@ def dfa_none(alphabet) -> Dfa:
 
 
 def dfa_from_words(alphabet, words) -> Dfa:
-    """The finite language consisting of exactly ``words``: a node is the
-    prefix read so far, or None once no word has it."""
+    """The finite language consisting of exactly ``words``."""
     letters = _letters(alphabet)
+    return _explore(letters, *_words_walk(letters, words))
+
+
+def _words_walk(letters: tuple[str, ...], words) -> Walk:
+    """The walk of ``dfa_from_words``: a node is the prefix read so far,
+    or None once no word has it."""
     words = set(words)
     prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
 
@@ -136,15 +162,20 @@ def dfa_from_words(alphabet, words) -> Dfa:
             nxt = None if prefix is None else prefix + ch
             yield nxt if nxt in prefixes else None
 
-    return _explore(letters, "", step, words.__contains__)
+    return "", step, words.__contains__
 
 
 def pattern_dfa(alphabet, prefix: str = "", suffix: str = "") -> Dfa:
-    """The language ``prefix A* suffix`` (formal concatenation).  A node is
-    the number of prefix letters read, None once one differs, and, from
-    the end of the prefix on, the lengths of the suffix's prefixes that
-    the letters read since then end with."""
+    """The language ``prefix A* suffix`` (formal concatenation)."""
     letters = _letters(alphabet)
+    return _explore(letters, *_pattern_walk(letters, prefix, suffix))
+
+
+def _pattern_walk(letters: tuple[str, ...], prefix: str, suffix: str) -> Walk:
+    """The walk of ``pattern_dfa``: a node is the number of prefix letters
+    read, None once one differs, and, from the end of the prefix on, the
+    lengths of the suffix's prefixes that the letters read since then end
+    with."""
     n, m = len(prefix), len(suffix)
     none, ends0 = frozenset(), frozenset([0])
 
@@ -159,7 +190,7 @@ def pattern_dfa(alphabet, prefix: str = "", suffix: str = "") -> Dfa:
                 yield None, none
 
     start = (0, ends0 if n == 0 else none)
-    return _explore(letters, start, step, lambda node: node[0] == n and m in node[1])
+    return start, step, lambda node: node[0] == n and m in node[1]
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +477,12 @@ def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
 
 def dfa_boolean(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Product construction for union / intersect / difference."""
+    return _explore(a.alphabet, *_product_walk(op, a, b))
+
+
+def _product_walk(op: str, a: Dfa, b: Dfa) -> Walk:
+    """The walk of ``dfa_boolean``, over the state pairs of ``a`` and
+    ``b``."""
     _require_same_alphabet(a, b)
     fa, fb = a.finals, b.finals
     if op == "union":
@@ -457,8 +494,7 @@ def dfa_boolean(op: str, a: Dfa, b: Dfa) -> Dfa:
     else:
         raise ValueError(f"unknown boolean op {op!r}")
     ta, tb = a.transitions, b.transitions
-    step = lambda pair: zip(ta[pair[0]], tb[pair[1]])
-    return _explore(a.alphabet, (a.start, b.start), step, keep)
+    return (a.start, b.start), lambda pair: zip(ta[pair[0]], tb[pair[1]]), keep
 
 
 def dfa_union(a: Dfa, b: Dfa) -> Dfa:
@@ -484,7 +520,8 @@ def dfa_without_epsilon(a: Dfa) -> Dfa:
 
 
 def dfa_empty(a: Dfa) -> bool:
-    """Normalized DFAs are trimmed, so emptiness is the absence of finals."""
+    """Every state of a DFA built here is reachable, so emptiness is the
+    absence of finals."""
     return not a.finals
 
 
@@ -600,7 +637,12 @@ def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
 
 
 def conjugacy_closure(a: Dfa) -> Dfa:
-    """All rotations of all accepted words.
+    """All rotations of all accepted words."""
+    return _explore(a.alphabet, *_conjugacy_walk(a))
+
+
+def _conjugacy_walk(a: Dfa) -> Walk:
+    """The walk of ``conjugacy_closure``.
 
     A rotation v·u of an accepted word u·v splits it at a guessed state
     g, the state u leads to.  A node holds the (state, g) pairs still
@@ -625,7 +667,31 @@ def conjugacy_closure(a: Dfa) -> Dfa:
             )
 
     start = node([(g, g) for g in live], ())
-    return _explore(a.alphabet, start, step, lambda cur: any(s == g for s, g in cur[1]))
+    return start, step, lambda cur: any(s == g for s, g in cur[1])
+
+
+def _rotation_closed(a: Dfa) -> bool:
+    """Whether ``a`` accepts every rotation of every word it accepts.  The
+    one-letter rotations generate the others, so it does iff w·x is
+    accepted whenever x·w is, for every letter x and word w: per letter,
+    one walk over the pairs (start·x·w, start·w) looks for a pair whose
+    first state accepts while the second, after reading x, rejects.  It
+    reads only the transitions, so it is exact on any DFA, minimized or
+    not."""
+    T, finals = a.transitions, a.finals
+    for x in range(len(a.alphabet)):
+        start = (T[a.start][x], a.start)
+        seen = {start}
+        stack = [start]
+        while stack:
+            p, q = stack.pop()
+            if p in finals and T[q][x] not in finals:
+                return False
+            for pair in zip(T[p], T[q]):
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return True
 
 
 def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:

@@ -24,7 +24,14 @@ other rules, of a breadth-first search over (walk node, K state) pairs.
 the generability residue need P whole: each walk is minimized and folded
 into it by ``dfa_union``, and (3) searches (K⁺ state, P state, axiom
 state) triples for the least witness; a circular system's axioms are
-every rotation of its initial words.
+every rotation of its initial words.  An automaton is minimized only
+where it is returned or a new one is built from it (image walks before
+the fold, fold products, P before it is rotated or subtracted from), as
+a product or a subset walk grows with the states of what it is built
+from; pattern automata, their intersections with K, the finite axiom
+automaton and the rotated P are only searched and stay unminimized.  A
+circular K or P that a pair walk finds closed under rotation is not
+rotated, which was nearly all of a circular decision's time.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
@@ -37,28 +44,29 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
-from typing import Any
 
 from .automata import (
     Dfa,
-    conjugacy_closure,
+    Walk,
     dfa_concat,
     dfa_difference,
     dfa_empty,
-    dfa_from_words,
-    dfa_intersect,
     dfa_is_finite,
     dfa_none,
     dfa_union,
     dfa_without_epsilon,
     difference_witness,
     enumerate_dfa,
-    pattern_dfa,
+    _conjugacy_walk,
     _explore,
     _least_word,
     _live_distances,
+    _pattern_walk,
+    _product_walk,
+    _reach,
+    _rotation_closed,
+    _words_walk,
 )
 from .core import (
     CIRCULAR,
@@ -75,9 +83,6 @@ from .core import (
 from .transform import _linearize_initial
 
 Inclusion = int | str  # 1 | 2 | 3 | "conjugacy"
-# an implicit DFA: (start node, node -> successors in alphabet order,
-# node -> accepts)
-Walk = tuple[Hashable, Callable[[Any], Iterable], Callable[[Any], bool]]
 
 
 @dataclass(frozen=True)
@@ -133,18 +138,23 @@ class _RuleImages:
         self._images: dict[SplicingRule, list[Walk]] = {}
 
     def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
-        """prefix A* suffix and its live states."""
+        """prefix A* suffix and its live states, not minimized: its walk
+        is minimal or nearly so already, and it is searched and
+        intersected with K."""
         key = (prefix, suffix)
         if key not in self._patterns:
-            d = pattern_dfa(self.K.alphabet, prefix, suffix)
+            d = _reach(self.K.alphabet, *_pattern_walk(self.K.alphabet, prefix, suffix))
             self._patterns[key] = (d, _live_distances(d))
         return self._patterns[key]
 
     def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
-        """K ∩ prefix A* suffix and its live states."""
+        """K ∩ prefix A* suffix and its live states, not minimized: the
+        image walks search it, and the table a concat rule builds from it
+        is minimized."""
         key = (prefix, suffix)
         if key not in self._fitting:
-            d = dfa_intersect(self.K, self.pattern(prefix, suffix)[0])
+            pattern, _ = self.pattern(prefix, suffix)
+            d = _reach(self.K.alphabet, *_product_walk("intersect", self.K, pattern))
             self._fitting[key] = (d, _live_distances(d))
         return self._fitting[key]
 
@@ -285,18 +295,18 @@ class _RuleImages:
             return []
         return [self.resumed_image(rule, t, group) for t, group in sorted(self.cuts(rule).items())]
 
-    def union(self, rules) -> Dfa:
+    def union(self, maximal: list[SplicingRule]) -> Dfa:
         """P as a normalized DFA: the union of the images of the rules
-        that no other rule of the same usage dominates.  Each image walk
-        is minimized, and the walks are folded in by ``dfa_union``, so
-        every product is minimized before the next.  One walk over the
+        ``maximal``, which no other rule of the same usage dominates (see
+        ``_maximal``).  Each image walk is minimized, and the walks are
+        folded in by ``dfa_union``, so every product is minimized before
+        the next: both are constructions, and a product or a subset walk
+        grows with the states of what it is built from.  One walk over the
         tuples of all the image walks' nodes would be the same language,
         but it grows with the product of the walks before minimization can
         merge them: exponentially in the number of resume states on
         counting targets, ``(b|ab*ab*a)+`` and the like."""
-        parts = [
-            _explore(self.K.alphabet, *walk) for rule in _maximal(rules) for walk in self.image(rule)
-        ]
+        parts = [_explore(self.K.alphabet, *walk) for rule in maximal for walk in self.image(rule)]
         return functools.reduce(dfa_union, parts) if parts else dfa_none(self.K.alphabet)
 
 
@@ -305,7 +315,7 @@ def splice_image(K: Dfa, rules) -> Dfa:
     normalized DFA.  Only the images of rules that no other rule of the
     same usage dominates are walked: a dominated rule's image lies in its
     dominator's."""
-    return _RuleImages(K).union(rules)
+    return _RuleImages(K).union(_maximal(rules))
 
 
 def _least_outside(K: Dfa, walk: Walk) -> str | None:
@@ -333,11 +343,10 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         raise ValueError("target automaton alphabet differs from the system's")
     if system.initial.had_epsilon != K.accepts(""):
         return Verdict(False, 1 if system.initial.had_epsilon else 3, "")
-    if system.mode == CIRCULAR:
-        # the closure contains K, so any difference is a missing rotation
-        w = difference_witness(conjugacy_closure(K), K)
-        if w is not None:
-            return Verdict(False, "conjugacy", w)
+    if system.mode == CIRCULAR and not _rotation_closed(K):
+        # the least word of the closure's walk outside K is the least
+        # missing rotation; no automaton for the closure is built
+        return Verdict(False, "conjugacy", _least_outside(K, _conjugacy_walk(K)))
 
     # (1) every axiom lies in K
     if system.initial.kind == "finite":
@@ -356,17 +365,22 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     # (2) splicing K⁺-words never leaves K
     core = dfa_without_epsilon(K)
     images = _RuleImages(core)
+    maximal = _maximal(system.rules)
     P = None
     if system.mode == CIRCULAR:
-        # the least word of rot(P) − K needs rot(P) whole
-        P = conjugacy_closure(images.union(system.rules))
+        # the least word of rot(P) − K needs rot(P) whole; it is only
+        # searched, here and in (3), so it is not minimized, and a P
+        # closed under rotation is its own
+        P = images.union(maximal)
+        if not _rotation_closed(P):
+            P = _reach(K.alphabet, *_conjugacy_walk(P))
         w = difference_witness(P, K)
     else:
         # P − K is the union of each image walk's words outside K, so its
         # least word is the least of theirs, and P is not built
         found = [
             w
-            for rule in _maximal(system.rules)
+            for rule in maximal
             if rule.usage == CONCAT or not images.keeps_inside(rule)
             for walk in images.image(rule)
             if (w := _least_outside(K, walk)) is not None
@@ -378,10 +392,10 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     # (3) K⁺-words that no splice produces must be axioms; in circular
     # mode, rotations of axioms
     if P is None:
-        P = images.union(system.rules)
+        P = images.union(maximal)
     initial = _linearize_initial(system) if system.mode == CIRCULAR else system.initial
     if initial.kind == "finite":
-        axioms = dfa_from_words(K.alphabet, initial.words)
+        axioms = _reach(K.alphabet, *_words_walk(K.alphabet, initial.words))
     else:
         axioms = initial.dfa
     C, S, A = core.transitions, P.transitions, axioms.transitions
@@ -419,7 +433,7 @@ def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     core = dfa_without_epsilon(K)
     images = _RuleImages(core)
     admissible = [r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)]
-    image = images.union(admissible)
+    image = images.union(_maximal(admissible))
     # with P empty the residue is K⁺ itself, and no product is minimized
     residue = core if dfa_empty(image) else dfa_difference(core, image)
     if not dfa_is_finite(residue):

@@ -33,6 +33,11 @@ from splicelab.automata import (
     regex_letters,
     regex_to_dfa,
     render_regex,
+    _conjugacy_walk,
+    _normalize,
+    _product_walk,
+    _reach,
+    _rotation_closed,
 )
 from splicelab.core import ParseError, matches_pattern
 from splicelab.fileformat import parse_system
@@ -503,3 +508,67 @@ class TestStructural:
             d = regex_to_dfa(parse_regex(text), AB)
             back = regex_to_dfa(dfa_to_regex(d), AB)
             assert dfa_equivalent(d, back), text
+
+
+def normalized(d: Dfa) -> Dfa:
+    return _normalize(d.alphabet, d.transitions, d.start, d.finals)
+
+
+class TestMinimizationContract:
+    """Public functions return normalized DFAs; only the private ``_reach``
+    leaves automata unminimized, for callers that just search them."""
+
+    def test_public_results_are_normalized(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            letters = "abc"[: rng.randint(1, 3)]
+            alphabet = tuple(letters)
+            a = TestStructural.random_operand(rng, letters)
+            b = TestStructural.random_operand(rng, letters)
+            text = random_regex(rng, letters)
+            words = [
+                "".join(rng.choices(letters, k=rng.randint(0, 5))) for _ in range(rng.randint(0, 5))
+            ]
+            prefix, suffix = ("".join(rng.choices(letters, k=rng.randint(0, 2))) for _ in "ps")
+            for d in (
+                regex_to_dfa(parse_regex(text), alphabet),
+                dfa_from_words(alphabet, words),
+                pattern_dfa(alphabet, prefix, suffix),
+                dfa_union(a, b),
+                dfa_intersect(a, b),
+                dfa_difference(a, b),
+                dfa_concat(a, b),
+                conjugacy_closure(a),
+                dfa_without_epsilon(a),
+            ):
+                assert normalized(d) == d, (text, words, prefix, suffix, a, b)
+
+
+class TestRotationClosed:
+    def test_against_conjugacy_closure(self):
+        """``_rotation_closed`` says whether the closure adds nothing, on
+        normalized DFAs, on rotation closures, and on unminimized walks of
+        products and closures."""
+        rng = random.Random(71)
+        seen = {"closed": 0, "not closed": 0, "unminimized": 0}
+        for _ in range(300):
+            letters = "abc"[: rng.randint(1, 3)]
+            a = TestStructural.random_operand(rng, letters)
+            words = ["".join(rng.choices(letters, k=rng.randint(0, 4))) for _ in range(3)]
+            b = dfa_from_words(a.alphabet, words)
+            op = rng.choice(["union", "intersect", "difference"])
+            rot_a, rot_b = conjugacy_closure(a), conjugacy_closure(b)
+            for d in (
+                a,
+                b,
+                rot_a,
+                _reach(a.alphabet, *_product_walk(op, a, b)),
+                _reach(a.alphabet, *_product_walk(op, rot_a, rot_b)),
+                _reach(a.alphabet, *_conjugacy_walk(a)),
+            ):
+                m = normalized(d)
+                closed = conjugacy_closure(m) == m
+                assert _rotation_closed(d) == closed, (d, m)
+                seen["closed" if closed else "not closed"] += 1
+                seen["unminimized"] += m != d
+        assert min(seen.values()) >= 50, seen

@@ -24,6 +24,7 @@ from splicelab.automata import (
     parse_regex,
     pattern_dfa,
     regex_to_dfa,
+    _normalize,
 )
 from splicelab.closure import closure_bounded
 from splicelab.core import (
@@ -258,6 +259,21 @@ class TestSpliceImage:
                     for rule in system.rules:
                         want |= naive_apply(rule, u, v)
             assert got == want
+
+    def test_image_is_normalized(self):
+        """P is returned normalized however many walks are folded into it:
+        none (the empty language), one (minimized, with no product after
+        it) or more."""
+        rng = random.Random(73)
+        folded = {0: 0, 1: 0, "more": 0}
+        for _ in range(300):
+            K, rules, _ = self.random_target_and_rules(rng)
+            image = splice_image(K, rules)
+            assert _normalize(image.alphabet, image.transitions, image.start, image.finals) == image
+            images = _RuleImages(K)
+            walks = sum(len(images.image(rule)) for rule in _maximal(rules))
+            folded[walks if walks < 2 else "more"] += 1
+        assert min(folded.values()) >= 30, folded
 
     @staticmethod
     def random_target_and_rules(rng):
@@ -516,16 +532,29 @@ class TestMaximalRules:
         assert K.n_states == n_states
         assert decide_equal(complete_system(dyck()), K) == Verdict(False, 2, "aabb")
 
+    @staticmethod
+    def counting(n, mode):
+        """Words whose number of a's is a multiple of n, and a system with
+        the rule -#-$-#- and axioms b and a^n that generates them."""
+        K = regex_to_dfa(parse_regex("(b|a" + "b*a" * (n - 1) + ")+"), AB)
+        system = SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.finite(["b", "a" * n]),
+            rules=frozenset([SplicingRule("", "", "", "")]),
+            mode=mode,
+        )
+        return system, K
+
     @pytest.mark.parametrize("mode", [FLAT, CIRCULAR])
     def test_counting_target_folds_walks_one_at_a_time(self, mode, monkeypatch):
-        """Words whose number of a's is a multiple of n: the rule -#-$-#-
-        has a walk per resume state, and one product of all n walks would
-        hold one of 2^n sets of visited resume states.  Folded into P one
-        walk at a time, each product is minimized before the next."""
+        """The rule -#-$-#- has a walk per resume state, and one product of
+        all n walks would hold one of 2^n sets of visited resume states.
+        Folded into P one walk at a time, each product is minimized before
+        the next."""
         n = 12
-        K = regex_to_dfa(parse_regex("(b|a" + "b*a" * (n - 1) + ")+"), AB)
+        system, K = self.counting(n, mode)
         explored = []
-        for walker in ("_explore", "_least_word"):
+        for walker in ("_explore", "_reach", "_least_word"):
             walk = getattr(splicelab.decider, walker)
             monkeypatch.setattr(
                 splicelab.decider,
@@ -534,18 +563,30 @@ class TestMaximalRules:
                     alphabet, start, lambda node: explored.append(node) or step(node), last
                 ),
             )
-        system = SplicingSystem(
-            alphabet=Alphabet("ab"),
-            initial=InitialSet.finite(["b", "a" * n]),
-            rules=frozenset([SplicingRule("", "", "", "")]),
-            mode=mode,
-        )
         assert decide_equal(system, K).equal
         assert len(explored) < 8 * n * n
         explored.clear()
         generated = alphabetic_generability(K)
         assert generated.initial.words == frozenset(["b", "a" * n])
         assert len(explored) < 8 * n * n
+
+    def test_circular_counting_rotates_neither_target_nor_image(self, monkeypatch):
+        """K and P are both closed under rotation, which a pair walk shows,
+        so neither rotation closure is walked: building them was nearly all
+        of a circular decision's time."""
+        rotated = []
+        walk = splicelab.decider._conjugacy_walk
+        monkeypatch.setattr(
+            splicelab.decider, "_conjugacy_walk", lambda d: rotated.append(d) or walk(d)
+        )
+        system, K = self.counting(12, CIRCULAR)
+        assert decide_equal(system, K).equal
+        assert rotated == []
+        # a target that is not closed is rotated once, for its witness
+        system, _ = self.counting(2, CIRCULAR)
+        not_closed = regex_to_dfa(parse_regex("(b|ab*a)*ab"), AB)
+        assert decide_equal(system, not_closed) == Verdict(False, "conjugacy", "ba")
+        assert rotated == [not_closed]
 
     def test_long_word_generability(self):
         word = "a" * 200
