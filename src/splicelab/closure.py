@@ -6,18 +6,20 @@ result is as long as both operands together, so the words of the language
 up to length n can only ever be built from other words up to length n.
 Saturation therefore pairs each word only with the earlier words that fit
 beside it under the bound.  Splice rules, whatever their handle lengths,
-go through one occurrence scan that serves flat saturation and the
-backward search of flat and circular words alike: a seam is a pair of
-handles that meet at a cut (alpha and beta, alpha and gamma, delta and
-beta), and a word is searched once for each seam, with str.find, so the
-work follows the occurrences and not the number of cuts or spans.
+go through one occurrence scan that serves flat and circular saturation
+and the backward search of flat and circular words alike: a seam is a
+pair of handles that meet at a cut (alpha and beta, alpha and gamma, delta
+and beta, or round a circle a suffix and a prefix), and a word is searched
+once for each seam, with str.find, so the work follows the occurrences and
+not the number of cuts, spans or rotations.
 
 Saturation does per-word work once, not once per pair.  Flat words are
 grouped by the context table of the splice rules they can be inserted by,
 and each host gets one cut list per table it meets, so a pair costs only
-its hits; concat rules are two bit masks per word.  Each circular word
-gets one rotation list per rule pattern, and a result is tested against
-the set of every rotation found so far before it is canonicalized.
+its hits; concat rules are two bit masks per word.  A new circular word
+cuts its rotations once, which give both its canonical rotation and the
+set that later results are tested against, and is scanned once for the
+rotations in each rule pattern.
 
 Membership decides each word once.  A word is in the language iff it is an
 axiom or some undo move splits it into two parts that are both in it, so
@@ -73,12 +75,16 @@ def _seams(text: str, stop: int, seams, cyclic: bool = False) -> list:
         if not seam:
             out.append(range(stop))
             continue
-        found, k = [], len(left)
+        # round the circle, a position moved on by len(left) wraps at most once
+        found, k = [], len(left) % stop if cyclic else len(left)
         i = text.find(seam)
         while 0 <= i < stop:
             found.append(i + k)
             i = text.find(seam, i + 1)
-        out.append(sorted(i % stop for i in found) if cyclic else found)
+        if cyclic and found and found[-1] >= stop:
+            cut = bisect_left(found, stop)
+            found = [i - stop for i in found[cut:]] + found[:cut]
+        out.append(found)
     return out
 
 
@@ -98,7 +104,13 @@ class _Contexts:
         """(cut, rule) for every insertion point of ``host`` at which a
         word of this table may go in, cuts ascending: at each, the rule
         of the first key that fits."""
-        found = _seams(host, len(host) + 1, self.keys)
+        keys = self.keys
+        if not keys:
+            return []
+        found = _seams(host, len(host) + 1, keys)
+        if len(keys) == 1:
+            rule = self.rules[0]
+            return [(i, rule) for i in found[0]]
         windows = [(ps, k) for k, ps in enumerate(found) if ps]
         return [(i, self.rules[k]) for i, k in _firsts(windows)]
 
@@ -198,35 +210,43 @@ class _FlatPairs:
 class _CircularPairs:
     """Circular productions, with per-word work done once.
 
-    Each word gets, once, for every distinct (prefix, suffix) pattern of
-    the rules, the offsets of its rotations in that pattern.  A result
-    ``left + right`` is tested against the set of every rotation of every
-    word found so far, so only a new word pays for its canonical
-    rotation."""
+    A new word's n windows of ``s + s`` are cut once: they are the set
+    of its rotations that every later result ``left + right`` is tested
+    against, their least is its canonical rotation, and from there they
+    are its rotations by offset.  Each word is then scanned once, with the
+    occurrence scan of ``_seams``, for every distinct (prefix, suffix)
+    pattern of the rules: a rotation in ``prefix A* suffix`` starts where
+    suffix ends and prefix starts round the circle, and the pattern must
+    fit in the word."""
 
     def __init__(self, system: SplicingSystem):
         rules = system.splice_rules
         ends = [((r.beta, r.alpha), (r.gamma, r.delta)) for r in rules]
-        self.patterns = list(dict.fromkeys(p for pair in ends for p in pair))
-        index = self.patterns.index
+        patterns = list(dict.fromkeys(p for pair in ends for p in pair))
+        index = patterns.index
         self.rules = [(r, index(lp), index(rp)) for r, (lp, rp) in zip(rules, ends)]
+        self.seams = [(suffix, prefix) for prefix, suffix in patterns]
+        self.widths = [len(prefix) + len(suffix) for prefix, suffix in patterns]
         self.seen: set[str] = set()
         # the rotations of each word admitted and not yet given an entry
         self.rotations: dict[CircularWord, list[str]] = {}
 
     def admit(self, s: str) -> CircularWord:
-        w = CircularWord(s)
-        rep = w.representative
-        rots = [rep[i:] + rep[:i] for i in range(len(rep))]
-        self.seen.update(rots)
-        self.rotations[w] = rots
+        n, ring = len(s), s + s
+        windows = [ring[i : i + n] for i in range(n)]
+        rep = min(windows)
+        self.seen.update(windows)
+        i = windows.index(rep)
+        w = CircularWord._of_least(rep)
+        self.rotations[w] = windows[i:] + windows[:i]
         return w
 
     def entry(self, w: CircularWord):
         rots = self.rotations.pop(w)
-        offsets = [
-            [i for i, r in enumerate(rots) if matches_pattern(r, *p)] for p in self.patterns
-        ]
+        rep = rots[0]
+        n = len(rep)
+        found = _seams(rep + rep, n, self.seams, cyclic=True)
+        offsets = [ps if width <= n else [] for ps, width in zip(found, self.widths)]
         return None, (w, rots, offsets)
 
     def results(self, ze, _, ys):
@@ -263,14 +283,19 @@ def _saturate(system: SplicingSystem, max_len: int) -> dict:
     done: dict = {}
     while agenda:
         z = agenda.popleft()
-        if len(z) > room:
+        n = len(z)
+        if n > room:
             continue
         key, ze = pairs.entry(z)
-        done.setdefault(key, [[] for _ in range(max_len + 1)])[len(z)].append(ze)
-        fits = slice(1, max_len - len(z) + 1)
-        for key, by_len in done.items():
-            if any(by_len[fits]):
-                for s, parent in pairs.results(ze, key, chain.from_iterable(by_len[fits])):
+        by_len = done.get(key)
+        if by_len is None:
+            by_len = done[key] = [[] for _ in range(max_len + 1)]
+        by_len[n].append(ze)
+        fits = slice(1, max_len - n + 1)
+        for key, lengths in done.items():
+            group = lengths[fits]
+            if any(group):
+                for s, parent in pairs.results(ze, key, chain.from_iterable(group)):
                     w = admit(s)
                     parents[w] = parent
                     agenda.append(w)
@@ -287,7 +312,9 @@ def closure_bounded(system: SplicingSystem, max_len: int):
     words = _saturate(system, max_len)
     if system.mode == CIRCULAR:
         return sorted(words, key=CircularWord.sort_key)
-    return sorted(words, key=lambda w: (len(w), w))
+    words = sorted(words)
+    words.sort(key=len)
+    return words
 
 
 def _sequence(parents: dict, word) -> ProductionSequence:

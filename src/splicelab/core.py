@@ -127,6 +127,13 @@ class CircularWord:
             raise ValueError("circular words are nonempty")
         object.__setattr__(self, "representative", canonical_rotation(word))
 
+    @classmethod
+    def _of_least(cls, rep: str) -> CircularWord:
+        """The circular word whose least rotation ``rep`` already is."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "representative", rep)
+        return w
+
     def linearize(self) -> set[str]:
         return conjugates(self.representative)
 

@@ -7,7 +7,15 @@ from dataclasses import replace
 
 import pytest
 
-from splicelab.closure import _Undos, closure_bounded, derivation, member, witness
+from splicelab.closure import (
+    _CircularPairs,
+    _seams,
+    _Undos,
+    closure_bounded,
+    derivation,
+    member,
+    witness,
+)
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -25,6 +33,7 @@ from splicelab.core import (
     SplicingSystem,
     canonical_rotation,
     conjugates,
+    matches_pattern,
     replay_sequence,
 )
 from splicelab.examples import (
@@ -393,6 +402,12 @@ CLOSURE_DIGESTS = [
 ]
 
 
+# sha256 of repr(witness(...)), one a line, for the last 8 closure words of
+# each pinned fixture form: a change to saturation that keeps every closure
+# list but moves one parent pointer fails here.
+WITNESS_DIGEST = "c74e9897591393e3c5c0bb7b7348bc7bef86d6cad820ea6147dcfc25622f6f8c"
+
+
 def fixture_form(fixture: str, form: str):
     system = ALL_EXAMPLES[fixture]()
     if form == "complete":
@@ -422,6 +437,15 @@ class TestClosureBytes:
         words = closure_bounded(fixture_form(fixture, form), CLOSURE_BOUND)
         text = "".join(f"{w}\n" for w in words)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+    def test_witness_digest(self):
+        lines = []
+        for fixture, form, _ in CLOSURE_DIGESTS:
+            system = fixture_form(fixture, form)
+            for word in closure_bounded(system, CLOSURE_BOUND)[-8:]:
+                lines.append(f"{repr(witness(system, word, CLOSURE_BOUND))}\n")
+        text = "".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST, text
 
 
 def replay_move(system, rule, u, v, cut, result):
@@ -490,3 +514,61 @@ class TestUndoMoves:
                 lines.append(f"{repr(derivation(system, word))}\n")
         text = "".join(lines)
         assert hashlib.sha256(text.encode()).hexdigest() == DERIVATION_DIGEST, text
+
+
+def cyclic_seams_reference(text: str, stop: int, seams) -> list:
+    """``_seams(text, stop, seams, cyclic=True)`` by testing every start."""
+    out = []
+    for left, right in seams:
+        seam = left + right
+        found = [i + len(left) for i in range(stop) if text.startswith(seam, i)]
+        out.append(sorted(i % stop for i in found))
+    return out
+
+
+class TestOccurrenceScan:
+    def test_cyclic_seams_wrap_once(self):
+        # the seam bab ends at position 4 of the twice-written circle ab,
+        # two rounds on from 0
+        assert _seams("abab", 2, [("bab", "")], cyclic=True) == [[0]]
+
+    def test_cyclic_seams_against_reference(self):
+        rng = random.Random(41)
+
+        def word(lo, hi):
+            return "".join(rng.choice("ab") for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(20000):
+            circle = word(1, 6)
+            seams = [(word(0, 8), word(0, 8)) for _ in range(rng.randint(1, 3))]
+            text, stop = circle + circle, len(circle)
+            got = _seams(text, stop, seams, cyclic=True)
+            assert list(map(list, got)) == cyclic_seams_reference(text, stop, seams), (
+                circle,
+                seams,
+            )
+
+    def test_circular_pattern_offsets(self):
+        # a circular word's offsets for each rule pattern, from one seam
+        # scan, against a test of every rotation
+        rng = random.Random(43)
+
+        def word(lo, hi):
+            return "".join(rng.choice("ab") for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(20000):
+            rule = SplicingRule(word(0, 4), word(0, 4), word(0, 4), word(0, 4))
+            system = SplicingSystem(
+                Alphabet("ab"), InitialSet.finite(["a"]), frozenset([rule]), CIRCULAR
+            )
+            pairs = _CircularPairs(system)
+            text = word(1, 8)
+            w = pairs.admit(text)
+            _, (got, rots, offsets) = pairs.entry(w)
+            rep = canonical_rotation(text)
+            assert got == CircularWord(text) and got.representative == rep
+            assert rots == [rep[i:] + rep[:i] for i in range(len(rep))]
+            ((_, lp, rp),) = pairs.rules
+            for at, (prefix, suffix) in ((lp, (rule.beta, rule.alpha)), (rp, (rule.gamma, rule.delta))):
+                want = [i for i, r in enumerate(rots) if matches_pattern(r, prefix, suffix)]
+                assert list(offsets[at]) == want, (text, prefix, suffix)
