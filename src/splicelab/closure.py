@@ -225,6 +225,10 @@ class _CircularPairs:
         patterns = list(dict.fromkeys(p for pair in ends for p in pair))
         index = patterns.index
         self.rules = [(r, index(lp), index(rp)) for r, (lp, rp) in zip(rules, ends)]
+        # with the operands swapped, a rule whose two patterns are equal
+        # makes y·x for each x·y it made the first way round: a rotation
+        # of a word already admitted
+        self.swapped = [(r, lp, rp) for r, lp, rp in self.rules if lp != rp]
         self.seams = [(suffix, prefix) for prefix, suffix in patterns]
         self.widths = [len(prefix) + len(suffix) for prefix, suffix in patterns]
         self.seen: set[str] = set()
@@ -252,8 +256,9 @@ class _CircularPairs:
     def results(self, ze, _, ys):
         seen = self.seen
         for ye in ys:
-            for (u, u_rots, u_offsets), (v, v_rots, v_offsets) in ((ze, ye), (ye, ze)):
-                for rule, lp, rp in self.rules:
+            pairings = ((ze, ye, self.rules), (ye, ze, self.swapped))
+            for (u, u_rots, u_offsets), (v, v_rots, v_offsets), rules in pairings:
+                for rule, lp, rp in rules:
                     rights = v_offsets[rp]
                     for i in u_offsets[lp]:
                         left = u_rots[i]

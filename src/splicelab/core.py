@@ -10,7 +10,7 @@ conjugacy classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -287,6 +287,21 @@ def apply_splice_circular(
 # Initial sets and systems
 
 
+def _sorted_repr(obj, **keys) -> str:
+    """The dataclass repr of ``obj``, with each frozenset field named in
+    ``keys`` listed sorted by its key instead of in hash order, so the
+    text is the same under every hash seed."""
+
+    def text(name: str) -> str:
+        value = getattr(obj, name)
+        if name in keys and value:
+            return f"frozenset({{{', '.join(map(repr, sorted(value, key=keys[name])))}}})"
+        return repr(value)
+
+    body = ", ".join(f"{f.name}={text(f.name)}" for f in fields(obj))
+    return f"{type(obj).__qualname__}({body})"
+
+
 @dataclass(frozen=True)
 class InitialSet:
     """The axiom language of a system: finite, regular, or context-free.
@@ -329,6 +344,9 @@ class InitialSet:
 
         had = bool(_g.enumerate_cfg(cfg, 0))
         return cls(kind="contextfree", cfg=cfg, had_epsilon=had)
+
+    def __repr__(self) -> str:
+        return _sorted_repr(self, words=lambda w: (len(w), w))
 
     def contains(self, word: str) -> bool:
         if word == "":
@@ -384,6 +402,9 @@ class SplicingSystem:
         if self.initial.kind == "finite":
             for w in self.initial.words:
                 self.alphabet.check_word(w)
+
+    def __repr__(self) -> str:
+        return _sorted_repr(self, rules=lambda r: (r.usage, r.handles))
 
     @property
     def splice_rules(self) -> list[SplicingRule]:

@@ -16,22 +16,27 @@ apart, by the initial set's ε-flag.  A rule dominated by another of the
 same usage (one with its handles shortened on their outer sides) adds
 nothing to P, so only the undominated rules' images count.  An image is a
 list of walks, implicit DFAs whose nodes are made as a search reaches
-them: one per splice rule and resume state, one per concat rule.  A flat
-system's (2) builds no P: a splice rule whose image stays in K passes by
-a K-state inclusion, and the witness is the least, over the walks of the
-other rules, of a breadth-first search over (walk node, K state) pairs.
-(3), a circular system's (2) (its witness lies in the rotations of P) and
-the generability residue need P whole: each walk is minimized and folded
-into it by ``dfa_union``, and (3) searches (K⁺ state, P state, axiom
-state) triples for the least witness; a circular system's axioms are
-every rotation of its initial words.  An automaton is minimized only
-where it is returned or a new one is built from it (image walks before
-the fold, fold products, P before it is rotated or subtracted from), as
-a product or a subset walk grows with the states of what it is built
-from; pattern automata, their intersections with K, the finite axiom
-automaton and the rotated P are only searched and stay unminimized.  A
-circular K or P that a pair walk finds closed under rotation is not
-rotated, which was nearly all of a circular decision's time.
+them: one per splice rule and resume state, one per concat rule.  (2) is
+one walk search in both modes and builds no P: a splice rule whose image
+stays in K passes by a K-state inclusion, and the witness is the least,
+over the walks of the other rules, of a breadth-first search over (walk
+node, K state) pairs.  A circular K is closed under rotation by then, so
+rot(P) − K is the rotations of P − K, whose least word is as long as the
+shortest word of P − K: the circular witness is the least rotation of
+the words outside K of the walks whose least such word is that short.
+Only (3), ``splice_image`` and the generability residue fold P: each
+walk is minimized and folded into it by ``dfa_union``, and (3) searches
+(K⁺ state, P state, axiom state) triples for the least witness; in
+circular mode P is rotated and the axioms are every rotation of the
+initial words.  An automaton is minimized only where it is returned or a
+new one is built from it (image walks before the fold, fold products, P
+and a walk's words outside K before they are rotated, P before it is
+subtracted from), as a product or a subset walk grows with the states of
+what it is built from; pattern automata, their intersections with K, the
+finite axiom automaton and the rotated P are only searched and stay
+unminimized.  A circular K or P that a pair walk finds closed under
+rotation is not rotated, which was nearly all of a circular decision's
+time.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
@@ -318,17 +323,21 @@ def splice_image(K: Dfa, rules) -> Dfa:
     return _RuleImages(K).union(_maximal(rules))
 
 
-def _least_outside(K: Dfa, walk: Walk) -> str | None:
-    """The length-lex least word of a walk that K rejects: a search over
-    (walk node, K state) pairs."""
+def _least_outside(K: Dfa, walk: Walk, rotate: bool = False) -> str | None:
+    """The length-lex least word of a walk that K rejects, or with
+    ``rotate`` the least rotation of one: a search over (walk node, K
+    state) pairs, or over the rotation closure of their automaton, which
+    is minimized first because a rotation closure is a construction."""
     start, step, final = walk
     T, finals = K.transitions, K.finals
-    return _least_word(
-        K.alphabet,
+    outside = (
         (start, K.start),
         lambda node: zip(step(node[0]), T[node[1]]),
         lambda node: node[1] not in finals and final(node[0]),
     )
+    if rotate:
+        outside = _conjugacy_walk(_explore(K.alphabet, *outside))
+    return _least_word(K.alphabet, *outside)
 
 
 def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
@@ -362,37 +371,35 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         if w is not None:
             return Verdict(False, 1, w)
 
-    # (2) splicing K⁺-words never leaves K
+    # (2) splicing K⁺-words never leaves K.  P − K is the union of each
+    # image walk's words outside K, so its least word is the least of
+    # theirs, and P is not built.  A circular K is closed under rotation,
+    # so rot(P) − K is the rotations of P − K: its least word has the
+    # length of the shortest word of P − K, and is the least rotation of
+    # the words outside K of a walk whose least one is that short
     core = dfa_without_epsilon(K)
     images = _RuleImages(core)
     maximal = _maximal(system.rules)
-    P = None
-    if system.mode == CIRCULAR:
-        # the least word of rot(P) − K needs rot(P) whole; it is only
-        # searched, here and in (3), so it is not minimized, and a P
-        # closed under rotation is its own
-        P = images.union(maximal)
-        if not _rotation_closed(P):
-            P = _reach(K.alphabet, *_conjugacy_walk(P))
-        w = difference_witness(P, K)
-    else:
-        # P − K is the union of each image walk's words outside K, so its
-        # least word is the least of theirs, and P is not built
-        found = [
-            w
-            for rule in maximal
-            if rule.usage == CONCAT or not images.keeps_inside(rule)
-            for walk in images.image(rule)
-            if (w := _least_outside(K, walk)) is not None
-        ]
-        w = min(found, key=lambda w: (len(w), w), default=None)
-    if w is not None:
-        return Verdict(False, 2, w)
+    failing = [
+        (w, walk)
+        for rule in maximal
+        if rule.usage == CONCAT or not images.keeps_inside(rule)
+        for walk in images.image(rule)
+        if (w := _least_outside(K, walk)) is not None
+    ]
+    shortest = min((len(w) for w, _ in failing), default=None)
+    found = [
+        _least_outside(K, walk, rotate=True) if system.mode == CIRCULAR else w
+        for w, walk in failing if len(w) == shortest
+    ]
+    if found:
+        return Verdict(False, 2, min(found))
 
     # (3) K⁺-words that no splice produces must be axioms; in circular
-    # mode, rotations of axioms
-    if P is None:
-        P = images.union(maximal)
+    # mode, rotations of axioms, and P is rotated unless already closed
+    P = images.union(maximal)
+    if system.mode == CIRCULAR and not _rotation_closed(P):
+        P = _reach(K.alphabet, *_conjugacy_walk(P))
     initial = _linearize_initial(system) if system.mode == CIRCULAR else system.initial
     if initial.kind == "finite":
         axioms = _reach(K.alphabet, *_words_walk(K.alphabet, initial.words))

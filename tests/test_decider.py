@@ -3,7 +3,11 @@ images, and the search for generating systems."""
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,7 @@ from splicelab.decider import (
     splice_image,
 )
 from splicelab.examples import anbn, anbn_circular, concat_chain, dyck
+from splicelab.fileformat import parse_system
 from splicelab.grammar import finite_cfg
 from splicelab.transform import complete_system
 
@@ -230,6 +235,30 @@ class TestDecideEqualCircular:
             mode=CIRCULAR,
         )
         assert decide_equal(system, target) == Verdict(False, 2, "abbb")
+
+    def test_inclusion_2_builds_no_image(self, monkeypatch):
+        """Circular (2) searches the walks against K, as flat (2) does, and
+        rotates only the words outside K of the walks whose least such
+        word is shortest: P is not folded."""
+
+        def union(self, maximal):
+            raise AssertionError("P was folded")
+
+        monkeypatch.setattr(_RuleImages, "union", union)
+        dyck_circular = parse_system(
+            "alphabet a b\ninitial finite ab\nmode circular\nsplice -#-$-#-\n"
+        )
+        K = conjugacy_closure(regex_to_dfa(parse_regex("ab((a|b)*a(a|b)(a|b))*"), AB))
+        assert K.n_states == 82
+        assert decide_equal(dyck_circular, K) == Verdict(False, 2, "aabb")
+        # the least word outside K is bba, and its rotation abb is the
+        # circular witness
+        target = regex_to_dfa(parse_regex("a*ba*"), AB)
+        for mode, witness in ((CIRCULAR, "abb"), (FLAT, "bba")):
+            system = parse_system(
+                f"alphabet a b\ninitial finite aab\nmode {mode}\nsplice b#-$-#a\n"
+            )
+            assert decide_equal(system, target) == Verdict(False, 2, witness)
 
     def test_concat_rules_unsupported(self):
         # a circular system with a concat rule is refused when it is built
@@ -490,6 +519,32 @@ class TestGenerability:
                 empty_middle += dfa_empty(middle)
         assert min(outcomes.values()) >= 30, outcomes
         assert empty_middle >= 20, empty_middle
+
+    def test_repr_independent_of_hash_seed(self):
+        """An answer's repr lists its axioms and rules sorted, not in the
+        hash order of their frozensets."""
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = (
+            "from splicelab.automata import parse_regex, regex_to_dfa\n"
+            "from splicelab.decider import alphabetic_generability\n"
+            "K = regex_to_dfa(parse_regex('(b|ab*ab*a)+'), ('a', 'b'))\n"
+            "print(repr(alphabetic_generability(K)))"
+        )
+        texts = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                text=True,
+                timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        system = alphabetic_generability(regex_to_dfa(parse_regex("(b|ab*ab*a)+"), AB))
+        assert texts == {repr(system) + "\n"}
+        assert "words=frozenset({'b', 'aaa'})" in repr(system)
 
     def test_rule_census(self):
         assert len(all_alphabetic_rules(Alphabet("a"))) == 16
