@@ -279,24 +279,29 @@ def _binarize(g: Cfg) -> Cfg:
 
 def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
     """Grammar for L(g) ∩ L(d) by the triple construction on a binarized
-    copy of ``g``, built over the triples that survive a trim only.
-
-    One fixpoint first finds, for each variable v and state p, the states
-    q such that v derives a word leading p to q: the generating triples.
-    A walk down from the start's triples then follows only the generating
-    runs of states through each body, so every triple it reaches is both
-    reachable and generating.  The productions come out ordered by
-    production of ``g``, then by the states of the run, ascending, which
-    is the order of the full product; the result needs no trim."""
+    copy of ``g``, built over the triples that survive a trim only: the
+    generating-triple fixpoint of ``_generating_ends``, then the walk down
+    of ``_product``."""
     if set(g.terminals) != set(d.alphabet):
         raise ValueError(
             f"terminal alphabet {sorted(g.terminals)} does not match "
             f"automaton alphabet {sorted(d.alphabet)}"
         )
     g = _binarize(g)
+    return _product(g, d, _generating_ends(g, d))
+
+
+def _letter_ends(d: Dfa) -> dict[str, list]:
+    """``ends`` entries of the letters: each leads p to its one successor."""
+    return {a: [(row[i],) for row in d.transitions] for i, a in enumerate(d.alphabet)}
+
+
+def _generating_ends(g: Cfg, d: Dfa) -> dict[str, list]:
+    """The generating triples of ``g`` against ``d``, as ``ends[s][p]``:
+    the states a word of the symbol s leads p to.  One fixpoint over the
+    productions of ``g``, which is binarized."""
     n = d.n_states
-    # ends[s][p]: the states a word of the symbol s leads p to
-    ends: dict[str, list] = {a: [(row[i],) for row in d.transitions] for i, a in enumerate(d.alphabet)}
+    ends: dict[str, list] = _letter_ends(d)
     ends.update({v: [set() for _ in range(n)] for v in g.variables})
 
     def update(head: str, body: Body) -> bool:
@@ -312,7 +317,17 @@ def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
         return grown
 
     _fixpoint(g, update)
+    return ends
 
+
+def _product(g: Cfg, d: Dfa, ends: dict[str, list]) -> Cfg:
+    """The triple grammar of the binarized ``g`` and ``d`` from the
+    generating triples ``ends``.  A walk down from the start's triples
+    follows only the generating runs of states through each body, so every
+    triple it reaches is both reachable and generating.  The productions
+    come out ordered by production of ``g``, then by the states of the
+    run, ascending, which is the order of the full product; the result
+    needs no trim."""
     by_head: dict[str, list[int]] = defaultdict(list)
     for i, (head, _) in enumerate(g.productions):
         by_head[head].append(i)
@@ -506,16 +521,17 @@ def substitute(g: Cfg, sigma: dict[str, Cfg]) -> Cfg:
         for v in graft.variables:
             mapping[v] = fresh_name("G", avoid)
             avoid.add(mapping[v])
-        renamed = cfg_rename(graft, mapping)
-        starts[t] = renamed.start
-        variables.extend(renamed.variables)
-        prods.extend(renamed.productions)
-        for term in renamed.terminals:
+        starts[t] = mapping[graft.start]
+        variables.extend(mapping.values())
+        prods.extend((mapping[h], tuple([mapping.get(s, s) for s in b])) for h, b in graft.productions)
+        for term in graft.terminals:
             if term not in new_terminals:
                 new_terminals.append(term)
     body_prods = []
     for head, body in g.productions:
-        body_prods.append((head, tuple(starts.get(s, s) for s in body)))
+        if not starts.keys().isdisjoint(body):
+            body = tuple([starts.get(s, s) for s in body])
+        body_prods.append((head, body))
     return Cfg(tuple(new_terminals), variables, body_prods + prods, g.start)
 
 
@@ -569,9 +585,10 @@ def kral_single(g: GeneralizedCfg) -> Cfg:
     forbidden = {s} | set(g.terminals)
     avoid = forbidden | set(h.variables)
     mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
-    h = cfg_rename(h, mapping)
-    variables = (s,) + h.variables
-    prods = [(s, (h.start,))] + list(h.productions)
+    m = mapping.get
+    prods = [(s, (m(h.start, h.start),))]
+    prods += [(m(head, head), tuple([m(x, x) for x in body])) for head, body in h.productions]
+    variables = [s] + [m(v, v) for v in h.variables]
     return Cfg(g.terminals, variables, prods, s)
 
 
@@ -746,8 +763,13 @@ def split_first_last(
     """Partition an ε-free initial set by first and last letters: a grammar
     per (a, b) for the words of length ≥ 2 starting with a and ending with
     b, plus the set of single letters present.  Empty components are
-    omitted.  A context-free set runs ``bar_hillel`` only for the (first,
-    last) pairs its non-empty words have."""
+    omitted.
+
+    A context-free set is binarized once and runs one generating-triple
+    fixpoint, against ``_first_last_dfa``; that table holds the letters
+    and pairs its words have.  Each such pair builds the product with
+    ``pattern_dfa(letters, a, b)`` from the table projected onto it, the
+    same grammar ``bar_hillel`` builds for the pair."""
     letters = alphabet.letters
     components: dict[tuple[str, str], Cfg] = {}
     singletons: set[str] = set()
@@ -778,16 +800,54 @@ def split_first_last(
     base = Cfg(tuple(dict.fromkeys(g.terminals + letters)), g.variables, g.productions, g.start)
     if set(base.terminals) != set(letters):
         raise ValueError("initial grammar uses letters outside the alphabet")
-    short = enumerate_cfg(base, 1)
-    for a in letters:
-        if a in short:
+    base = _binarize(base)
+    tracker = _first_last_dfa(letters)
+    tracked = _generating_ends(base, tracker)
+    spans = tracked[base.start][tracker.start]  # the tracking states of its words
+    ones = tracker.transitions[tracker.start]  # the state of each one-letter word
+    for i, a in enumerate(letters):
+        if ones[i] in spans:
             singletons.add(a)
-    occurring = _first_last(base)[base.start]
-    for a in letters:
-        for b in letters:
-            if (a, b) not in occurring:
-                continue
-            part = bar_hillel(base, pattern_dfa(letters, a, b))
-            if part.productions:  # trimmed, so no productions means empty
-                components[(a, b)] = part
+    for i, a in enumerate(letters):
+        for j, b in enumerate(letters):
+            if tracker.transitions[ones[i]][j] in spans:
+                d = pattern_dfa(letters, a, b)
+                components[(a, b)] = _product(base, d, _projected_ends(tracked, tracker, d))
     return components, singletons
+
+
+def _first_last_dfa(letters: tuple[str, ...]) -> Dfa:
+    """The automaton that tracks a word's first letter, last letter and
+    whether it has two letters or more, with no final state: 1 + k + k²
+    states for k letters."""
+    k = len(letters)
+    rows = [tuple(1 + x for x in range(k))]
+    rows += [tuple(1 + k + i * k + x for x in range(k)) for i in range(k)]
+    rows += [tuple(1 + k + i * k + x for x in range(k)) for i in range(k) for _ in range(k)]
+    return Dfa(tuple(letters), tuple(rows), 0, frozenset())
+
+
+def _projected_ends(tracked: dict[str, list], tracker: Dfa, d: Dfa) -> dict[str, list]:
+    """``_generating_ends(g, d)`` read off ``tracked``, the generating
+    triples of ``g`` against ``tracker`` (``_first_last_dfa``).  The state
+    ``d`` reaches on a word must depend only on the word's tracking state,
+    as it does for ``pattern_dfa``; then image[t], the state ``d`` reaches
+    on the words of tracking state t, maps each tracked set onto its
+    counterpart in ``d``."""
+    index = {x: n for n, x in enumerate(d.alphabet)}
+    image = {tracker.start: d.start}
+    queue = [tracker.start]
+    for t in queue:
+        for x, u in zip(tracker.alphabet, tracker.transitions[t]):
+            if u not in image:
+                image[u] = d.transitions[image[t]][index[x]]
+                queue.append(u)
+    pick: dict[int, int] = {}  # a tracking state for each state of d
+    for t, p in image.items():
+        pick.setdefault(p, t)
+    sources = [pick[p] for p in range(d.n_states)]
+    ends = _letter_ends(d)
+    for v, row in tracked.items():
+        if v not in ends:  # the letters' entries come from d
+            ends[v] = [{image[q] for q in row[t]} for t in sources]
+    return ends

@@ -226,6 +226,8 @@ def synthesize(system: SplicingSystem, method: str = "graft") -> Cfg:
     through as a final ε-production on the start symbol."""
     if not system.is_alphabetic:
         raise ValueError("synthesis requires alphabetic rules")
+    if method not in ("graft", "kral"):
+        raise ValueError(f"unknown method {method!r}")
     if system.mode == CIRCULAR:
         system = circular_to_flat(system)
     had_epsilon = system.initial.had_epsilon

@@ -268,15 +268,15 @@ def random_system(
     )
 
 
-def random_cfg(rng: random.Random) -> Cfg:
-    """A small grammar over a and b: 2–4 variables, each with 0–3 bodies of
-    0–2 symbols drawn from the letters and the variables.  Unit cycles,
-    ε-bodies, unreachable and non-generating variables all occur."""
-    letters = ("a", "b")
+def random_cfg(rng: random.Random, letters: tuple[str, ...] = ("a", "b"), max_body: int = 2) -> Cfg:
+    """A small grammar over ``letters``: 2–4 variables, each with 0–3
+    bodies of 0 to ``max_body`` symbols drawn from the letters and the
+    variables.  Unit cycles, ε-bodies, unreachable and non-generating
+    variables all occur."""
     variables = [f"V{i}" for i in range(rng.randint(2, 4))]
     symbols = list(letters) + variables
     prods = [
-        (v, tuple(rng.choice(symbols) for _ in range(rng.randint(0, 2))))
+        (v, tuple(rng.choice(symbols) for _ in range(rng.randint(0, max_body))))
         for v in variables
         for _ in range(rng.randint(0, 3))
     ]

@@ -63,6 +63,65 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Cfg(("a",), ("S",), [("S", ("a", "X"))], "S")
 
+    def test_messages_name_the_first_offender(self):
+        # the checks run in one order, and the productions are checked in
+        # order, head before body
+        cases = [
+            ((("S", "a"), ("a", "S"), [], "T"), "symbols both terminal and variable: ['S', 'a']"),
+            ((("a",), ("S",), [("X", ("Y",))], "T"), "start symbol 'T' is not a variable"),
+            ((("a",), ("S",), [("S", ("a",)), ("X", ("Y",)), ("Z", ())], "S"),
+             "production head 'X' is not a variable"),
+            ((("a",), ("S",), [("S", ("a", "Y", "Z")), ("X", ())], "S"), "undeclared symbol 'Y' in a body"),
+            ((("a",), ("S", "S"), [("S", ("a",)), ("S", ("a",)), ("S", ("S", "b"))], "S"),
+             "undeclared symbol 'b' in a body"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as err:
+                Cfg(*args)
+            assert str(err.value) == message, args
+
+    def test_random_invalid_grammars_name_the_first_offender(self):
+        def first_offence(terminals, variables, productions, start):
+            overlap = set(terminals) & set(variables)
+            if overlap:
+                return f"symbols both terminal and variable: {sorted(overlap)}"
+            if start not in variables:
+                return f"start symbol {start!r} is not a variable"
+            known = set(variables) | set(terminals)
+            for head, body in productions:
+                if head not in variables:
+                    return f"production head {head!r} is not a variable"
+                for sym in body:
+                    if sym not in known:
+                        return f"undeclared symbol {sym!r} in a body"
+            return None
+
+        rng = random.Random(7)
+        symbols = ["a", "b", "x", "S", "T", "U"]
+        outcomes = Counter()
+        for _ in range(400):
+            # mostly apart, sometimes sharing a symbol
+            terminals = rng.sample(symbols[:3], rng.randint(0, 3))
+            variables = rng.sample(symbols[3:], rng.randint(1, 3))
+            if rng.random() < 0.1:
+                terminals.append(rng.choice(variables))
+            heads = variables + ["T", "U"]
+            productions = [
+                (rng.choice(heads), tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(0, 4))
+            ]
+            start = rng.choice(variables) if rng.random() < 0.9 else rng.choice(symbols)
+            expected = first_offence(terminals, variables, productions, start)
+            if expected is None:
+                Cfg(terminals, variables, productions, start)
+                outcomes["valid"] += 1
+                continue
+            with pytest.raises(ValueError) as err:
+                Cfg(terminals, variables, productions, start)
+            assert str(err.value) == expected, (terminals, variables, productions, start)
+            outcomes[expected.split(" ")[0]] += 1
+        assert min(outcomes[k] for k in ("valid", "symbols", "start", "production", "undeclared")) >= 10, outcomes
+
     def test_duplicates_collapse(self):
         g = Cfg(("a",), ("S", "S"), [("S", ("a",)), ("S", ("a",))], "S")
         assert g.variables == ("S",)
@@ -320,6 +379,41 @@ class TestSplitFirstLast:
         assert set(comps) == set(unfiltered) == {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("c", "b")}
         for pair, part in unfiltered.items():
             assert cfg_canonical(comps[pair]) == cfg_canonical(part), pair
+
+
+    def test_contextfree_matches_per_pair_products(self):
+        # one generating-triple fixpoint against the (first, last, length)
+        # tracker, read off per pair, builds the product bar_hillel builds
+        # against that pair's pattern automaton on its own
+        rng = random.Random(1964)
+        seen = Counter()
+        for i in range(300):
+            letters = ("a", "b", "c")[: 1 + i % 3]
+            g = random_cfg(rng, letters, max_body=3)
+            # a one-letter body on about half the variables, so that most
+            # grammars generate something
+            extra = [(v, (rng.choice(letters),)) for v in g.variables if rng.random() < 0.5]
+            g = Cfg(g.terminals, g.variables, g.productions + tuple(extra), g.start)
+            comps, singles = split_first_last(InitialSet.contextfree(g), Alphabet(letters))
+            assert singles == {w for w in enumerate_cfg(g, 1) if w}, g
+            expected = {}
+            for a in letters:
+                for b in letters:
+                    part = bar_hillel(g, pattern_dfa(letters, a, b))
+                    if not cfg_empty(part):
+                        expected[(a, b)] = serialize_grammar(cfg_canonical(part))
+            assert list(comps) == list(expected), g
+            for pair, part in comps.items():
+                assert serialize_grammar(cfg_canonical(part)) == expected[pair], (g, pair)
+            seen.update({
+                "empty": not comps and not singles,
+                "one pair": len(comps) == 1,
+                "several pairs": len(comps) > 1,
+                "three letters, several pairs": len(letters) == 3 and len(comps) > 1,
+                "single letters": bool(singles),
+            })
+        for case in ("empty", "one pair", "several pairs", "three letters, several pairs", "single letters"):
+            assert seen[case] >= 20, (case, seen)
 
 
 class TestGeneralized:

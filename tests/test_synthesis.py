@@ -28,6 +28,7 @@ from splicelab.examples import (
 )
 from splicelab.fileformat import serialize_grammar
 from splicelab.grammar import _min_lengths, enumerate_cfg
+from splicelab import synthesis
 from splicelab.synthesis import concat_grammar, pure_grammar, synthesize
 from splicelab.transform import complete_system, to_heterogeneous
 
@@ -150,6 +151,15 @@ class TestSynthesize:
         g = synthesize(system)
         assert "" in grammar_words(g, 4)
         assert grammar_words(g, 4) == {"", "ab", "aabb"}
+
+    def test_unknown_method_rejected_first(self, monkeypatch):
+        # the method is checked before the concatenation stage is built
+        def unreachable(*args):
+            raise AssertionError("concatenation stage built")
+
+        monkeypatch.setattr(synthesis, "concat_grammar", unreachable)
+        with pytest.raises(ValueError, match="unknown method 'grafT'"):
+            synthesize(anbn_circular(), method="grafT")
 
     def test_elimination_method_agrees(self):
         system = mixed_system()

@@ -66,6 +66,36 @@ class TestCompletion:
         with pytest.raises(ValueError):
             complete([SplicingRule("ab", "", "", "")], ABC)
 
+    def test_is_complete_matches_completion(self):
+        # one-letter fillings decide completeness without the completion;
+        # a non-alphabetic rule raises the same error as the completion
+        rng = random.Random(43)
+        handles = ["", "a", "b", "c", "ab"]
+        seen = {True: 0, False: 0, "raise": 0}
+        for i in range(400):
+            rules = {
+                SplicingRule(*(rng.choice(handles[:4]) for _ in range(4)), usage=rng.choice((SPLICE, CONCAT)))
+                for _ in range(rng.randint(0, 4))
+            }
+            if i % 3 == 0:
+                rules = set(complete(rules, ABC))
+                if rules and rng.random() < 0.5:
+                    rules.discard(rng.choice(sorted(rules)))
+            if i % 7 == 0:
+                rules.add(SplicingRule(*(rng.choice(handles) for _ in range(3)), "ab"))
+            rules = frozenset(rules)
+            try:
+                expected = complete(rules, ABC) == rules
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    is_complete(rules, ABC)
+                assert str(err.value) == str(exc)
+                seen["raise"] += 1
+                continue
+            assert is_complete(rules, ABC) == expected, rules
+            seen[expected] += 1
+        assert min(seen.values()) >= 40, seen
+
     def test_language_preserved(self):
         rng = random.Random(41)
         for _ in range(40):
