@@ -24,25 +24,32 @@ node, K state) pairs.  A circular K is closed under rotation by then, so
 rot(P) − K is the rotations of P − K, whose least word is as long as the
 shortest word of P − K: the circular witness is the least rotation of
 the words outside K of the walks whose least such word is that short.
-Only (3), ``splice_image`` and the generability residue fold P: each
-walk is minimized and folded into it by ``dfa_union``, and (3) searches
-(K⁺ state, P state, axiom state) triples for the least witness; in
-circular mode P is rotated and the axioms are every rotation of the
-initial words.  An automaton is minimized only where it is returned or a
-new one is built from it (image walks before the fold, fold products, P
-and a walk's words outside K before they are rotated, P before it is
-subtracted from), as a product or a subset walk grows with the states of
-what it is built from; pattern automata, their intersections with K, the
-finite axiom automaton and the rotated P are only searched and stay
-unminimized.  A circular K or P that a pair walk finds closed under
-rotation is not rotated, which was nearly all of a circular decision's
-time.
+Only ``splice_image`` folds P: each walk is minimized and folded into
+it by ``dfa_union``.  (3) and generability read only the residue
+R = K⁺ − P, built from K⁺ by subtracting one raw walk at a time, with the
+walk's steps memoized for that product and each product minimized before
+the next; a pair whose R state is dead is one dead node, so a walk is
+explored only under R's live states.  (3) looks for the least word of R
+outside the axioms; in circular mode the axioms are every rotation of the
+initial words, and P is rotated.  (2) put P inside K⁺, so P is closed
+under rotation iff R is, and then R stands for K⁺ − rot(P); otherwise the
+rotation closure of P = K⁺ − R is walked, its steps memoized per node,
+only as far as the witness.  An automaton is minimized only where it is
+returned or a new one is built from it (image walks before
+``splice_image``'s fold, fold and residue products, P and a walk's words
+outside K before they are rotated), as a product or a subset walk grows
+with the states of what it is built from; pattern automata, their
+intersections with K and the finite axiom automaton are only searched and
+stay unminimized.  A circular K, or a residue, that a pair walk finds
+closed under rotation is not rotated: rotating K and P was nearly all of
+a circular decision's time.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
 after alpha·beta is also accepted after alpha, any middle word and beta:
 an inclusion between the languages of two K⁺ states, tested with no
-automaton for the image.
+automaton for the image, and only for the rules that no admissible rule
+dominates.
 """
 
 from __future__ import annotations
@@ -124,6 +131,13 @@ def _maximal(rules) -> list[SplicingRule]:
         )
 
     return [r for r, usage, handles in keyed if not dominated(usage, handles)]
+
+
+def _memoized(walk: Walk) -> Walk:
+    """The same walk, with each node's successors made once: a product
+    reaches a node once per state it is paired with."""
+    start, step, final = walk
+    return start, functools.cache(lambda node: tuple(step(node))), final
 
 
 class _RuleImages:
@@ -314,6 +328,36 @@ class _RuleImages:
         parts = [_explore(self.K.alphabet, *walk) for rule in maximal for walk in self.image(rule)]
         return functools.reduce(dfa_union, parts) if parts else dfa_none(self.K.alphabet)
 
+    def residue(self, maximal: list[SplicingRule]) -> Dfa:
+        """K minus the images of the rules ``maximal`` (the residue K⁺ − P
+        when K is K⁺), with no automaton for the images: each walk in
+        turn is subtracted from what is left, R <- R − walk, and the
+        product is minimized before the next.  A pair whose R state is
+        dead is one dead node, so a walk is explored only under R's live
+        states and none is minimized on its own.  A minimal DFA is unique,
+        so R is the normalized ``dfa_difference(K, self.union(maximal))``,
+        or K itself when there is no walk."""
+        R = self.K
+        for rule in maximal:
+            for walk in self.image(rule):
+                live, T, finals = _live_distances(R), R.transitions, R.finals
+                start, step, final = _memoized(walk)
+                dead = (None,) * len(R.alphabet)
+
+                def pair_step(pair):
+                    if pair is None:
+                        return dead
+                    r, w = pair
+                    return [(t, v) if t in live else None for t, v in zip(T[r], step(w))]
+
+                R = _explore(
+                    R.alphabet,
+                    (R.start, start) if R.start in live else None,
+                    pair_step,
+                    lambda pair: pair is not None and pair[0] in finals and not final(pair[1]),
+                )
+        return R
+
 
 def splice_image(K: Dfa, rules) -> Dfa:
     """The union P of the one-step splice images of all rules, as a
@@ -396,24 +440,30 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         return Verdict(False, 2, min(found))
 
     # (3) K⁺-words that no splice produces must be axioms; in circular
-    # mode, rotations of axioms, and P is rotated unless already closed
-    P = images.union(maximal)
-    if system.mode == CIRCULAR and not _rotation_closed(P):
-        P = _reach(K.alphabet, *_conjugacy_walk(P))
+    # mode, rotations of axioms.  Both read only the residue R = K⁺ − P.
+    # (2) put P inside K⁺, so rot(P) = P iff R is closed under rotation;
+    # otherwise the words of R outside rot(P) are searched with the
+    # rotation closure of P walked lazily, as far as the witness
+    R = images.residue(maximal)
     initial = _linearize_initial(system) if system.mode == CIRCULAR else system.initial
     if initial.kind == "finite":
         axioms = _reach(K.alphabet, *_words_walk(K.alphabet, initial.words))
     else:
         axioms = initial.dfa
-    C, S, A = core.transitions, P.transitions, axioms.transitions
-    w = _least_word(
-        K.alphabet,
-        (core.start, P.start, axioms.start),
-        lambda node: zip(C[node[0]], S[node[1]], A[node[2]]),
-        lambda node: (
-            node[0] in core.finals and node[1] not in P.finals and node[2] not in axioms.finals
-        ),
-    )
+    if system.mode == CIRCULAR and not _rotation_closed(R):
+        P = dfa_difference(core, R)
+        rotated_start, rotated_step, rotated_final = _memoized(_conjugacy_walk(P))
+        T, A = R.transitions, axioms.transitions
+        w = _least_word(
+            K.alphabet,
+            (R.start, rotated_start, axioms.start),
+            lambda node: zip(T[node[0]], rotated_step(node[1]), A[node[2]]),
+            lambda node: (
+                node[0] in R.finals and not rotated_final(node[1]) and node[2] not in axioms.finals
+            ),
+        )
+    else:
+        w = difference_witness(R, axioms)
     if w is not None:
         return Verdict(False, 3, w)
     return Verdict(True)
@@ -428,21 +478,41 @@ def all_alphabetic_rules(alphabet: Alphabet) -> list[SplicingRule]:
     ]
 
 
+def _admissible(
+    images: _RuleImages, alphabet: Alphabet
+) -> tuple[set[SplicingRule], list[SplicingRule]]:
+    """The alphabetic rules whose images stay in K, and the undominated
+    ones among them.  A rule with one handle emptied dominates it, so a
+    rule with an admissible such variant is admissible and dominated.
+    Taking the rules by their number of nonempty handles, fewest first,
+    only the others are tested, and those found admissible are the
+    undominated ones."""
+    admissible: dict[tuple[str, ...], SplicingRule] = {}
+    maximal = []
+    for rule in sorted(all_alphabetic_rules(alphabet), key=lambda r: -r.handles.count("")):
+        handles = rule.handles
+        emptied = (handles[:i] + ("",) + handles[i + 1 :] for i, h in enumerate(handles) if h)
+        if any(variant in admissible for variant in emptied):
+            admissible[handles] = rule
+        elif images.keeps_inside(rule):
+            admissible[handles] = rule
+            maximal.append(rule)
+    return set(admissible.values()), maximal
+
+
 def alphabetic_generability(K: Dfa) -> SplicingSystem | None:
     """A finite alphabetic splicing system generating exactly L(K), or
     None when the maximal admissible rule set leaves an infinite residue.
 
     Admissible rules keep their one-step image inside K; the image union P
     is monotone in the rule set, so if any admissible set leaves a finite
-    residue the maximal one does too, and the residue itself serves as the
-    axiom set."""
+    residue the maximal one does too, and the residue K⁺ − P itself
+    serves as the axiom set."""
     alphabet = Alphabet(K.alphabet)
     core = dfa_without_epsilon(K)
     images = _RuleImages(core)
-    admissible = [r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)]
-    image = images.union(_maximal(admissible))
-    # with P empty the residue is K⁺ itself, and no product is minimized
-    residue = core if dfa_empty(image) else dfa_difference(core, image)
+    admissible, maximal = _admissible(images, alphabet)
+    residue = images.residue(maximal)
     if not dfa_is_finite(residue):
         return None
     words = enumerate_dfa(residue, residue.n_states)

@@ -46,6 +46,7 @@ from splicelab.core import (
 import splicelab.decider
 from splicelab.decider import (
     Verdict,
+    _admissible,
     _maximal,
     _RuleImages,
     all_alphabetic_rules,
@@ -260,6 +261,34 @@ class TestDecideEqualCircular:
             )
             assert decide_equal(system, target) == Verdict(False, 2, witness)
 
+    def test_unclosed_image_rotated_lazily(self, monkeypatch):
+        """When P is not closed under rotation, (3) walks its rotation
+        closure only as far as the witness: no automaton of it is built.
+        Building one walked 78k nodes and took about 20 s."""
+        rotated = []
+        walk = splicelab.decider._conjugacy_walk
+
+        def conjugacy_walk(d):
+            rotated.append(walk(d))
+            return rotated[-1]
+
+        monkeypatch.setattr(splicelab.decider, "_conjugacy_walk", conjugacy_walk)
+        for name in ("_reach", "_explore"):
+            build = getattr(splicelab.decider, name)
+
+            def checked(alphabet, start, step, final, build=build):
+                assert all(start is not w[0] for w in rotated), "a rotation closure was built"
+                return build(alphabet, start, step, final)
+
+            monkeypatch.setattr(splicelab.decider, name, checked)
+        system = parse_system(
+            "alphabet a b c\nmode circular\ninitial finite bc ca\nsplice b#cb$ca#ab\n"
+        )
+        K = conjugacy_closure(regex_to_dfa(parse_regex("(bc|ca|b)+"), ("a", "b", "c")))
+        assert K.n_states == 15
+        assert decide_equal(system, K) == Verdict(False, 3, "b")
+        assert len(rotated) == 1
+
     def test_concat_rules_unsupported(self):
         # a circular system with a concat rule is refused when it is built
         with pytest.raises(UnsupportedError):
@@ -439,6 +468,32 @@ class TestSpliceImage:
         got = set(enumerate_dfa(image, 4))
         assert got == conjugates("aabb")
 
+    def test_residue_matches_difference_with_image(self):
+        """Subtracting the undominated rules' walks from K⁺ one at a time
+        gives the normalized K⁺ − P, byte for byte, whatever the number of
+        walks.  Half the targets are closed under concatenation, so that
+        the images often land inside them."""
+        rng = random.Random(75)
+        walks = {0: 0, 1: 0, "more": 0}
+        shrunk = 0
+        for _ in range(300):
+            letters = "ab"[: rng.randint(1, 2)]
+            regex = random_regex(rng, letters)
+            if rng.random() < 0.5:
+                regex = f"({regex})+"
+            core = dfa_without_epsilon(regex_to_dfa(parse_regex(regex), tuple(letters)))
+            rules = [
+                random_rule(rng, letters, rng.choice((SPLICE, CONCAT)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            images = _RuleImages(core)
+            residue = images.residue(_maximal(rules))
+            assert residue == dfa_difference(core, splice_image(core, rules)), (regex, rules)
+            parts = sum(len(images.image(rule)) for rule in _maximal(rules))
+            walks[parts if parts < 2 else "more"] += 1
+            shrunk += residue != core
+        assert min(walks.values()) >= 30 and shrunk >= 100, (walks, shrunk)
+
 
 class TestGenerability:
     def test_a_plus(self):
@@ -519,6 +574,24 @@ class TestGenerability:
                 empty_middle += dfa_empty(middle)
         assert min(outcomes.values()) >= 30, outcomes
         assert empty_middle >= 20, empty_middle
+
+    def test_admissible_rules_by_domination(self):
+        """Testing only the rules with no admissible variant that has one
+        handle emptied gives every admissible rule and, as the tested ones
+        found admissible, exactly the undominated ones."""
+        rng = random.Random(69)
+        dominated = 0
+        for _ in range(40):
+            letters = "abc"[: rng.randint(1, 3)]
+            K = regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+            images = _RuleImages(dfa_without_epsilon(K))
+            alphabet = Alphabet(letters)
+            admissible, maximal = _admissible(images, alphabet)
+            want = {r for r in all_alphabetic_rules(alphabet) if images.keeps_inside(r)}
+            assert admissible == want, K
+            assert sorted(maximal) == _maximal(want), K
+            dominated += len(want) > len(maximal) > 0
+        assert dominated >= 10, dominated
 
     def test_repr_independent_of_hash_seed(self):
         """An answer's repr lists its axioms and rules sorted, not in the
@@ -624,6 +697,21 @@ class TestMaximalRules:
         generated = alphabetic_generability(K)
         assert generated.initial.words == frozenset(["b", "a" * n])
         assert len(explored) < 8 * n * n
+
+    @pytest.mark.parametrize("mode", [FLAT, CIRCULAR])
+    def test_counting_target_builds_no_image(self, mode, monkeypatch):
+        """Inclusion (3) and generability read only the residue K⁺ − P,
+        which the walks are subtracted from one at a time: P is not
+        folded."""
+
+        def union(self, maximal):
+            raise AssertionError("P was folded")
+
+        monkeypatch.setattr(_RuleImages, "union", union)
+        n = 12
+        system, K = self.counting(n, mode)
+        assert decide_equal(system, K).equal
+        assert alphabetic_generability(K).initial.words == frozenset(["b", "a" * n])
 
     def test_circular_counting_rotates_neither_target_nor_image(self, monkeypatch):
         """K and P are both closed under rotation, which a pair walk shows,
