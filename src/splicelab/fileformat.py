@@ -37,7 +37,7 @@ letters, words, and rules).
 
 from __future__ import annotations
 
-from .automata import Dfa, _normalize, dfa_to_regex, regex_to_dfa, render_regex
+from .automata import Dfa, _normalize, dfa_empty, dfa_to_regex, regex_to_dfa, render_regex
 from .core import (
     CIRCULAR,
     CONCAT,
@@ -166,10 +166,9 @@ def _initial_lines(initial: InitialSet) -> str:
     if initial.kind == "regular":
         if initial.source_regex is not None:
             return f"initial regex {initial.source_regex}"
-        node = dfa_to_regex(initial.dfa)
-        rendered = render_regex(node)
-        if not rendered:
-            return "initial finite"
+        if dfa_empty(initial.dfa):
+            return "initial regex _" if initial.had_epsilon else "initial finite"
+        rendered = render_regex(dfa_to_regex(initial.dfa))
         if initial.had_epsilon:
             rendered = f"({rendered})?"
         return f"initial regex {rendered}"

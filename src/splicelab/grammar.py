@@ -17,12 +17,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .automata import (
-    Dfa,
-    dfa_empty,
-    dfa_intersect,
-    pattern_dfa,
-)
+from .automata import Dfa, _normalize, _reach, pattern_dfa
 from .core import Alphabet, InitialSet
 
 Body = tuple[str, ...]
@@ -442,19 +437,102 @@ def _length_splits(options: list[list[int]], total: int) -> Iterator[tuple[int, 
             stack.append((i + 1, rest - n, chosen + (n,)))
 
 
+def _sumset(a: int, b: int) -> int:
+    """The length bitmask of {i + j : bit i of ``a``, bit j of ``b``}."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _rooms(g: Cfg, minlen: dict[str, int | None], max_len: int) -> dict[str, int]:
+    """Each variable's room: the length of its longest word that a start
+    word of at most ``max_len`` symbols can use, or -1 when none can.  A
+    body symbol's room is its head's room less the least lengths of the
+    body's other symbols.  A worklist raises rooms until none grows; a
+    room is at most ``max_len``, so it grows at most that many times."""
+    room = dict.fromkeys(g.variables, -1)
+    room[g.start] = max_len
+    by_head: dict[str, list[Body]] = defaultdict(list)
+    for head, body in g.productions:
+        if all(minlen.get(s, 1) is not None for s in body):
+            by_head[head].append(body)
+    work = deque([g.start])
+    while work:
+        v = work.popleft()
+        for body in by_head[v]:
+            spare = room[v] - sum(minlen.get(s, 1) for s in body)
+            if spare < 0:
+                continue
+            for s in body:
+                if s in g.varset and room[s] < spare + minlen[s]:
+                    room[s] = spare + minlen[s]
+                    work.append(s)
+    return room
+
+
+def _body_totals(body: Body, masks: dict[str, int], cap: int) -> tuple[int, int]:
+    """The totals up to ``cap`` (a bitmask of lengths) that ``body``
+    reaches from its symbols' length bitmasks ``masks``, as (all, built):
+    ``built`` holds only the totals of splits whose variable parts are all
+    shorter than the total, the ones a length's pass can build from
+    finished tables.  The others come from a lone variable part with ε
+    around it, which the carrier worklist brings."""
+    # the totals of the splits so far: every part ε (bit 0); one variable
+    # part nonempty and the rest ε; every other split
+    zero, lone, built = 1, 0, 0
+    for s in body:
+        m = masks.get(s)
+        if m is None:  # a terminal, 1 long
+            zero, lone, built = 0, 0, (zero | lone | built) << 1 & cap
+            continue
+        nonempty = m & ~1
+        grown = _sumset(nonempty, lone | built)
+        if not m & 1:  # the part is never ε
+            lone = built = 0
+        built = (built | grown) & cap
+        lone = (lone | (nonempty if zero else 0)) & cap
+        zero &= m
+    return (zero | lone | built) & cap, built
+
+
 def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
     """All derivable symbol tuples with at most ``max_len`` symbols, in
     length-lex order.
 
-    One length at a time, each production visited once per length.  A body
-    builds its words of the new length from the finished tables of shorter
-    lengths: a terminal part is 1 long, and a variable offers only the
-    lengths at which it has words.  A part can reach the new length itself
-    only when every other symbol of its body derives ε, so a worklist then
-    carries the new words along those productions."""
+    Each variable gets a room (``_rooms``) and, by a fixpoint over length
+    bitmasks, the lengths up to its room at which it has words.  A
+    production is then visited only at the lengths its body can build
+    within its head's room, shortest first.  A visit builds its words from
+    the finished tables of shorter lengths: a terminal part is 1 long, and
+    a variable offers only the lengths at which it has words.  A part can
+    reach the new length itself only when every other symbol of its body
+    derives ε, so a worklist then carries the new words along those
+    productions."""
     minlen = _min_lengths(g)
     if minlen[g.start] is None or max_len < 0:
         return []
+    room = _rooms(g, minlen, max_len)
+    caps = {v: (1 << room[v] + 1) - 1 for v in g.variables}
+    masks = dict.fromkeys(g.variables, 0)
+
+    def update(head: str, body: Body) -> bool:
+        reach = _body_totals(body, masks, caps[head])[0]
+        if reach & ~masks[head]:
+            masks[head] |= reach
+            return True
+        return False
+
+    _fixpoint(g, update)
+    schedule: dict[int, list[tuple[str, Body]]] = defaultdict(list)
+    for head, body in g.productions:
+        built = _body_totals(body, masks, caps[head])[1]
+        while built:
+            low = built & -built
+            schedule[low.bit_length() - 1].append((head, body))
+            built ^= low
     nullable = {v for v, n in minlen.items() if n == 0}
     carriers: dict[str, set[str]] = defaultdict(set)
     for head, body in g.productions:
@@ -469,24 +547,25 @@ def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
     for v in nullable:
         words[v][0] = {()}
         lengths[v].append(0)
-    for ln in range(1, max_len + 1):
+    for ln in sorted(schedule):
         level: dict[str, set[Body]] = defaultdict(set)
-        for head, body in g.productions:
+        for head, body in schedule[ln]:
             options = [lengths[s] if s in g.varset else [1] for s in body]
-            if not all(options):
-                continue
             for split in _length_splits(options, ln):
-                parts = [words[s][n] if s in g.varset else {(s,)} for s, n in zip(body, split)]
-                level[head].update(
-                    tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*parts))
+                built = {()}
+                for s, n in zip(body, split):
+                    part = words[s][n] if s in g.varset else ((s,),)
+                    built = {w + x for w in built for x in part}
+                level[head] |= built
         work = list(level.items())
         while work:
             v, new = work.pop()
             for head in carriers[v]:
-                fresh = new - level[head]
-                if fresh:
-                    level[head] |= fresh
-                    work.append((head, fresh))
+                if ln <= room[head]:
+                    fresh = new - level[head]
+                    if fresh:
+                        level[head] |= fresh
+                        work.append((head, fresh))
         for v, found in level.items():
             if found:
                 words[v][ln] = found
@@ -765,11 +844,18 @@ def split_first_last(
     b, plus the set of single letters present.  Empty components are
     omitted.
 
-    A context-free set is binarized once and runs one generating-triple
-    fixpoint, against ``_first_last_dfa``; that table holds the letters
-    and pairs its words have.  Each such pair builds the product with
-    ``pattern_dfa(letters, a, b)`` from the table projected onto it, the
-    same grammar ``bar_hillel`` builds for the pair."""
+    Both infinite kinds are read against ``_first_last_dfa``, whose states
+    name a word's letter or its (first, last) pair; the tracking states of
+    the set's words give its letters and pairs.  A regular set takes one
+    product of its automaton with the tracker.  A pair's component is that
+    product minimized with, as finals, its states that are final in the
+    set's automaton and track the pair.  That is the minimal automaton of
+    the set's words in ``pattern_dfa(letters, a, b)``, which ``_normalize``
+    numbers canonically, so it is the automaton ``dfa_intersect`` builds
+    for the pair.  A context-free set is binarized once and runs one
+    generating-triple fixpoint against the tracker.  Each pair builds the
+    product with ``pattern_dfa(letters, a, b)`` from that table projected
+    onto it, the same grammar ``bar_hillel`` builds for the pair."""
     letters = alphabet.letters
     components: dict[tuple[str, str], Cfg] = {}
     singletons: set[str] = set()
@@ -784,35 +870,51 @@ def split_first_last(
         for key in sorted(groups):
             components[key] = finite_cfg(letters, groups[key])
         return components, singletons
-    if initial.kind == "regular":
-        assert initial.dfa is not None
-        for a in letters:
-            if initial.dfa.accepts(a):
-                singletons.add(a)
-        for a in letters:
-            for b in letters:
-                part = dfa_intersect(initial.dfa, pattern_dfa(letters, a, b))
-                if not dfa_empty(part):
-                    components[(a, b)] = cfg_from_dfa(part)
-        return components, singletons
-    assert initial.cfg is not None
-    g = initial.cfg
-    base = Cfg(tuple(dict.fromkeys(g.terminals + letters)), g.variables, g.productions, g.start)
-    if set(base.terminals) != set(letters):
-        raise ValueError("initial grammar uses letters outside the alphabet")
-    base = _binarize(base)
     tracker = _first_last_dfa(letters)
-    tracked = _generating_ends(base, tracker)
-    spans = tracked[base.start][tracker.start]  # the tracking states of its words
+    if initial.kind == "regular":
+        d = initial.dfa
+        assert d is not None
+        product = _reach(
+            letters,
+            (d.start, tracker.start),
+            lambda node: zip(d.transitions[node[0]], tracker.transitions[node[1]]),
+            lambda node: node[0] in d.finals,
+        )
+        track = [tracker.start] * product.n_states  # each state's tracking state
+        for i, row in enumerate(product.transitions):  # states are in discovery order
+            for x, j in enumerate(row):
+                track[j] = tracker.transitions[track[i]][x]
+        ending: dict[int, set[int]] = defaultdict(set)  # the final states of each tracking state
+        for f in product.finals:
+            ending[track[f]].add(f)
+        spans = set(ending)  # the tracking states of its words
+
+        def component(a: str, b: str, t: int) -> Cfg:
+            return cfg_from_dfa(_normalize(letters, product.transitions, 0, ending[t]))
+
+    else:
+        assert initial.cfg is not None
+        g = initial.cfg
+        base = Cfg(tuple(dict.fromkeys(g.terminals + letters)), g.variables, g.productions, g.start)
+        if set(base.terminals) != set(letters):
+            raise ValueError("initial grammar uses letters outside the alphabet")
+        base = _binarize(base)
+        tracked = _generating_ends(base, tracker)
+        spans = tracked[base.start][tracker.start]  # the tracking states of its words
+
+        def component(a: str, b: str, t: int) -> Cfg:
+            d = pattern_dfa(letters, a, b)
+            return _product(base, d, _projected_ends(tracked, tracker, d))
+
     ones = tracker.transitions[tracker.start]  # the state of each one-letter word
     for i, a in enumerate(letters):
         if ones[i] in spans:
             singletons.add(a)
     for i, a in enumerate(letters):
         for j, b in enumerate(letters):
-            if tracker.transitions[ones[i]][j] in spans:
-                d = pattern_dfa(letters, a, b)
-                components[(a, b)] = _product(base, d, _projected_ends(tracked, tracker, d))
+            t = tracker.transitions[ones[i]][j]
+            if t in spans:
+                components[(a, b)] = component(a, b, t)
     return components, singletons
 
 

@@ -6,6 +6,7 @@ from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.cli import run_command
 from splicelab.fileformat import parse_grammar, parse_system, serialize_dfa
 from splicelab.grammar import enumerate_cfg
+from splicelab.transform import circular_to_flat
 
 SIR_EX = "alphabet a b\ninitial finite ab\nsplice a#b$a#b\n"
 
@@ -203,6 +204,16 @@ class TestRewriteCommands:
         system = parse_system(capsys.readouterr().out)
         assert system.mode == "flat"
         assert system.initial.words == frozenset({"ab", "ba"})
+
+    def test_to_flat_epsilon_only_axioms(self, spl, capsys):
+        # the rotation closure of an ε-only regular set is the empty ε-free
+        # language, which has no regex of its own
+        text = "alphabet a b\nmode circular\ninitial regex _\nsplice a#b$a#b\n"
+        code = run_command(["to-flat", spl(text)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "initial regex _\n" in out
+        assert parse_system(out) == circular_to_flat(parse_system(text))
 
     def test_to_flat_rejects_flat_input(self, spl, capsys):
         code = run_command(["to-flat", spl(SIR_EX)])

@@ -8,7 +8,16 @@ from collections import Counter
 import pytest
 
 from splicelab import grammar
-from splicelab.automata import dfa_from_words, dfa_is_finite, parse_regex, pattern_dfa, regex_to_dfa
+from splicelab.automata import (
+    Dfa,
+    dfa_empty,
+    dfa_from_words,
+    dfa_intersect,
+    dfa_is_finite,
+    parse_regex,
+    pattern_dfa,
+    regex_to_dfa,
+)
 from splicelab.core import Alphabet, InitialSet
 from splicelab.fileformat import serialize_grammar
 from splicelab.grammar import (
@@ -166,8 +175,9 @@ class TestEnumeration:
             assert sorted(_length_splits(options, total)) == expected, (options, total)
 
     def test_deep_nesting(self):
-        # A_i -> a A_(i+1) b: one word, built through 150 levels of bodies
-        n = 150
+        # A_i -> a A_(i+1) b: one word, built through 1000 levels of bodies;
+        # each level is visited only at the one length it can use
+        n = 1000
         vs = [f"A{i}" for i in range(n + 1)]
         prods = [(vs[i], ("a", vs[i + 1], "b")) for i in range(n)] + [(vs[n], ())]
         assert enumerate_cfg(Cfg(AB, vs, prods, vs[0]), 2 * n) == ["a" * n + "b" * n]
@@ -349,6 +359,33 @@ class TestSplitFirstLast:
         assert singles == set()
         assert set(comps) == {("a", "b")}
         assert enumerate_cfg(comps[("a", "b")], 4) == ["ab", "abab"]
+
+    def test_regular_matches_per_pair_products(self):
+        # one product with the (first, last, length) tracker, minimized per
+        # pair, gives the automaton of the intersection with that pair's
+        # pattern, so the grammars have the same bytes
+        rng = random.Random(1912)
+        seen = Counter()
+        for i in range(300):
+            letters = ("a", "b", "c")[: 2 + i % 2]
+            n = rng.randint(1, 6)
+            rows = tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n))
+            finals = frozenset(s for s in range(n) if rng.random() < 0.4)
+            initial = InitialSet.regular(Dfa(letters, rows, 0, finals))
+            comps, singles = split_first_last(initial, Alphabet(letters))
+            assert singles == {a for a in letters if initial.dfa.accepts(a)}
+            expected = {}
+            for a in letters:
+                for b in letters:
+                    part = dfa_intersect(initial.dfa, pattern_dfa(letters, a, b))
+                    if not dfa_empty(part):
+                        expected[(a, b)] = serialize_grammar(cfg_from_dfa(part))
+            assert list(comps) == list(expected), (rows, finals)
+            for pair, part in comps.items():
+                assert serialize_grammar(part) == expected[pair], (rows, finals, pair)
+            seen.update({"empty": not comps, "several pairs": len(comps) > 1, "single letters": bool(singles)})
+        for case in ("empty", "several pairs", "single letters"):
+            assert seen[case] >= 20, (case, seen)
 
     def test_contextfree(self):
         initial = InitialSet.contextfree(DYCK)
@@ -687,6 +724,44 @@ class TestRandomGrammars:
             got = enumerate_cfg_tuples(g, 8)
             assert {"".join(t) for t in got} == lazy_generalized_words(as_generalized(g), 8), g
             assert got == sorted(set(got), key=lambda t: (len(t), t)), g
+
+    def test_enumeration_against_oracle_with_composite_terminals(self):
+        # terminals of several characters, as seam markers are, count as
+        # one symbol each; the oracle counts characters, so it reads a
+        # copy whose terminals are single letters
+        rng = random.Random(2024)
+        terminals = ("a", "M_a_b", "xy")
+        single = {"a": "a", "M_a_b": "m", "xy": "x"}
+        seen = Counter()
+        for i in range(240):
+            variables = [f"V{j}" for j in range(rng.randint(2, 5))]
+            symbols = list(terminals) + variables
+            prods = [
+                (v, tuple(rng.choice(symbols) for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))))
+                for v in variables
+                for _ in range(rng.randint(0, 3))
+            ]
+            g = Cfg(terminals, variables, prods, variables[0])
+            copy = Cfg(tuple(single.values()), variables,
+                       [(h, tuple(single.get(s, s) for s in b)) for h, b in prods], variables[0])
+            max_len = i % 10
+            got = enumerate_cfg_tuples(g, max_len)
+            assert got == sorted(set(got), key=lambda t: (len(t), t)), g
+            expected = lazy_generalized_words(as_generalized(copy), max_len)
+            assert {"".join(single[s] for s in t) for t in got} == expected, (g, max_len)
+            minlen = grammar._min_lengths(g)
+            reach = cfg_trim(g).variables
+            units = {(h, b[0]) for h, b in prods if len(b) == 1 and b[0] in g.varset}
+            seen.update({
+                "nullable": 0 in minlen.values(),
+                "non-generating": None in minlen.values(),
+                "unreachable": any(minlen[v] is not None and v not in reach for v in variables),
+                "unit cycle": any((b, a) in units or a == b for a, b in units),
+                "composite": any(len(s) > 1 for t in got for s in t),
+                "words": bool(got),
+            })
+        for case in ("nullable", "non-generating", "unreachable", "unit cycle", "composite", "words"):
+            assert seen[case] >= 20, (case, seen)
 
     def test_first_last_against_bar_hillel(self):
         # (a, b) is a pair of the start iff a word a…b of length 2 or more
