@@ -32,6 +32,16 @@ starts.  Each move names the first rule, in one fixed order, that makes
 it, and a rule that an earlier one dominates is never looked for.  Each
 distinct arc of a circular search is canonicalized once.
 
+Every production keeps both operands whole, so a word of the language
+counts each letter as a sum of initial words does, and a letter weighting
+that sums to 0 on every initial word sums to 0 on it too.  The search
+takes a basis of these weightings from the initial set once per call, and
+a word that breaks one, or uses a letter no initial word uses, is out
+with no undo move tried.  A finite set's basis is the integer null space
+of its words' letter counts; a regular set's comes from a spanning tree
+of its automaton and is exact; a context-free set gives none.  Only
+non-members are cut, so every answer and trace stays as it was.
+
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
 word, guaranteed to replay; which one is not fixed.
 """
@@ -40,14 +50,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from itertools import chain, product, repeat
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import mul
 
+from .automata import _live_distances
 from .core import (
     CIRCULAR,
     SPLICE,
     BudgetExceededError,
     CircularWord,
     InitialRef,
+    InitialSet,
     Production,
     ProductionSequence,
     SpliceError,
@@ -57,7 +71,6 @@ from .core import (
     _handles,
     apply_concat,
     matches_pattern,
-    shortenings,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -381,16 +394,16 @@ def _undo_rules(system: SplicingSystem) -> list[SplicingRule]:
     for h, _ in keyed:
         first[h[2:]] = min(first.get(h[2:], h), h)
     keyed.sort(key=lambda hr: (len(hr[0][0]), len(hr[0][1]), first[hr[0][2:]], hr[0]))
-    rank = {h: k for k, (h, _) in enumerate(keyed)}
-    # (place, handle) -> its shortenings that some rule has at that place
-    options: dict[tuple[int, str], list[str]] = {}
-    for i, place in enumerate(map(set, zip(*rank))):
-        for h in place:
-            options[(i, h)] = [s for s in shortenings(SPLICE, i, h) if s in place]
+    # an earlier rule dominates when each of its handles is a shortening
+    # of this rule's there: a suffix of alpha and delta, a prefix of beta
+    # and gamma
     return [
         r
-        for k, (h, r) in enumerate(keyed)
-        if all(rank.get(g, k) >= k for g in product(*map(options.get, enumerate(h))))
+        for k, ((a, b, g, d), r) in enumerate(keyed)
+        if not any(
+            a.endswith(a2) and b.startswith(b2) and g.startswith(g2) and d.endswith(d2)
+            for (a2, b2, g2, d2), _ in keyed[:k]
+        )
     ]
 
 
@@ -514,6 +527,122 @@ class _Undos:
         return got
 
 
+# --------------------------------------------------------------------------
+# Letter-count invariants of the initial set
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the greatest common divisor of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _null_space(rows, width: int) -> list[list[int]]:
+    """An integer basis of the weightings f with f·r = 0 for each of the
+    ``rows``, lists of ``width`` integers.  Fraction-free elimination keeps
+    the independent rows in reduced echelon form, each zero at the others'
+    pivots; each free column then gives one weighting, whose weights at
+    the pivots the rows fix."""
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in rows:
+        for c, p in pivots:
+            if row[c]:
+                k, m = p[c], row[c]
+                row = [k * x - m * y for x, y in zip(row, p)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        row = _primitive(row)
+        for i, (c, p) in enumerate(pivots):
+            if p[col]:
+                k, m = row[col], p[col]
+                pivots[i] = (c, _primitive([k * x - m * y for x, y in zip(p, row)]))
+        pivots.append((col, row))
+        if len(pivots) == width:
+            return []
+    taken = {c for c, _ in pivots}
+    basis = []
+    for j in range(width):
+        if j in taken:
+            continue
+        used = [(c, p) for c, p in pivots if p[j]]
+        d = lcm(*(p[c] for c, p in used))
+        f = [0] * width
+        f[j] = d
+        for c, p in used:
+            f[c] = -p[j] * d // p[c]
+        basis.append(_primitive(f))
+    return basis
+
+
+def _count_rows(initial: InitialSet):
+    """The letters the initial words use, and rows whose integer null
+    space is exactly the letter weightings that sum to 0 on every initial
+    word; None for a context-free set.
+
+    A finite set's rows are its words' letter counts.  A regular set's
+    come from a breadth-first spanning tree over the live states of its
+    DFA, each state q with the counts P(q) of its tree path: P(q) for each
+    final q, and P(q) + a - P(q') for each live transition q -a-> q' off
+    the tree.  A weighting f sums to 0 on every accepted word iff every
+    path to each live q sums to f·P(q) under it, and f·P(q) is 0 at the
+    finals: iff f is 0 on these rows."""
+    if initial.kind == "finite":
+        letters = tuple(sorted(set().union(*initial.words)))
+        return letters, list({tuple(map(w.count, letters)) for w in initial.words})
+    if initial.kind != "regular":
+        return None
+    dfa = initial.dfa
+    live = _live_distances(dfa)
+    arrows = {
+        q: [(a, t) for a, t in zip(dfa.alphabet, dfa.transitions[q]) if t in live]
+        for q in live
+    }
+    letters = tuple(sorted({a for out in arrows.values() for a, _ in out}))
+    index = {a: i for i, a in enumerate(letters)}
+    rows = []
+    path = {dfa.start: [0] * len(letters)} if dfa.start in live else {}
+    queue = deque(path)
+    while queue:
+        q = queue.popleft()
+        if q in dfa.finals:
+            rows.append(path[q])
+        for a, t in arrows[q]:
+            step = path[q].copy()
+            step[index[a]] += 1
+            if t in path:
+                rows.append([x - y for x, y in zip(step, path[t])])
+            else:
+                path[t] = step
+                queue.append(t)
+    return letters, rows
+
+
+def _breaks_counts(system: SplicingSystem):
+    """A test of whether a word's letter counts break an invariant of the
+    initial set, or None when only letters outside the alphabet could.
+    Every production keeps both its operands whole, so each word of the
+    language counts as a sum of initial words: a weighting that sums to 0
+    on each of them sums to 0 on it, and a letter no initial word uses
+    is in none of it."""
+    got = _count_rows(system.initial)
+    if got is None:
+        return None
+    letters, rows = got
+    basis = _null_space(rows, len(letters))
+    if not basis and set(letters) >= set(system.alphabet):
+        return None
+    circular = system.mode == CIRCULAR
+
+    def breaks(word) -> bool:
+        if circular:
+            word = word.representative
+        counts = list(map(word.count, letters))
+        return sum(counts) != len(word) or any(sum(map(mul, f, counts)) for f in basis)
+
+    return breaks
+
+
 def _decide(system: SplicingSystem, word, budget: int) -> dict:
     """What the search learnt deciding ``word``: None for an axiom, the
     first undo move (rule, u, v, cut) whose parts are both in the
@@ -521,8 +650,11 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
 
     Every undo move makes both parts strictly shorter than the word, so no
     word depends on itself and each is decided once, on an explicit stack.
-    Each distinct word the search takes up spends one unit of ``budget``."""
+    Each distinct word the search takes up spends one unit of ``budget``.
+    A word whose letter counts break an invariant of the initial set is
+    out at once, with no undo move tried."""
     known: dict = {}
+    breaks = _breaks_counts(system)
     search = _Undos(system, known)
     undos = search.circular if system.mode == CIRCULAR else search.flat
     stack: list[list] = []  # [word, its undo moves, the move being tried]
@@ -532,7 +664,9 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
         budget -= 1
         if budget < 0:
             raise BudgetExceededError("membership search budget exceeded")
-        if system.initial_contains(w):
+        if breaks is not None and breaks(w):
+            known[w] = False
+        elif system.initial_contains(w):
             known[w] = None
         else:
             stack.append([w, undos(w), None])

@@ -167,7 +167,10 @@ def _initial_lines(initial: InitialSet) -> str:
         if initial.source_regex is not None:
             return f"initial regex {initial.source_regex}"
         if dfa_empty(initial.dfa):
-            return "initial regex _" if initial.had_epsilon else "initial finite"
+            if not initial.had_epsilon:
+                # "initial finite" would parse back as a finite set
+                raise UnsupportedError("an empty regular initial set has no text form")
+            return "initial regex _"
         rendered = render_regex(dfa_to_regex(initial.dfa))
         if initial.had_epsilon:
             rendered = f"({rendered})?"

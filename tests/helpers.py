@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 
 from splicelab.core import (
@@ -21,6 +22,8 @@ from splicelab.core import (
     InitialSet,
     SplicingRule,
     SplicingSystem,
+    _handles,
+    shortenings,
 )
 from splicelab.grammar import Cfg, GeneralizedCfg, cfg_trim, enumerate_cfg_tuples
 
@@ -151,6 +154,31 @@ def naive_undos(system: SplicingSystem, word: str) -> list[tuple]:
         if fit:
             out.append((u, v, p, fit))
     return out
+
+
+def naive_undo_rules(system: SplicingSystem) -> list[SplicingRule]:
+    """The splice rules in the order of ``closure._undo_rules``, each rule
+    left out when some rule ranked before it has, at every place, one of
+    the handles ``shortenings`` lists for it: every combination of the
+    shortenings that some rule has at each place is looked up."""
+    keyed = [(_handles(r), r) for r in system.rules if r.usage == SPLICE]
+    first: dict[tuple[str, str], tuple] = {}
+    for h, _ in keyed:
+        first[h[2:]] = min(first.get(h[2:], h), h)
+    keyed.sort(key=lambda hr: (len(hr[0][0]), len(hr[0][1]), first[hr[0][2:]], hr[0]))
+    rank = {h: k for k, (h, _) in enumerate(keyed)}
+    options: dict[tuple[int, str], list[str]] = {}
+    for i, place in enumerate(map(set, zip(*rank))):
+        for h in place:
+            options[(i, h)] = [s for s in shortenings(SPLICE, i, h) if s in place]
+    return [
+        r
+        for k, (h, r) in enumerate(keyed)
+        if all(
+            rank.get(g, k) >= k
+            for g in itertools.product(*map(options.get, enumerate(h)))
+        )
+    ]
 
 
 def rotations(word: str) -> set[str]:
@@ -447,3 +475,43 @@ def words_by_length(words, *lengths) -> dict[int, int]:
         if len(w) in counts:
             counts[len(w)] += 1
     return counts
+
+
+# --------------------------------------------------------------------------
+# Letter counts (oracle for the membership search's count invariants)
+
+
+def parikh_vectors(dfa, letters: tuple[str, ...], max_len: int) -> set[tuple[int, ...]]:
+    """The letter counts, over ``letters``, of every word of at most
+    ``max_len`` letters that ``dfa`` accepts: a breadth-first walk over
+    (state, counts so far), one length at a time."""
+    out = set()
+    frontier = {(dfa.start, (0,) * len(letters))}
+    for n in range(max_len + 1):
+        out |= {c for q, c in frontier if q in dfa.finals}
+        if n == max_len:
+            break
+        nxt = set()
+        for q, c in frontier:
+            for a, t in zip(dfa.alphabet, dfa.transitions[q]):
+                if a in letters:
+                    i = letters.index(a)
+                    nxt.add((t, c[:i] + (c[i] + 1,) + c[i + 1 :]))
+        frontier = nxt
+    return out
+
+
+def rank(rows) -> int:
+    """The rank of the integer ``rows``, by Gaussian elimination over
+    fractions."""
+    pivots: list[list[Fraction]] = []
+    for row in rows:
+        vec = [Fraction(x) for x in row]
+        for p in pivots:
+            c = next(i for i, x in enumerate(p) if x)
+            if vec[c]:
+                k = vec[c] / p[c]
+                vec = [x - k * y for x, y in zip(vec, p)]
+        if any(vec):
+            pivots.append(vec)
+    return len(pivots)

@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
-from splicelab.automata import parse_regex, regex_to_dfa
+from splicelab import cli
+from splicelab.automata import dfa_none, parse_regex, regex_to_dfa
 from splicelab.cli import run_command
+from splicelab.core import InitialSet
 from splicelab.fileformat import parse_grammar, parse_system, serialize_dfa
 from splicelab.grammar import enumerate_cfg
 from splicelab.transform import circular_to_flat
@@ -337,3 +341,16 @@ class TestErrorHandling:
         code = run_command([arg.format(path) for arg in args])
         assert code == 2
         assert capsys.readouterr().err == "error: circular systems take splice rules only\n"
+
+    def test_empty_regular_initial_set_not_printed(self, monkeypatch, capsys):
+        # no file reaches this system: the file format has no regex for
+        # the empty language, so the system is put in place of the loaded one
+        empty = replace(
+            parse_system(SIR_EX), initial=InitialSet.regular(dfa_none(("a", "b")))
+        )
+        monkeypatch.setattr(cli, "_load_system", lambda path: empty)
+        code = run_command(["complete", "empty.spl"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: an empty regular initial set has no text form\n"
+        )

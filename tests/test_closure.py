@@ -7,9 +7,14 @@ from dataclasses import replace
 
 import pytest
 
+from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.closure import (
+    _breaks_counts,
     _CircularPairs,
+    _count_rows,
+    _null_space,
     _seams,
+    _undo_rules,
     _Undos,
     closure_bounded,
     derivation,
@@ -53,8 +58,13 @@ from helpers import (
     is_balanced,
     naive_circular_closure,
     naive_flat_closure,
+    naive_undo_rules,
     naive_undos,
+    parikh_vectors,
+    random_regex,
     random_system,
+    random_word,
+    rank,
 )
 
 
@@ -246,6 +256,137 @@ class TestMembership:
                         assert replay_sequence(system, seq) == CircularWord(word), system
                         circular_members += 1
         assert members > 300 and non_members > 3000 and circular_members > 300
+
+
+def block_regex(rng: random.Random, letters: str) -> str:
+    """A random regex over two blocks, random words over ``letters``: the
+    counts of its words then span at most two dimensions."""
+    blocks = [random_word(rng, letters) for _ in "xy"]
+    text = random_regex(rng, "xy", 4)
+    return text.replace("x", f"({blocks[0]})").replace("y", f"({blocks[1]})")
+
+
+def count_system(rng: random.Random, i: int) -> SplicingSystem:
+    """A random system whose initial set often has letter-count
+    invariants: one or two short axioms, or a regex over two blocks, over
+    up to three letters; flat with splice and concat rules, or circular, with
+    handles of one or two letters."""
+    circular = i % 3 == 2
+    system = random_system(
+        rng,
+        max_letters=3,
+        max_initial=2,
+        max_rules=3,
+        usages=(SPLICE,) if circular else (SPLICE, CONCAT),
+        mode=CIRCULAR if circular else FLAT,
+        handle_len=1 + i % 2,
+    )
+    if i % 2:
+        letters = system.alphabet.letters
+        dfa = regex_to_dfa(parse_regex(block_regex(rng, "".join(letters))), letters)
+        system = replace(system, initial=InitialSet.regular(dfa))
+    return system
+
+
+def count_invariants(system: SplicingSystem):
+    letters, rows = _count_rows(system.initial)
+    return letters, _null_space(rows, len(letters))
+
+
+class TestCountInvariants:
+    def test_member_against_naive_closure(self):
+        rng = random.Random(131)
+        members = pruned = regular_pruned = circular_pruned = 0
+        for i in range(72):
+            system = count_system(rng, i)
+            if system.mode == CIRCULAR:
+                want = naive_circular_closure(system, 6)
+            else:
+                want = naive_flat_closure(system, 6)
+            breaks = _breaks_counts(system)
+            letters = system.alphabet.letters
+            for n in range(1, 7):
+                for word in map("".join, itertools.product(letters, repeat=n)):
+                    got = member(system, word)
+                    assert got == (word in want), (system, word)
+                    members += got
+                    if breaks is not None:
+                        cut = breaks(CircularWord(word) if system.mode == CIRCULAR else word)
+                        assert not (got and cut), (system, word)
+                        pruned += cut
+                        regular_pruned += cut and system.initial.kind == "regular"
+                        circular_pruned += cut and system.mode == CIRCULAR
+        assert members > 300 and pruned > 10000
+        assert regular_pruned > 5000 and circular_pruned > 3000
+
+    def test_closure_words_keep_every_invariant(self):
+        rng = random.Random(137)
+        checked = weighted = 0
+        for i in range(150):
+            system = count_system(rng, i)
+            if system.mode == CIRCULAR:
+                words = naive_circular_closure(system, 7)
+            else:
+                words = naive_flat_closure(system, 7)
+            letters, basis = count_invariants(system)
+            weighted += bool(basis)
+            for word in words:
+                assert set(word) <= set(letters), (system, word)
+                counts = [word.count(a) for a in letters]
+                for f in basis:
+                    assert sum(x * y for x, y in zip(f, counts)) == 0, (system, word, f)
+                checked += 1
+        assert checked > 800 and weighted > 30
+
+    def test_regular_invariants_are_exact(self):
+        # a live transition lies on an accepted word of at most 2n - 1
+        # letters, so the counts of the words up to 2n span those of all
+        rng = random.Random(139)
+        weighted = 0
+        for _ in range(400):
+            letters = ("a", "b", "c")[: rng.randint(2, 3)]
+            regex = random_regex if rng.random() < 0.3 else block_regex
+            dfa = regex_to_dfa(parse_regex(regex(rng, "".join(letters))), letters)
+            system = SplicingSystem(Alphabet(letters), InitialSet.regular(dfa), frozenset())
+            got_letters, basis = count_invariants(system)
+            dfa = system.initial.dfa
+            vectors = parikh_vectors(dfa, letters, 2 * dfa.n_states)
+            used = tuple(a for i, a in enumerate(letters) if any(v[i] for v in vectors))
+            assert got_letters == used, system
+            columns = [letters.index(a) for a in used]
+            rows = [[v[i] for i in columns] for v in vectors]
+            assert len(basis) == len(used) - rank(rows), system
+            assert rank(basis) == len(basis), system
+            for f in basis:
+                for row in rows:
+                    assert sum(x * y for x, y in zip(f, row)) == 0, (system, f, row)
+            weighted += bool(basis)
+        assert weighted > 80
+
+    def test_finite_basis_against_fractions(self):
+        rng = random.Random(149)
+        for _ in range(500):
+            width = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+            basis = _null_space(rows, width)
+            assert len(basis) == width - rank(rows), rows
+            assert rank(basis) == len(basis), rows
+            for f in basis:
+                assert all(sum(x * y for x, y in zip(f, r)) == 0 for r in rows), (rows, f)
+
+    def test_unbalanced_non_members_answer_at_once(self):
+        # both took seconds when the search tried every undo move
+        assert not member(anbn_circular(), "a" * 120 + "b" * 119 + "ab", budget=1)
+        assert not member(dyck(), "aab" * 40, budget=1)
+
+    def test_empty_initial_language_has_no_member(self):
+        dfa = regex_to_dfa(parse_regex("_"), ("a", "b"))
+        system = SplicingSystem(
+            Alphabet("ab"),
+            InitialSet.regular(dfa),
+            frozenset({SplicingRule("", "", "", "")}),
+        )
+        assert not member(system, "ab", budget=1)
 
 
 class TestDerivation:
@@ -505,6 +646,22 @@ class TestUndoMoves:
                     assert rule in fit, (system, word, rule)
                     assert replay_move(system, rule, u, v, cut, result) == result
         assert flat_moves > 3000 and circular_moves > 3000
+
+    def test_rule_order_against_every_shortening(self):
+        rng = random.Random(127)
+        dropped = 0
+        for i in range(1200):
+            system = random_system(
+                rng,
+                max_letters=2,
+                max_rules=7,
+                usages=(SPLICE, CONCAT) if i % 4 == 0 else (SPLICE,),
+                handle_len=1 + i % 3,
+            )
+            got = _undo_rules(system)
+            assert got == naive_undo_rules(system), system
+            dropped += len(system.splice_rules) - len(got)
+        assert dropped > 500
 
     def test_derivation_digest(self):
         lines = []

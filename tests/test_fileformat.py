@@ -1,6 +1,7 @@
 """Text formats: systems, grammars, automata."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from splicelab.core import (
     CIRCULAR,
     CONCAT,
     SPLICE,
+    InitialSet,
     ParseError,
     SplicingRule,
     UnsupportedError,
@@ -78,6 +80,13 @@ class TestSystemFormat:
         system = parse_system("alphabet a b\ninitial regex (ab)*\n")
         assert system.initial.had_epsilon
         assert not system.initial.contains("")
+
+    def test_empty_regular_initial_has_no_text_form(self):
+        system = parse_system("alphabet a b\ninitial regex _\n")
+        assert serialize_system(system).splitlines()[2] == "initial regex _"
+        empty = replace(system, initial=InitialSet.regular(dfa_none(("a", "b"))))
+        with pytest.raises(UnsupportedError):
+            serialize_system(empty)
 
     def test_error_lines(self):
         bad = "alphabet a b\ninitial finite ab\nsplice a#b$a\n"
