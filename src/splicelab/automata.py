@@ -733,8 +733,6 @@ def dfa_to_regex(a: Dfa) -> tuple:
     into: list[dict[int, tuple]] = [{} for _ in range(n + 2)]
 
     def add(i: int, j: int, r: tuple) -> None:
-        if r == EMPTY:
-            return
         out[i][j] = into[j][i] = union(out[i].get(j, EMPTY), r)
 
     for s in range(n):

@@ -342,7 +342,7 @@ class InitialSet:
     def contextfree(cls, cfg) -> "InitialSet":
         from . import grammar as _g
 
-        had = bool(_g.enumerate_cfg(cfg, 0))
+        had = _g._min_lengths(cfg)[cfg.start] == 0
         return cls(kind="contextfree", cfg=cfg, had_epsilon=had)
 
     def __repr__(self) -> str:

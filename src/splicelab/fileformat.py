@@ -80,10 +80,7 @@ def _parse_rule_body(body: str, alphabet: Alphabet, usage: str, lineno: int) -> 
         for ch in h:
             if ch not in alphabet.letters:
                 raise ParseError(f"unknown letter {ch!r} in rule {body!r}", lineno)
-    try:
-        return SplicingRule(*cleaned, usage=usage)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from exc
+    return SplicingRule(*cleaned, usage=usage)
 
 
 def parse_system(text: str) -> SplicingSystem:

@@ -137,14 +137,17 @@ def cfg_trim(g: Cfg) -> Cfg:
 
 
 def cfg_simplify(g: Cfg) -> Cfg:
-    """Inline non-start variables that have a single production whose body
-    is empty or one symbol, and drop self-loop productions.  Language is
-    preserved; shapes get close to hand-written grammars.
+    """Trim, then inline non-start variables that have a single production
+    whose body is empty or one symbol, and drop self-loop productions.
+    Language is preserved; shapes get close to hand-written grammars.
 
-    Each round inlines the first such variable in ``variables`` order,
-    taken from a queue sorted by position, and rewrites only the
+    The trim settles which variables have one production, so callers need
+    not trim first; inlining keeps a trimmed grammar trimmed, so no trim
+    follows.  Each round inlines the first such variable in ``variables``
+    order, taken from a queue sorted by position, and rewrites only the
     productions that hold it.  A rewrite that duplicates a production
     keeps the earlier of the two, so the productions keep their order."""
+    g = cfg_trim(g)
     slots: list[tuple[str, Body] | None] = [(h, b) for h, b in g.productions if b != (h,)]
     bodies: dict[str, dict[Body, int]] = {v: {} for v in g.variables}
     holders: dict[str, set[int]] = {v: set() for v in g.variables}
@@ -196,7 +199,7 @@ def cfg_simplify(g: Cfg) -> Cfg:
             if single(head) is not None:
                 insort(queue, (position[head], head))
     variables = [v for v in g.variables if v not in inlined]
-    return cfg_trim(Cfg(g.terminals, variables, [p for p in slots if p is not None], g.start))
+    return Cfg(g.terminals, variables, [p for p in slots if p is not None], g.start)
 
 
 _MINTED = re.compile(r"^([A-Z])[0-9]+$")
@@ -681,7 +684,8 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
     drops x from its terminals.  One that uses x takes the closure with no
     trim when the closure is non-empty (a trimmed grammar grafted with a
     trimmed non-empty closure is trimmed already); when it is empty, the
-    productions that use x go and the rest is trimmed."""
+    productions that use x go and the rest is trimmed.  The flattened
+    start goes to ``cfg_simplify``, which trims it before inlining."""
     rhs = {v: c for v, c in g.rhs_languages}
     remaining = list(g.variables)
     for x in [v for v in g.variables if v != g.start]:
@@ -711,7 +715,7 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
     final = kral_single(
         GeneralizedCfg(g.terminals, (g.start,), g.start, ((g.start, rhs[g.start]),))
     )
-    return cfg_simplify(cfg_trim(final))
+    return cfg_simplify(final)
 
 
 # --------------------------------------------------------------------------
@@ -753,31 +757,21 @@ def _remove_epsilon(g: Cfg) -> Cfg:
 
 
 def _first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:
-    """The (first, last) symbol pairs of each variable's non-empty words.
-    The first symbol of a body's word can come from any body symbol up to
-    the first one that is not nullable, and the last from any symbol from
-    the last one that is not nullable on."""
-    minlen = _min_lengths(g)
-    pairs: dict[str, set[tuple[str, str]]] = {v: set() for v in g.variables}
+    """The (first, last) symbol pairs of each symbol's words (a terminal's
+    one pair is itself twice), for the grammars ``ins_image`` builds:
+    binarized, trimmed and with no ε-body.  A one-symbol body has its
+    symbol's pairs, and a two-symbol body pairs each first of its first
+    symbol with each last of its second."""
+    pairs: dict[str, set[tuple[str, str]]] = {t: {(t, t)} for t in g.terminals}
+    pairs.update({v: set() for v in g.variables})
 
     def update(head: str, body: Body) -> bool:
-        if any(s in g.varset and minlen[s] is None for s in body):
-            return False
-        lead = next((i for i, s in enumerate(body) if minlen.get(s, 1) != 0), len(body))
-        fresh: set[tuple[str, str]] = set()
-        lasts: set[str] = set()  # of the later symbols that may end the word
-        tail = True  # every later symbol is nullable
-        for i in range(len(body) - 1, -1, -1):
-            s = body[i]
-            own = pairs[s] if s in g.varset else {(s, s)}
-            if i <= lead:
-                if tail:
-                    fresh |= own
-                fresh.update((f, l) for f in {f for f, _ in own} for l in lasts)
-            if tail:
-                lasts.update(l for _, l in own)
-                tail = minlen.get(s, 1) == 0
-        fresh -= pairs[head]
+        if len(body) == 1:
+            fresh = pairs[body[0]] - pairs[head]
+        else:
+            firsts = {f for f, _ in pairs[body[0]]}
+            lasts = {l for _, l in pairs[body[1]]}
+            fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
         pairs[head] |= fresh
         return bool(fresh)
 
@@ -793,10 +787,6 @@ def ins_image(g: Cfg) -> Cfg:
     g = cfg_trim(_remove_epsilon(_binarize(g)))
 
     pairs = _first_last(g)
-
-    def sym_pairs(s: str) -> set[tuple[str, str]]:
-        return pairs[s] if s in g.varset else {(s, s)}
-
     avoid = set(g.variables) | set(g.terminals)
     names: dict[tuple[str, str, str], str] = {}
 
@@ -811,13 +801,13 @@ def ins_image(g: Cfg) -> Cfg:
     for head, body in g.productions:
         if len(body) == 1:
             s = body[0]
-            for f, l in sorted(sym_pairs(s)):
+            for f, l in sorted(pairs[s]):
                 sym = s if s not in g.varset else ann(s, f, l)
                 prods.append((ann(head, f, l), (sym,)))
         else:
             s1, s2 = body
-            for f1, l1 in sorted(sym_pairs(s1)):
-                for f2, l2 in sorted(sym_pairs(s2)):
+            for f1, l1 in sorted(pairs[s1]):
+                for f2, l2 in sorted(pairs[s2]):
                     m = marker(l1, f2)
                     used_markers.add(m)
                     left = s1 if s1 not in g.varset else ann(s1, f1, l1)

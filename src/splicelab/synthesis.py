@@ -25,7 +25,6 @@ from .grammar import (
     GeneralizedCfg,
     cfg_canonical,
     cfg_simplify,
-    cfg_trim,
     finite_cfg,
     fresh_name,
     ins_image,
@@ -137,8 +136,7 @@ def pure_grammar(system: SplicingSystem, method: str = "graft") -> Cfg:
             prods += [(m, body) for body in bodies]
         for a, b in pairs:
             prods.append((marker(a, b), ()))
-        built = cfg_trim(Cfg(tuple(letters), variables, prods, START))
-        return cfg_canonical(cfg_simplify(built))
+        return cfg_canonical(cfg_simplify(Cfg(tuple(letters), variables, prods, START)))
 
     # only the non-empty letter and word variables are declared, and the
     # bodies that name a left-out one go with it
@@ -212,7 +210,7 @@ def concat_grammar(system: SplicingSystem) -> Cfg:
         prods.append((word_var(first, last), (usym, vsym)))
 
     host = Cfg(tuple(terminals), tuple(variables), prods, START)
-    return cfg_canonical(cfg_simplify(cfg_trim(substitute(host, sigma))))
+    return cfg_canonical(cfg_simplify(substitute(host, sigma)))
 
 
 def synthesize(system: SplicingSystem, method: str = "graft") -> Cfg:

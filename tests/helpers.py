@@ -410,11 +410,12 @@ def lazy_generalized_words(g: GeneralizedCfg, max_len: int) -> set[str]:
 
 
 def naive_cfg_simplify(g: Cfg) -> Cfg:
-    """``cfg_simplify`` by its definition: drop self-loops, then round by
-    round inline the first non-start variable in ``variables`` order whose
-    only production has a body of at most one symbol (and is not a
-    self-loop), rebuilding every production each round and keeping the
-    first of any duplicates."""
+    """``cfg_simplify`` by its definition: trim, drop self-loops, then
+    round by round inline the first non-start variable in ``variables``
+    order whose only production has a body of at most one symbol (and is
+    not a self-loop), rebuilding every production each round and keeping
+    the first of any duplicates."""
+    g = cfg_trim(g)
     prods = [(h, b) for h, b in g.productions if b != (h,)]
     variables = list(g.variables)
     while True:
@@ -439,7 +440,7 @@ def naive_cfg_simplify(g: Cfg) -> Cfg:
                 new_prods.append((h, tuple(out)))
         prods = list(dict.fromkeys(new_prods))
         variables.remove(v)
-    return cfg_trim(Cfg(g.terminals, variables, prods, g.start))
+    return Cfg(g.terminals, variables, prods, g.start)
 
 
 # --------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from splicelab.examples import (
     nested_insertions,
 )
 from splicelab.fileformat import parse_system
+from splicelab.grammar import Cfg, enumerate_cfg
 from splicelab.transform import complete_system
 
 from helpers import (
@@ -387,6 +388,48 @@ class TestCountInvariants:
             frozenset({SplicingRule("", "", "", "")}),
         )
         assert not member(system, "ab", budget=1)
+
+
+class TestContextFreeAxioms:
+    """A flat system whose axioms are a^n b^n (n >= 1), given as a grammar,
+    and whose rule inserts a word a…b after any b: the closure, membership
+    and derivations read the axioms through the grammar, with no letter
+    count invariants to prune by."""
+
+    GRAMMAR = Cfg(("a", "b"), ("S",), [("S", ("a", "S", "b")), ("S", ("a", "b"))], "S")
+
+    def system(self) -> SplicingSystem:
+        return SplicingSystem(
+            alphabet=Alphabet("ab"),
+            initial=InitialSet.contextfree(self.GRAMMAR),
+            rules=frozenset({SplicingRule("b", "", "a", "b")}),
+        )
+
+    def test_no_count_invariants(self):
+        system = self.system()
+        assert _count_rows(system.initial) is None
+        assert _breaks_counts(system) is None
+
+    def test_closure_against_naive(self):
+        # the naive closure starts from the axioms the grammar enumerates,
+        # not from the initial set's own enumeration
+        system = self.system()
+        axioms = InitialSet.finite(enumerate_cfg(self.GRAMMAR, 10))
+        got = closure_bounded(system, 10)
+        assert set(got) == naive_flat_closure(replace(system, initial=axioms), 10)
+        assert len(got) == 64
+        assert {"abab", "aabbab", "abaabb"} <= set(got)
+
+    def test_member_and_derivation(self):
+        system = self.system()
+        language = set(closure_bounded(system, 8))
+        words = ["".join(p) for n in range(1, 9) for p in itertools.product("ab", repeat=n)]
+        for w in words:
+            assert member(system, w) == (w in language), w
+            seq = derivation(system, w)
+            assert (seq is not None) == (w in language), w
+            if seq is not None:
+                assert replay_sequence(system, seq) == w
 
 
 class TestDerivation:

@@ -1,5 +1,8 @@
 """Words, rules, pattern matching, and recorded derivations."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +30,9 @@ from splicelab.core import (
     matches_pattern,
     replay_sequence,
 )
+from splicelab.grammar import Cfg, cfg_empty, enumerate_cfg
 
-from helpers import naive_apply
+from helpers import naive_apply, random_cfg
 
 WORDS = st.text(alphabet="ab", min_size=0, max_size=6)
 
@@ -194,6 +198,23 @@ class TestInitialSet:
         assert init.had_epsilon
         assert init.contains("a")
 
+    def test_contextfree_epsilon_against_enumeration(self):
+        rng = random.Random(7)
+        seen = {"epsilon": 0, "no epsilon": 0, "empty": 0}
+        for _ in range(400):
+            g = random_cfg(rng)
+            expected = "" in enumerate_cfg(g, 0)
+            assert InitialSet.contextfree(g).had_epsilon == expected, g
+            seen["epsilon" if expected else "no epsilon"] += 1
+            seen["empty"] += cfg_empty(g)
+        for case, n in seen.items():
+            assert n >= 20, (case, seen)
+
+    def test_contextfree_epsilon_of_empty_start(self):
+        # S generates nothing, though T is nullable
+        g = Cfg(("a",), ("S", "T"), [("S", ("S", "a")), ("T", ())], "S")
+        assert not InitialSet.contextfree(g).had_epsilon
+
     def test_enumerate_is_length_lex(self):
         init = InitialSet.finite(["b", "ab", "a", "aaa"])
         assert init.enumerate(2) == ["a", "b", "ab"]
@@ -257,7 +278,66 @@ def _sir_ex() -> SplicingSystem:
     )
 
 
+INS = SplicingRule("a", "b", "a", "b")
+GLUE = SplicingRule("", "b", "a", "", usage=CONCAT)
+C = CircularWord
+FLAT_OK = Production(INS, InitialRef("ab"), InitialRef("ab"), 1, "aabb")
+CIRCULAR_OK = Production(INS, InitialRef(C("ab")), InitialRef(C("ab")), (1, 0), C("baab"))
+
+# (mode, valid steps, corrupted step or a bare seed, 1-based step, message fragment)
+CORRUPTED = [
+    ("flat", (), None, 1, "empty sequence with no seed word"),
+    ("flat", (), "bb", 1, "seed bb is not an axiom"),
+    ("flat", (FLAT_OK,), Production(SplicingRule("b", "a", "b", "a"), StepRef(0), InitialRef("ab"), 1, "aabbab"),
+     2, "is not part of the system"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(1), InitialRef("ab"), 1, "aabb"), 2, "reference to step 1 out of range"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("aa"), 2, "aaaabb"), 2, "operand aa is not an axiom"),
+    ("flat", (FLAT_OK,), Production(GLUE, InitialRef("ba"), StepRef(0), 2, "baaabb"), 2, "operands do not match"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ab"), 5, "aabbab"), 2, "cut 5 out of range"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ab"), (2, 0), "aaabbb"), 2, "cut (2, 0) out of range"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ab"), 0, "abaabb"), 2, "cut 0 not preceded by 'a'"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ab"), 1, "aababb"), 2, "cut 1 not followed by 'b'"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ba"), 2, "aababb"), 2, "inserted word 'ba' does not match"),
+    ("flat", (FLAT_OK,), Production(INS, StepRef(0), InitialRef("ab"), 2, "aabb"),
+     2, "recorded result aabb differs from replay aaabbb"),
+    ("circular", (), C("aa"), 1, "seed (aa) is not an axiom"),
+    ("circular", (CIRCULAR_OK,), Production(INS, InitialRef(C("aa")), StepRef(0), (0, 0), C("aaaabb")),
+     2, "operand (aa) is not an axiom"),
+    ("circular", (CIRCULAR_OK,), Production(INS, InitialRef("ab"), StepRef(0), (1, 0), C("baaabb")),
+     2, "circular sequences use circular words"),
+    ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), 2, C("aaabbb")),
+     2, "circular cut is a rotation pair"),
+    ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), (4, 0), C("aaabbb")),
+     2, "rotation pair (4, 0) out of range"),
+    ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), (0, 0), C("aaabbb")),
+     2, "rotation 'aabb' does not match"),
+    ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), (2, 1), C("aaabbb")),
+     2, "rotation 'ba' does not match"),
+    ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), (2, 0), C("aabb")),
+     2, "recorded result (aabb) differs from replay (aaabbb)"),
+]
+
+
+def _replay_system(mode: str) -> SplicingSystem:
+    if mode == "flat":
+        return SplicingSystem(Alphabet("ab"), InitialSet.finite(["ab", "ba"]), frozenset({INS, GLUE}))
+    return SplicingSystem(Alphabet("ab"), InitialSet.finite(["ab"]), frozenset({INS}), mode=CIRCULAR)
+
+
 class TestReplay:
+    @pytest.mark.parametrize("mode, valid, last, step, fragment", CORRUPTED)
+    def test_corrupted_sequence(self, mode, valid, last, step, fragment):
+        system = _replay_system(mode)
+        if valid:
+            replay_sequence(system, ProductionSequence(valid))
+            seq = ProductionSequence(valid + (last,))
+        else:
+            seq = ProductionSequence((), seed=last)
+        with pytest.raises(ReplayError, match=re.escape(fragment)) as caught:
+            replay_sequence(system, seq)
+        assert caught.value.step == step
+        assert str(caught.value).startswith(f"step {step}: ")
+
     def test_flat_replay(self):
         rule = SplicingRule("a", "b", "a", "b")
         seq = ProductionSequence(

@@ -23,8 +23,11 @@ from splicelab.fileformat import serialize_grammar
 from splicelab.grammar import (
     Cfg,
     GeneralizedCfg,
+    _binarize,
     _first_last,
     _length_splits,
+    _min_lengths,
+    _remove_epsilon,
     bar_hillel,
     cfg_canonical,
     cfg_empty,
@@ -662,8 +665,8 @@ class TestKralEliminate:
         assert out == Cfg(AB, ("S",), [("S", ("b",))], "S")
         assert lazy_generalized_words(g, 6) == {"b"}
         # no graft; one trim drops T from S's right-hand side, and the
-        # other two are the final trim and the one inside cfg_simplify
-        assert steps == ["trim"] * 3
+        # other is the one cfg_simplify makes before it inlines
+        assert steps == ["trim"] * 2
 
     def test_unused_variable(self, steps):
         # S declares X (b*) among its terminals but only derives a+
@@ -675,8 +678,8 @@ class TestKralEliminate:
         out = kral_eliminate(g)
         assert set(enumerate_cfg(out, 6)) == {"a" * n for n in range(1, 7)}
         assert set(out.terminals) == set(AB)
-        # no graft; the trims are the final one and the one inside cfg_simplify
-        assert steps == ["trim"] * 2
+        # no graft; the one trim is the one cfg_simplify makes
+        assert steps == ["trim"]
 
 
 def as_generalized(g: Cfg) -> GeneralizedCfg:
@@ -764,17 +767,27 @@ class TestRandomGrammars:
             assert seen[case] >= 20, (case, seen)
 
     def test_first_last_against_bar_hillel(self):
-        # (a, b) is a pair of the start iff a word a…b of length 2 or more
-        # survives the product, or a == b is a one-letter word
+        # (a, b) is a pair of a variable iff a word a…b of length 2 or more
+        # survives the product, or a == b is a one-letter word; the pairs
+        # are read from the ε-free binarized grammar ins_image builds, and
+        # checked for each of its variables
         rng = random.Random(12)
-        for _ in range(200):
+        checked = 0
+        while checked < 200:
             g = random_cfg(rng)
-            letters = set(enumerate_cfg(g, 1))
-            expected = {
-                (a, b) for a in AB for b in AB
-                if not cfg_empty(bar_hillel(g, pattern_dfa(AB, a, b))) or (a == b and a in letters)
-            }
-            assert _first_last(g)[g.start] == expected, g
+            if _min_lengths(g)[g.start] == 0:
+                continue
+            h = cfg_trim(_remove_epsilon(_binarize(g)))
+            pairs = _first_last(h)
+            for v in h.variables:
+                hv = Cfg(h.terminals, h.variables, h.productions, v)
+                letters = set(enumerate_cfg(hv, 1))
+                expected = {
+                    (a, b) for a in AB for b in AB
+                    if not cfg_empty(bar_hillel(hv, pattern_dfa(AB, a, b))) or (a == b and a in letters)
+                }
+                assert pairs[v] == expected, (g, v)
+            checked += 1
 
 
 def unit_heavy_cfg(rng: random.Random) -> Cfg:
@@ -805,10 +818,21 @@ class TestSimplify:
             rewritten += got != cfg_trim(g)
         assert rewritten > 400
 
+    def test_inlining_keeps_trimmed(self):
+        # inlining a variable's one body into a trimmed grammar leaves it
+        # trimmed, so cfg_simplify needs no trim after it inlines
+        rng = random.Random(43)
+        rewritten = 0
+        for i in range(2400):
+            g = cfg_trim(random_cfg(rng) if i % 2 else unit_heavy_cfg(rng))
+            got = cfg_simplify(g)
+            assert got == cfg_trim(got), g
+            rewritten += got != g
+        assert rewritten > 400, rewritten
+
     def test_unit_cycles(self):
-        # a cycle of single-body unit variables derives nothing: whichever
-        # member is inlined first leaves the other on a self-loop, and the
-        # trim drops it
+        # a cycle of single-body unit variables derives nothing, so the
+        # trim before inlining drops it
         g = Cfg(AB, ("S", "B", "A"),
                 [("S", ("A",)), ("S", ("B", "b")), ("A", ("B",)), ("B", ("A",)), ("S", ("a",))], "S")
         assert cfg_simplify(g) == naive_cfg_simplify(g) == Cfg(AB, ("S",), [("S", ("a",))], "S")
