@@ -70,6 +70,7 @@ from .core import (
     StepRef,
     _handles,
     apply_concat,
+    dominates,
     matches_pattern,
 )
 
@@ -150,7 +151,6 @@ class _FlatPairs:
         self.concat = system.concat_rules
         self.rules = _undo_rules(system)
         self.gds = list(dict.fromkeys((r.gamma, r.delta) for r in self.rules))
-        self._by_word: dict[str, _Contexts] = {}
         # words that match the same (gamma, delta) pairs share one table
         self._by_gds: dict[tuple, _Contexts] = {}
         self.seen = seen
@@ -161,17 +161,14 @@ class _FlatPairs:
         """The merged cut contexts of the splice rules whose gamma and delta
         ``v`` matches; an (alpha, beta) key keeps its first rule in the
         order of ``_undo_rules``."""
-        got = self._by_word.get(v)
+        gds = tuple(gd for gd in self.gds if matches_pattern(v, *gd))
+        got = self._by_gds.get(gds)
         if got is None:
-            gds = tuple(gd for gd in self.gds if matches_pattern(v, *gd))
-            got = self._by_gds.get(gds)
-            if got is None:
-                ctx: dict[tuple[str, str], SplicingRule] = {}
-                for rule in self.rules:
-                    if (rule.gamma, rule.delta) in gds:
-                        ctx.setdefault((rule.alpha, rule.beta), rule)
-                got = self._by_gds[gds] = _Contexts(ctx)
-            self._by_word[v] = got
+            ctx: dict[tuple[str, str], SplicingRule] = {}
+            for rule in self.rules:
+                if (rule.gamma, rule.delta) in gds:
+                    ctx.setdefault((rule.alpha, rule.beta), rule)
+            got = self._by_gds[gds] = _Contexts(ctx)
         return got
 
     @staticmethod
@@ -394,16 +391,10 @@ def _undo_rules(system: SplicingSystem) -> list[SplicingRule]:
     for h, _ in keyed:
         first[h[2:]] = min(first.get(h[2:], h), h)
     keyed.sort(key=lambda hr: (len(hr[0][0]), len(hr[0][1]), first[hr[0][2:]], hr[0]))
-    # an earlier rule dominates when each of its handles is a shortening
-    # of this rule's there: a suffix of alpha and delta, a prefix of beta
-    # and gamma
     return [
         r
-        for k, ((a, b, g, d), r) in enumerate(keyed)
-        if not any(
-            a.endswith(a2) and b.startswith(b2) and g.startswith(g2) and d.endswith(d2)
-            for (a2, b2, g2, d2), _ in keyed[:k]
-        )
+        for k, (h, r) in enumerate(keyed)
+        if not any(dominates(SPLICE, h2, h) for h2, _ in keyed[:k])
     ]
 
 

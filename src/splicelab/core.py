@@ -194,18 +194,21 @@ class SplicingRule:
         return self.notation()
 
 
-def shortenings(usage: str, place: int, handle: str) -> list[str]:
-    """The handles a rule of ``usage`` may have at ``place`` (0 to 3:
-    alpha, beta, gamma, delta) instead of ``handle`` and still make every
-    production that one with ``handle`` there makes: ``handle`` shortened
-    on its outer side (splice: alpha's suffixes, beta's and gamma's
-    prefixes, delta's suffixes; concat: alpha's and gamma's prefixes,
-    beta's and delta's suffixes), shortest first.  A rule dominates
-    another of the same usage when it differs from it and each of its
-    handles is among these for the other's."""
-    if place == 3 or place == (0 if usage == SPLICE else 1):
-        return [handle[i:] for i in range(len(handle), -1, -1)]
-    return [handle[:i] for i in range(len(handle) + 1)]
+def dominates(usage: str, shorter: tuple, longer: tuple) -> bool:
+    """Whether a rule of ``usage`` with the handles ``shorter`` dominates
+    one with the handles ``longer``: the tuples differ, and each handle of
+    ``shorter`` is the one of ``longer`` at that place shortened on its
+    outer side (splice: alpha and delta keep a suffix, beta and gamma a
+    prefix; concat: alpha and gamma keep a prefix, beta and delta a
+    suffix).  The dominating rule then makes every production the other
+    makes."""
+    a, b, g, d = shorter
+    a2, b2, g2, d2 = longer
+    if usage == SPLICE:
+        outer = a2.endswith(a) and b2.startswith(b)
+    else:
+        outer = a2.startswith(a) and b2.endswith(b)
+    return outer and g2.startswith(g) and d2.endswith(d) and shorter != longer
 
 
 def matches_pattern(word: str, prefix: str, suffix: str) -> bool:
@@ -402,6 +405,12 @@ class SplicingSystem:
         if self.initial.kind == "finite":
             for w in self.initial.words:
                 self.alphabet.check_word(w)
+        elif self.initial.kind == "regular":
+            if self.initial.dfa.alphabet != self.alphabet.letters:
+                raise ValueError(f"initial automaton not over {self.alphabet.letters}")
+        else:
+            for t in self.initial.cfg.terminals:
+                self.alphabet.check_word(t)
 
     def __repr__(self) -> str:
         return _sorted_repr(self, rules=lambda r: (r.usage, r.handles))
@@ -484,6 +493,15 @@ class ProductionSequence:
         return self.seed
 
 
+def _axiom(system: SplicingSystem, word: AnyWord, what: str, step_no: int) -> AnyWord:
+    """``word``, checked to be an axiom of the system's kind of word."""
+    if not isinstance(word, CircularWord if system.mode == CIRCULAR else str):
+        raise ReplayError(f"{system.mode} sequences use {system.mode} words", step_no)
+    if not system.initial_contains(word):
+        raise ReplayError(f"{what} {word} is not an axiom", step_no)
+    return word
+
+
 def _resolve(
     system: SplicingSystem,
     ref: Ref,
@@ -494,9 +512,7 @@ def _resolve(
         if not 0 <= ref.index < len(results):
             raise ReplayError(f"reference to step {ref.index} out of range", step_no)
         return results[ref.index]
-    if not system.initial_contains(ref.word):
-        raise ReplayError(f"operand {ref.word} is not an axiom", step_no)
-    return ref.word
+    return _axiom(system, ref.word, "operand", step_no)
 
 
 def _replay_flat(rule: SplicingRule, u: str, v: str, cut, step_no: int) -> str:
@@ -540,9 +556,7 @@ def replay_sequence(system: SplicingSystem, seq: ProductionSequence) -> AnyWord:
     if not seq.steps:
         if seq.seed is None:
             raise ReplayError("empty sequence with no seed word", 1)
-        if not system.initial_contains(seq.seed):
-            raise ReplayError(f"seed {seq.seed} is not an axiom", 1)
-        return seq.seed
+        return _axiom(system, seq.seed, "seed", 1)
     results: list[AnyWord] = []
     for k, step in enumerate(seq.steps):
         step_no = k + 1
@@ -551,12 +565,8 @@ def replay_sequence(system: SplicingSystem, seq: ProductionSequence) -> AnyWord:
         u = _resolve(system, step.left, results, step_no)
         v = _resolve(system, step.right, results, step_no)
         if system.mode == CIRCULAR:
-            if not isinstance(u, CircularWord) or not isinstance(v, CircularWord):
-                raise ReplayError("circular sequences use circular words", step_no)
             w: AnyWord = _replay_circular(step.rule, u, v, step.cut, step_no)
         else:
-            if not isinstance(u, str) or not isinstance(v, str):
-                raise ReplayError("flat sequences use flat words", step_no)
             w = _replay_flat(step.rule, u, v, step.cut, step_no)
         if w != step.result:
             raise ReplayError(

@@ -90,7 +90,7 @@ from .core import (
     SplicingRule,
     SplicingSystem,
     UnsupportedError,
-    shortenings,
+    dominates,
 )
 from .transform import _linearize_initial
 
@@ -115,22 +115,14 @@ class Verdict:
 def _maximal(rules) -> list[SplicingRule]:
     """The rules that no other rule of the same usage dominates: a
     dominated rule's image lies inside its dominator's, so it adds
-    nothing to a union of images.  Each rule looks its generalizations
-    up, built only from handles that some rule has at that place."""
-    keyed = [(r, r.usage, r.handles) for r in sorted(set(rules))]
-    present = {(usage, handles) for _, usage, handles in keyed}
-    occurring = {(usage, i, h) for _, usage, handles in keyed for i, h in enumerate(handles)}
-
-    def dominated(usage, handles) -> bool:
-        options = [
-            [h for h in shortenings(usage, i, handle) if (usage, i, h) in occurring]
-            for i, handle in enumerate(handles)
-        ]
-        return any(
-            h != handles and (usage, h) in present for h in itertools.product(*options)
-        )
-
-    return [r for r, usage, handles in keyed if not dominated(usage, handles)]
+    nothing to a union of images.  Sorted as the dataclass orders rules:
+    no two rules share their handles and usage, so no rule is compared."""
+    keyed = sorted((r.handles, r.usage, r) for r in set(rules))
+    return [
+        r
+        for h, usage, r in keyed
+        if not any(u == usage and dominates(usage, h2, h) for h2, u, _ in keyed)
+    ]
 
 
 def _memoized(walk: Walk) -> Walk:
@@ -486,7 +478,10 @@ def _admissible(
     rule with an admissible such variant is admissible and dominated.
     Taking the rules by their number of nonempty handles, fewest first,
     only the others are tested, and those found admissible are the
-    undominated ones."""
+    undominated ones.  For alphabetic rules the variants with one handle
+    emptied are exactly the immediate dominators, so this lookup stands
+    in for ``dominates``: testing each rule against the undominated list
+    with it made the generability queries 10–20% slower."""
     admissible: dict[tuple[str, ...], SplicingRule] = {}
     maximal = []
     for rule in sorted(all_alphabetic_rules(alphabet), key=lambda r: -r.handles.count("")):

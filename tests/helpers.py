@@ -23,7 +23,6 @@ from splicelab.core import (
     SplicingRule,
     SplicingSystem,
     _handles,
-    shortenings,
 )
 from splicelab.grammar import Cfg, GeneralizedCfg, cfg_trim, enumerate_cfg_tuples
 
@@ -154,6 +153,20 @@ def naive_undos(system: SplicingSystem, word: str) -> list[tuple]:
         if fit:
             out.append((u, v, p, fit))
     return out
+
+
+def shortenings(usage: str, place: int, handle: str) -> list[str]:
+    """The handles a rule of ``usage`` may have at ``place`` (0 to 3:
+    alpha, beta, gamma, delta) instead of ``handle`` and still make every
+    production that one with ``handle`` there makes: ``handle`` shortened
+    on its outer side (splice: alpha's suffixes, beta's and gamma's
+    prefixes, delta's suffixes; concat: alpha's and gamma's prefixes,
+    beta's and delta's suffixes), shortest first.  A rule dominates
+    another of the same usage when it differs from it and each of its
+    handles is among these for the other's."""
+    if place == 3 or place == (0 if usage == SPLICE else 1):
+        return [handle[i:] for i in range(len(handle), -1, -1)]
+    return [handle[:i] for i in range(len(handle) + 1)]
 
 
 def naive_undo_rules(system: SplicingSystem) -> list[SplicingRule]:

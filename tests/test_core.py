@@ -26,13 +26,14 @@ from splicelab.core import (
     apply_splice_circular,
     canonical_rotation,
     conjugates,
+    dominates,
     iter_splice_cuts,
     matches_pattern,
     replay_sequence,
 )
 from splicelab.grammar import Cfg, cfg_empty, enumerate_cfg
 
-from helpers import naive_apply, random_cfg
+from helpers import naive_apply, random_cfg, shortenings
 
 WORDS = st.text(alphabet="ab", min_size=0, max_size=6)
 
@@ -96,6 +97,32 @@ class TestRules:
     def test_alphabetic(self):
         assert SplicingRule("a", "", "b", "a").is_alphabetic
         assert not SplicingRule("ab", "", "", "").is_alphabetic
+
+    def test_dominates_against_shortenings(self):
+        """``dominates`` holds exactly when the tuples differ and each
+        handle of the first is among the shortenings of the second's."""
+        rng = random.Random(27)
+        seen = {"dominates": 0, "not": 0, "equal": 0}
+        for _ in range(6000):
+            usage = rng.choice((SPLICE, CONCAT))
+            longer = tuple(
+                "".join(rng.choice("ab") for _ in range(rng.randint(0, 3))) for _ in range(4)
+            )
+            shorter = tuple(
+                rng.choice(shortenings(usage, i, h))
+                if rng.random() < 0.85
+                else "".join(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+                for i, h in enumerate(longer)
+            )
+            if rng.random() < 0.05:
+                shorter = longer
+            expected = shorter != longer and all(
+                s in shortenings(usage, i, h) for i, (s, h) in enumerate(zip(shorter, longer))
+            )
+            assert dominates(usage, shorter, longer) == expected, (usage, shorter, longer)
+            seen["equal" if shorter == longer else "dominates" if expected else "not"] += 1
+        for case, n in seen.items():
+            assert n >= 200, (case, seen)
 
 
 class TestPatternMatching:
@@ -249,6 +276,23 @@ class TestSystem:
                 rules=frozenset({SplicingRule("c", "", "", "")}),
             )
 
+    def test_initial_set_over_other_letters(self):
+        from splicelab.automata import parse_regex, regex_to_dfa
+
+        rule = frozenset({SplicingRule("b", "", "", "")})
+        for letters in (("b",), ("a", "b", "c")):
+            dfa = regex_to_dfa(parse_regex("b"), letters)
+            with pytest.raises(ValueError, match="initial automaton"):
+                SplicingSystem(Alphabet("ab"), InitialSet.regular(dfa), rule)
+        dfa = regex_to_dfa(parse_regex("b"), ("a", "b"))
+        assert SplicingSystem(Alphabet("ab"), InitialSet.regular(dfa), rule).initial.dfa == dfa
+        g = Cfg(("a", "c"), ("S",), [("S", ("a", "c"))], "S")
+        with pytest.raises(ValueError, match="not in alphabet"):
+            SplicingSystem(Alphabet("ab"), InitialSet.contextfree(g), rule)
+        # a grammar may use only some of the letters
+        g = Cfg(("b",), ("S",), [("S", ("b",))], "S")
+        assert SplicingSystem(Alphabet("ab"), InitialSet.contextfree(g), rule).initial.cfg == g
+
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             SplicingSystem(
@@ -315,6 +359,10 @@ CORRUPTED = [
      2, "rotation 'ba' does not match"),
     ("circular", (CIRCULAR_OK,), Production(INS, StepRef(0), InitialRef(C("ab")), (2, 0), C("aabb")),
      2, "recorded result (aabb) differs from replay (aaabbb)"),
+    ("flat", (), C("ab"), 1, "flat sequences use flat words"),
+    ("flat", (FLAT_OK,), Production(INS, InitialRef(C("ab")), InitialRef("ab"), 1, "aabb"),
+     2, "flat sequences use flat words"),
+    ("circular", (), "ab", 1, "circular sequences use circular words"),
 ]
 
 

@@ -61,6 +61,7 @@ from splicelab.transform import complete_system
 
 from helpers import (
     in_one_step_image,
+    shortenings,
     naive_apply,
     random_regex,
     random_rule,
@@ -80,6 +81,25 @@ def even_a(mode):
         rules=frozenset([SplicingRule("", "", "", "")]),
         mode=mode,
     )
+
+
+def naive_maximal(rules) -> list[SplicingRule]:
+    """``_maximal`` by lookup: each rule looks up every combination of its
+    handles' shortenings that some rule has at that place."""
+    keyed = [(r, r.usage, r.handles) for r in sorted(set(rules))]
+    present = {(usage, handles) for _, usage, handles in keyed}
+    occurring = {(usage, i, h) for _, usage, handles in keyed for i, h in enumerate(handles)}
+
+    def dominated(usage, handles) -> bool:
+        options = [
+            [h for h in shortenings(usage, i, handle) if (usage, i, h) in occurring]
+            for i, handle in enumerate(handles)
+        ]
+        return any(
+            h != handles and (usage, h) in present for h in itertools.product(*options)
+        )
+
+    return [r for r, usage, handles in keyed if not dominated(usage, handles)]
 
 
 def circ_a_plus():
@@ -730,6 +750,30 @@ class TestMaximalRules:
         not_closed = regex_to_dfa(parse_regex("(b|ab*a)*ab"), AB)
         assert decide_equal(system, not_closed) == Verdict(False, "conjugacy", "ba")
         assert rotated == [not_closed]
+
+    def test_maximal_against_naive(self):
+        """Random rule sets of both usages, with rules lengthened by a
+        letter on either side of a handle: ``_maximal`` keeps the rules
+        and the order that the lookup over shortenings keeps."""
+        rng = random.Random(27)
+        dropped = {SPLICE: 0, CONCAT: 0}
+        for _ in range(2000):
+            rules = []
+            for _ in range(rng.randint(1, 5)):
+                rule = random_rule(rng, "ab", rng.choice((SPLICE, CONCAT)), rng.randint(1, 2))
+                rules.append(rule)
+                for _ in range(rng.randint(0, 2)):
+                    handles = list(rule.handles)
+                    i, letter = rng.randrange(4), rng.choice("ab")
+                    handles[i] = letter + handles[i] if rng.random() < 0.5 else handles[i] + letter
+                    rules.append(SplicingRule(*handles, usage=rule.usage))
+            want = naive_maximal(rules)
+            assert _maximal(rules) == want, rules
+            for usage in dropped:
+                dropped[usage] += len({r for r in rules if r.usage == usage}) > sum(
+                    r.usage == usage for r in want
+                )
+        assert min(dropped.values()) >= 500, dropped
 
     def test_long_word_generability(self):
         word = "a" * 200
