@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .core import Alphabet, ParseError
@@ -44,19 +44,51 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
     start: int
     finals: frozenset[int]
+    # each letter's column in ``transitions``, built once per automaton; it
+    # takes no part in equality, hashing or repr
+    letter_index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "letter_index", {a: i for i, a in enumerate(self.alphabet)})
 
     @property
     def n_states(self) -> int:
         return len(self.transitions)
 
     def accepts(self, word: str) -> bool:
-        index = {a: i for i, a in enumerate(self.alphabet)}
+        index = self.letter_index
         state = self.start
         for ch in word:
             if ch not in index:
                 return False
             state = self.transitions[state][index[ch]]
         return state in self.finals
+
+
+def _accepts_rotation(d: Dfa, word: str) -> bool:
+    """Whether ``d`` accepts some rotation of the nonempty ``word``, in
+    O(|word|·states) where running each rotation takes O(|word|²).  The
+    rotation at i reads word[i:], then word[:i]: it ends where the map of
+    word[:i] over all states sends tails[i], the state word[i:] leads the
+    start to.  The tails come from the maps of the suffixes, built right to
+    left; the maps of the prefixes are built left to right."""
+    index = d.letter_index
+    if not index.keys() >= set(word):
+        return False
+    xs = [index[ch] for ch in word]
+    delta = d.transitions
+    tails = [0] * len(xs)
+    suffix = range(d.n_states)  # each state's state after the suffix so far
+    for i in range(len(xs) - 1, -1, -1):
+        x = xs[i]
+        suffix = [suffix[row[x]] for row in delta]
+        tails[i] = suffix[d.start]
+    prefix = list(range(d.n_states))  # each state's state after word[:i]
+    for i, x in enumerate(xs):
+        if prefix[tails[i]] in d.finals:
+            return True
+        prefix = [delta[q][x] for q in prefix]
+    return False
 
 
 def _normalize(

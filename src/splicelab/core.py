@@ -362,6 +362,23 @@ class InitialSet:
 
         return word in set(_g.enumerate_cfg(self.cfg, len(word)))
 
+    def _contains_rotation(self, word: str) -> bool:
+        """Whether some rotation of ``word`` is an axiom.  A regular set
+        decides all rotations in one pass of transition maps; a context-free
+        set enumerates its words of up to that length once."""
+        if not word:
+            return False
+        if self.kind == "regular":
+            from . import automata as _a
+
+            return _a._accepts_rotation(self.dfa, word)
+        if self.kind == "contextfree":
+            from . import grammar as _g
+
+            found = set(_g.enumerate_cfg(self.cfg, len(word)))
+            return any(c in found for c in conjugates(word))
+        return any(self.contains(c) for c in conjugates(word))
+
     def enumerate(self, max_len: int) -> list[str]:
         """Axioms of length <= max_len in length-lex order (never epsilon)."""
         if self.kind == "finite":
@@ -431,7 +448,7 @@ class SplicingSystem:
         """Axiom membership; in circular mode any rotation may be an axiom."""
         if self.mode == CIRCULAR:
             rep = word.representative if isinstance(word, CircularWord) else word
-            return any(self.initial.contains(c) for c in conjugates(rep))
+            return self.initial._contains_rotation(rep)
         assert isinstance(word, str)
         return self.initial.contains(word)
 

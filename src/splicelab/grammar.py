@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator
 
 from .automata import Dfa, _normalize, _reach, pattern_dfa
@@ -78,6 +79,22 @@ class Cfg:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "varset", varset)
 
+    @classmethod
+    def _trusted(cls, terminals, variables, productions, start, varset=None) -> Cfg:
+        """The kernel's constructor for a grammar it builds from grammars it
+        already holds, by filtering, renaming apart or grafting them: the
+        parts are taken as given, tuples with no duplicate variable or
+        production and every symbol declared, and nothing is checked.
+        ``varset`` passes the variables' frozenset through when they are
+        unchanged.  Grammars from outside go through ``Cfg(...)``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terminals", terminals)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "productions", productions)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "varset", frozenset(variables) if varset is None else varset)
+        return self
+
     def bodies(self, var: str) -> list[Body]:
         return [b for h, b in self.productions if h == var]
 
@@ -93,11 +110,16 @@ def finite_cfg(terminals, words: Iterable[str]) -> Cfg:
 
 def cfg_rename(g: Cfg, mapping: dict[str, str]) -> Cfg:
     """Rename variables; ``mapping`` may be partial."""
+    return Cfg(*_renamed(g, mapping))
+
+
+def _renamed(g: Cfg, mapping: dict[str, str]) -> tuple:
+    """The parts of ``g`` with its variables renamed by ``mapping``."""
 
     def m(sym: str) -> str:
         return mapping.get(sym, sym)
 
-    return Cfg(
+    return (
         g.terminals,
         tuple(m(v) for v in g.variables),
         tuple((m(h), tuple(m(s) if s in g.varset else s for s in b)) for h, b in g.productions),
@@ -110,30 +132,35 @@ def cfg_rename(g: Cfg, mapping: dict[str, str]) -> Cfg:
 
 
 def cfg_empty(g: Cfg) -> bool:
-    return _min_lengths(g)[g.start] is None
+    """Whether ``g`` derives no word: the least-length search stops as soon
+    as the start settles."""
+    return g.start not in _settle(g, g.start)
 
 
 def cfg_trim(g: Cfg) -> Cfg:
     """Drop non-generating and unreachable variables (and their rules).
     The start variable is always kept, so an empty language trims to a
-    grammar with no productions."""
-    gen = {v for v, n in _min_lengths(g).items() if n is not None}
-    useful = [(h, b) for h, b in g.productions if h in gen and all(s not in g.varset or s in gen for s in b)]
-    below: dict[str, set[str]] = defaultdict(set)
+    grammar with no productions.  A grammar that is trimmed already is
+    returned as it is."""
+    gen = _settle(g)
+    barren = g.varset - gen.keys()
+    useful = [(h, b) for h, b in g.productions if h in gen and barren.isdisjoint(b)]
+    below: dict[str, set[str]] = defaultdict(set)  # terminals too: they lead nowhere
     for head, body in useful:
-        below[head].update(s for s in body if s in g.varset)
+        below[head].update(body)
     reach = {g.start}
     stack = [g.start]
     while stack:
-        for s in below[stack.pop()]:
-            if s not in reach:
-                reach.add(s)
-                stack.append(s)
+        new = below[stack.pop()] - reach
+        reach |= new
+        stack += new
     keep = [v for v in g.variables if v in reach and v in gen]
     if g.start not in keep:
         keep = [g.start] + keep
-    prods = [(h, b) for h, b in useful if h in reach]
-    return Cfg(g.terminals, keep, prods, g.start)
+    prods = tuple((h, b) for h, b in useful if h in reach)
+    if len(prods) == len(g.productions) and tuple(keep) == g.variables:
+        return g
+    return Cfg._trusted(g.terminals, tuple(keep), prods, g.start)
 
 
 def cfg_simplify(g: Cfg) -> Cfg:
@@ -198,8 +225,8 @@ def cfg_simplify(g: Cfg) -> Cfg:
         for head in touched:
             if single(head) is not None:
                 insort(queue, (position[head], head))
-    variables = [v for v in g.variables if v not in inlined]
-    return Cfg(g.terminals, variables, [p for p in slots if p is not None], g.start)
+    variables = tuple(v for v in g.variables if v not in inlined)
+    return Cfg._trusted(g.terminals, variables, tuple(p for p in slots if p is not None), g.start)
 
 
 _MINTED = re.compile(r"^([A-Z])[0-9]+$")
@@ -240,7 +267,8 @@ def cfg_canonical(g: Cfg) -> Cfg:
         next_index[letter] = n
         taken.add(name)
         mapping[v] = name
-    return cfg_rename(g, mapping)
+    # a one-to-one renaming of every minted variable onto names no symbol has
+    return Cfg._trusted(*_renamed(g, mapping))
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +289,10 @@ def cfg_from_dfa(d: Dfa) -> Cfg:
 
 
 def _binarize(g: Cfg) -> Cfg:
+    """``g`` with every body longer than 2 split by fresh link variables
+    (``g`` itself when there is none)."""
+    if all(len(body) <= 2 for _, body in g.productions):
+        return g
     variables = list(g.variables)
     prods: list[tuple[str, Body]] = []
     avoid = set(g.variables) | set(g.terminals)
@@ -272,7 +304,7 @@ def _binarize(g: Cfg) -> Cfg:
             prods.append((head, (body[0], link)))
             head, body = link, body[1:]
         prods.append((head, body))
-    return Cfg(g.terminals, variables, prods, g.start)
+    return Cfg._trusted(g.terminals, tuple(variables), tuple(prods), g.start)
 
 
 def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
@@ -296,25 +328,54 @@ def _letter_ends(d: Dfa) -> dict[str, list]:
 
 def _generating_ends(g: Cfg, d: Dfa) -> dict[str, list]:
     """The generating triples of ``g`` against ``d``, as ``ends[s][p]``:
-    the states a word of the symbol s leads p to.  One fixpoint over the
-    productions of ``g``, which is binarized."""
+    the states a word of the symbol s leads p to.  ``g`` is binarized.
+    Semi-naive: each triple (v, p, q) is found once and pushed once
+    through the bodies that hold v, joined there with the triples the
+    other symbol of the body has so far; a triple of that symbol found
+    later makes the join from its own side.  ``into[s][q]`` holds the
+    states p with q in ``ends[s][p]``, for the joins from the right."""
     n = d.n_states
     ends: dict[str, list] = _letter_ends(d)
-    ends.update({v: [set() for _ in range(n)] for v in g.variables})
+    into: dict[str, list] = {a: [[] for _ in range(n)] for a in d.alphabet}
+    for a, row in ends.items():
+        for p, (q,) in enumerate(row):
+            into[a][q].append(p)
+    for v in g.variables:
+        ends[v] = [set() for _ in range(n)]
+        into[v] = [set() for _ in range(n)]
+    work: list[tuple[str, int, int]] = []
 
-    def update(head: str, body: Body) -> bool:
-        grown = False
-        for p, known in enumerate(ends[head]):
-            reach = (p,)
-            for s in body:
-                step = ends[s]
-                reach = {r for q in reach for r in step[q]}
-            if not known.issuperset(reach):
-                known.update(reach)
-                grown = True
-        return grown
+    def add(v: str, found: Iterable[tuple[int, int]]) -> None:
+        for p, q in found:
+            if q not in ends[v][p]:
+                ends[v][p].add(q)
+                into[v][q].add(p)
+                work.append((v, p, q))
 
-    _fixpoint(g, update)
+    users: dict[str, list[tuple[str, Body]]] = defaultdict(list)
+    for head, body in g.productions:
+        if g.varset.isdisjoint(body):  # its triples follow from d alone
+            found = []
+            for p in range(n):
+                q = p
+                for a in body:
+                    (q,) = ends[a][q]
+                found.append((p, q))
+            add(head, found)
+        for s in dict.fromkeys(body):
+            if s in g.varset:
+                users[s].append((head, body))
+    while work:
+        v, p, q = work.pop()
+        for head, body in users[v]:
+            if len(body) == 1:
+                add(head, [(p, q)])
+                continue
+            x, y = body
+            found = [(p, r) for r in ends[y][q]] if x == v else []
+            if y == v:
+                found += [(o, q) for o in into[x][p]]
+            add(head, found)
     return ends
 
 
@@ -365,7 +426,7 @@ def _product(g: Cfg, d: Dfa, ends: dict[str, list]) -> Cfg:
         head, body = g.productions[i]
         syms = tuple(trip(s, a, b) if s in g.varset else s for s, a, b in zip(body, run, run[1:]))
         prods.append((trip(head, run[0], run[-1]), syms))
-    return Cfg(g.terminals, [start] + list(names.values()), prods, start)
+    return Cfg._trusted(g.terminals, (start, *names.values()), tuple(prods), start)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +438,10 @@ def _fixpoint(g: Cfg, update: Callable[[str, Body], bool]) -> None:
     each production whose body holds a variable whose facts changed, until
     nothing changes.  ``update`` returns whether it changed the facts of
     ``head``; facts only ever improve, so the result is the least fixpoint
-    whatever order the productions are visited in."""
+    whatever order the productions are visited in.  Only the enumeration's
+    length bitmasks use it: an update there is a few integer operations
+    over a body's whole length sets, so pushing only the new lengths
+    through a body would cost about what re-running it does."""
     users: dict[str, list[int]] = defaultdict(list)
     for i, (_, body) in enumerate(g.productions):
         for s in dict.fromkeys(body):
@@ -396,25 +460,53 @@ def _fixpoint(g: Cfg, update: Callable[[str, Body], bool]) -> None:
                     work.append(j)
 
 
+def _settle(g: Cfg, stop: str | None = None) -> dict[str, int]:
+    """The least derivable word length of each generating variable, by
+    Knuth's generalization of Dijkstra's algorithm: a heap of candidate
+    lengths, and per production a count of the body variables, one per
+    occurrence, not settled yet.  A production fires once, when its count
+    reaches 0, and each variable settles once.  The search ends early once
+    ``stop`` settles."""
+    varset = g.varset
+    uses: dict[str, list[int]] = {v: [] for v in g.variables}
+    waiting: list[int] = []  # per production, its unsettled body variables
+    total: list[int] = []  # per production, the lengths of its settled parts
+    heap: list[tuple[int, str]] = []
+    for i, (head, body) in enumerate(g.productions):
+        count = 0
+        for s in body:
+            if s in varset:
+                uses[s].append(i)
+                count += 1
+        waiting.append(count)
+        total.append(len(body) - count)
+        if not count:
+            heap.append((len(body), head))
+    heapify(heap)
+    settled: dict[str, int] = {}
+    while heap:
+        length, v = heappop(heap)
+        if v in settled:
+            continue
+        settled[v] = length
+        if v == stop:
+            break
+        for i in uses[v]:
+            total[i] += length
+            waiting[i] -= 1
+            if not waiting[i]:
+                head = g.productions[i][0]
+                if head not in settled:
+                    heappush(heap, (total[i], head))
+    return settled
+
+
 def _min_lengths(g: Cfg) -> dict[str, int | None]:
     """Least derivable word length per variable (None = generates nothing).
-    The one least-length fixpoint: a variable is generating iff its entry
-    is not None, and nullable iff it is 0."""
-    best: dict[str, int | None] = {v: None for v in g.variables}
-
-    def update(head: str, body: Body) -> bool:
-        total = 0
-        for s in body:
-            part = 1 if s not in g.varset else best[s]
-            if part is None:
-                return False
-            total += part
-        if best[head] is None or total < best[head]:
-            best[head] = total
-            return True
-        return False
-
-    _fixpoint(g, update)
+    A variable is generating iff its entry is not None, and nullable iff
+    it is 0."""
+    best: dict[str, int | None] = dict.fromkeys(g.variables)
+    best.update(_settle(g))
     return best
 
 
@@ -545,6 +637,18 @@ def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
                 carriers[s].add(head)
         elif len(heavy) == 1 and heavy[0] in g.varset:
             carriers[heavy[0]].add(head)
+    # a variable's tables are read only by the bodies scheduled at later
+    # lengths, so each goes once the last length that reads it is done,
+    # and none is kept past it; the start's tables stay
+    last_read: dict[str, int] = {}
+    for ln in sorted(schedule):
+        for _, body in schedule[ln]:
+            last_read.update(dict.fromkeys(body, ln))
+    last_read[g.start] = max_len + 1
+    expiring: dict[int, list[str]] = defaultdict(list)
+    for v in g.variables:
+        if v in last_read:
+            expiring[last_read[v]].append(v)
     words: dict[str, dict[int, set[Body]]] = {v: {} for v in g.variables}
     lengths: dict[str, list[int]] = {v: [] for v in g.variables}
     for v in nullable:
@@ -570,9 +674,11 @@ def enumerate_cfg_tuples(g: Cfg, max_len: int) -> list[Body]:
                         level[head] |= fresh
                         work.append((head, fresh))
         for v, found in level.items():
-            if found:
+            if found and ln < last_read.get(v, -1):
                 words[v][ln] = found
                 lengths[v].append(ln)
+        for v in expiring.pop(ln, ()):
+            words[v].clear()
     return [t for ln in range(max_len + 1) for t in sorted(words[g.start].get(ln, ()))]
 
 
@@ -595,10 +701,13 @@ def substitute(g: Cfg, sigma: dict[str, Cfg]) -> Cfg:
     prods: list[tuple[str, Body]] = []
     new_terminals = [t for t in g.terminals if t not in applicable]
     starts: dict[str, str] = {}
-    avoid = set(g.variables) | set(g.terminals)
+    grafted = {term for graft in applicable.values() for term in graft.terminals}
+    clash = g.varset & grafted
+    if clash:
+        raise ValueError(f"symbols both terminal and variable: {sorted(clash)}")
+    avoid = set(g.variables) | set(g.terminals) | grafted
     for t in sorted(applicable):
         graft = applicable[t]
-        avoid |= set(graft.terminals)
         mapping = {}
         for v in graft.variables:
             mapping[v] = fresh_name("G", avoid)
@@ -614,7 +723,8 @@ def substitute(g: Cfg, sigma: dict[str, Cfg]) -> Cfg:
         if not starts.keys().isdisjoint(body):
             body = tuple([starts.get(s, s) for s in body])
         body_prods.append((head, body))
-    return Cfg(tuple(new_terminals), variables, body_prods + prods, g.start)
+    # the grafts are renamed apart onto fresh names, so nothing collides
+    return Cfg._trusted(tuple(new_terminals), tuple(variables), tuple(body_prods + prods), g.start)
 
 
 # --------------------------------------------------------------------------
@@ -664,14 +774,16 @@ def kral_single(g: GeneralizedCfg) -> Cfg:
         raise ValueError("kral_single requires exactly one variable")
     s = g.start
     [(_, h)] = g.rhs_languages
+    if s in g.terminals:
+        raise ValueError(f"symbols both terminal and variable: [{s!r}]")
     forbidden = {s} | set(g.terminals)
     avoid = forbidden | set(h.variables)
     mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
     m = mapping.get
     prods = [(s, (m(h.start, h.start),))]
     prods += [(m(head, head), tuple([m(x, x) for x in body])) for head, body in h.productions]
-    variables = [s] + [m(v, v) for v in h.variables]
-    return Cfg(g.terminals, variables, prods, s)
+    variables = (s, *[m(v, v) for v in h.variables])
+    return Cfg._trusted(g.terminals, variables, tuple(prods), s)
 
 
 def kral_eliminate(g: GeneralizedCfg) -> Cfg:
@@ -708,7 +820,8 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
             if used and not empty:
                 rhs[v] = substitute(h, {x: closure})
             else:
-                rest = Cfg([t for t in h.terminals if t != x], h.variables, kept, h.start)
+                terminals = tuple(t for t in h.terminals if t != x)
+                rest = Cfg._trusted(terminals, h.variables, tuple(kept), h.start, h.varset)
                 rhs[v] = cfg_trim(rest) if used else rest
         remaining.remove(x)
         del rhs[x]
@@ -761,21 +874,30 @@ def _first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:
     one pair is itself twice), for the grammars ``ins_image`` builds:
     binarized, trimmed and with no ε-body.  A one-symbol body has its
     symbol's pairs, and a two-symbol body pairs each first of its first
-    symbol with each last of its second."""
+    symbol with each last of its second.  Semi-naive: each new pair of a
+    symbol is pushed once through the bodies that hold the symbol, joined
+    there with the pairs the other symbol of the body has so far."""
     pairs: dict[str, set[tuple[str, str]]] = {t: {(t, t)} for t in g.terminals}
     pairs.update({v: set() for v in g.variables})
-
-    def update(head: str, body: Body) -> bool:
-        if len(body) == 1:
-            fresh = pairs[body[0]] - pairs[head]
-        else:
-            firsts = {f for f, _ in pairs[body[0]]}
-            lasts = {l for _, l in pairs[body[1]]}
-            fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
-        pairs[head] |= fresh
-        return bool(fresh)
-
-    _fixpoint(g, update)
+    users: dict[str, list[tuple[str, Body]]] = defaultdict(list)
+    for head, body in g.productions:
+        for s in dict.fromkeys(body):
+            users[s].append((head, body))
+    work = [(t, t, t) for t in g.terminals]
+    while work:
+        s, f, l = work.pop()
+        for head, body in users[s]:
+            if len(body) == 1:
+                found = [(f, l)]
+            else:
+                x, y = body
+                found = [(f, last) for _, last in pairs[y]] if x == s else []
+                if y == s:
+                    found += [(first, l) for first, _ in pairs[x]]
+            for pair in found:
+                if pair not in pairs[head]:
+                    pairs[head].add(pair)
+                    work.append((head, *pair))
     return pairs
 
 
@@ -816,10 +938,9 @@ def ins_image(g: Cfg) -> Cfg:
     start = fresh_name("A", avoid)
     start_prods = [(start, (ann(g.start, f, l),)) for f, l in sorted(pairs[g.start])]
     terminals = tuple(g.terminals) + tuple(sorted(used_markers))
-    variables = [start] + list(names.values())
     # no trim: g is trimmed and ε-free, so each (v, f, l) is generating,
     # and every pair of a reachable v is reached from the start's pairs
-    return Cfg(terminals, variables, start_prods + prods, start)
+    return Cfg._trusted(terminals, (start, *names.values()), tuple(start_prods + prods), start)
 
 
 # --------------------------------------------------------------------------
@@ -919,13 +1040,28 @@ def _first_last_dfa(letters: tuple[str, ...]) -> Dfa:
     return Dfa(tuple(letters), tuple(rows), 0, frozenset())
 
 
+class _ProjectedRow(dict):
+    """One variable's row of ``_projected_ends``: the entry of a state of
+    ``d`` is mapped from the tracked table when it is first read."""
+
+    def __init__(self, tracked_row: list, image: dict[int, int], sources: list[int]):
+        super().__init__()
+        self.tracked_row, self.image, self.sources = tracked_row, image, sources
+
+    def __missing__(self, p: int) -> set[int]:
+        image = self.image
+        out = self[p] = {image[q] for q in self.tracked_row[self.sources[p]]}
+        return out
+
+
 def _projected_ends(tracked: dict[str, list], tracker: Dfa, d: Dfa) -> dict[str, list]:
     """``_generating_ends(g, d)`` read off ``tracked``, the generating
     triples of ``g`` against ``tracker`` (``_first_last_dfa``).  The state
     ``d`` reaches on a word must depend only on the word's tracking state,
     as it does for ``pattern_dfa``; then image[t], the state ``d`` reaches
     on the words of tracking state t, maps each tracked set onto its
-    counterpart in ``d``."""
+    counterpart in ``d``.  A row is mapped only when ``_product``'s walk
+    down reads it."""
     index = {x: n for n, x in enumerate(d.alphabet)}
     image = {tracker.start: d.start}
     queue = [tracker.start]
@@ -941,5 +1077,5 @@ def _projected_ends(tracked: dict[str, list], tracker: Dfa, d: Dfa) -> dict[str,
     ends = _letter_ends(d)
     for v, row in tracked.items():
         if v not in ends:  # the letters' entries come from d
-            ends[v] = [{image[q] for q in row[t]} for t in sources]
+            ends[v] = _ProjectedRow(row, image, sources)
     return ends

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -454,6 +454,100 @@ def naive_cfg_simplify(g: Cfg) -> Cfg:
         prods = list(dict.fromkeys(new_prods))
         variables.remove(v)
     return Cfg(g.terminals, variables, prods, g.start)
+
+
+# --------------------------------------------------------------------------
+# Round-robin grammar fixpoints (independent of the settle-once kernel)
+
+
+def naive_fixpoint(g: Cfg, update) -> None:
+    """Run ``update(head, body)`` once on every production, then again on
+    each production whose body holds a variable whose facts changed, until
+    nothing changes.  ``update`` returns whether it changed the facts of
+    ``head``; facts only ever improve, so the result is the least fixpoint
+    whatever order the productions are visited in."""
+    users: dict[str, list[int]] = defaultdict(list)
+    for i, (_, body) in enumerate(g.productions):
+        for s in dict.fromkeys(body):
+            if s in g.varset:
+                users[s].append(i)
+    queued = [True] * len(g.productions)
+    work = deque(range(len(g.productions)))
+    while work:
+        i = work.popleft()
+        queued[i] = False
+        head, body = g.productions[i]
+        if update(head, body):
+            for j in users[head]:
+                if not queued[j]:
+                    queued[j] = True
+                    work.append(j)
+
+
+def naive_min_lengths(g: Cfg) -> dict[str, int | None]:
+    """Least derivable word length per variable (None = generates nothing),
+    improved production by production until no length shrinks."""
+    best: dict[str, int | None] = {v: None for v in g.variables}
+
+    def update(head: str, body: tuple[str, ...]) -> bool:
+        total = 0
+        for s in body:
+            part = 1 if s not in g.varset else best[s]
+            if part is None:
+                return False
+            total += part
+        if best[head] is None or total < best[head]:
+            best[head] = total
+            return True
+        return False
+
+    naive_fixpoint(g, update)
+    return best
+
+
+def naive_generating_ends(g: Cfg, d) -> dict[str, list]:
+    """The generating triples of the binarized ``g`` against the automaton
+    ``d``, as ``ends[s][p]``: each production re-runs its whole body from
+    every state p whenever a body variable's triples grow."""
+    n = d.n_states
+    ends: dict[str, list] = {a: [(row[i],) for row in d.transitions] for i, a in enumerate(d.alphabet)}
+    ends.update({v: [set() for _ in range(n)] for v in g.variables})
+
+    def update(head: str, body: tuple[str, ...]) -> bool:
+        grown = False
+        for p, known in enumerate(ends[head]):
+            reach = {p}
+            for s in body:
+                step = ends[s]
+                reach = {r for q in reach for r in step[q]}
+            if not known.issuperset(reach):
+                known.update(reach)
+                grown = True
+        return grown
+
+    naive_fixpoint(g, update)
+    return ends
+
+
+def naive_first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:
+    """The (first, last) symbol pairs of each symbol's words in a binarized,
+    ε-free grammar, each production recomputing its head's pairs from the
+    whole of its body's."""
+    pairs: dict[str, set[tuple[str, str]]] = {t: {(t, t)} for t in g.terminals}
+    pairs.update({v: set() for v in g.variables})
+
+    def update(head: str, body: tuple[str, ...]) -> bool:
+        if len(body) == 1:
+            fresh = pairs[body[0]] - pairs[head]
+        else:
+            firsts = {f for f, _ in pairs[body[0]]}
+            lasts = {l for _, l in pairs[body[1]]}
+            fresh = {(f, l) for f in firsts for l in lasts} - pairs[head]
+        pairs[head] |= fresh
+        return bool(fresh)
+
+    naive_fixpoint(g, update)
+    return pairs
 
 
 # --------------------------------------------------------------------------

@@ -514,6 +514,18 @@ def normalized(d: Dfa) -> Dfa:
     return _normalize(d.alphabet, d.transitions, d.start, d.finals)
 
 
+class TestLetterIndex:
+    def test_index_is_not_part_of_the_automaton(self):
+        # the letter index is built once per automaton and takes no part
+        # in equality, hashing or the text of the automaton
+        d = regex_to_dfa(parse_regex("(ab)*a"), ("a", "b"))
+        again = Dfa(d.alphabet, d.transitions, d.start, d.finals)
+        assert d.letter_index == {"a": 0, "b": 1}
+        assert d == again and hash(d) == hash(again)
+        assert "letter_index" not in repr(d)
+        assert d.accepts("aba") and not d.accepts("ab") and not d.accepts("abc")
+
+
 class TestMinimizationContract:
     """Public functions return normalized DFAs; only the private ``_reach``
     leaves automata unminimized, for callers that just search them."""

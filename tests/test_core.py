@@ -31,9 +31,10 @@ from splicelab.core import (
     matches_pattern,
     replay_sequence,
 )
+from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.grammar import Cfg, cfg_empty, enumerate_cfg
 
-from helpers import naive_apply, random_cfg, shortenings
+from helpers import naive_apply, random_cfg, random_regex, shortenings
 
 WORDS = st.text(alphabet="ab", min_size=0, max_size=6)
 
@@ -312,6 +313,34 @@ class TestSystem:
         assert s.initial_contains("ba")
         assert s.initial_contains(CircularWord("ba"))
         assert not s.initial_contains("aa")
+
+    def test_circular_initial_membership_against_each_rotation(self):
+        # a regular set decides all rotations at once from transition maps,
+        # and a context-free set enumerates once: both against running
+        # InitialSet.contains on every rotation
+        rng = random.Random(28)
+        hits = 0
+        for i in range(150):
+            if i % 3:
+                regex = random_regex(rng, "ab")
+                initial = InitialSet.regular(regex_to_dfa(parse_regex(regex), ("a", "b")))
+            else:
+                initial = InitialSet.contextfree(random_cfg(rng))
+            s = SplicingSystem(Alphabet("ab"), initial, frozenset(), mode=CIRCULAR)
+            for _ in range(8):
+                w = "".join(rng.choice("ab") for _ in range(rng.randint(1, 9)))
+                expected = any(initial.contains(c) for c in conjugates(w))
+                assert s.initial_contains(w) == expected, (initial, w)
+                assert s.initial_contains(CircularWord(w)) == expected
+                hits += expected
+        assert hits > 100
+
+    def test_long_circular_non_member_of_a_regular_set(self):
+        initial = InitialSet.regular(regex_to_dfa(parse_regex("(ab)*a"), ("a", "b")))
+        s = SplicingSystem(Alphabet("ab"), initial, frozenset(), mode=CIRCULAR)
+        assert not s.initial_contains("ab" * 2000 + "b")
+        assert s.initial_contains("ba" * 1000 + "a" + "ba" * 1000)
+        assert not s.initial_contains("abc")
 
 
 def _sir_ex() -> SplicingSystem:

@@ -3,6 +3,7 @@ and flattening of generalized grammars."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -25,8 +26,11 @@ from splicelab.grammar import (
     GeneralizedCfg,
     _binarize,
     _first_last,
+    _first_last_dfa,
+    _generating_ends,
     _length_splits,
     _min_lengths,
+    _projected_ends,
     _remove_epsilon,
     bar_hillel,
     cfg_canonical,
@@ -51,6 +55,9 @@ from helpers import (
     cfg_isomorphic,
     lazy_generalized_words,
     naive_cfg_simplify,
+    naive_first_last,
+    naive_generating_ends,
+    naive_min_lengths,
     random_cfg,
     random_regex,
 )
@@ -320,6 +327,13 @@ class TestSubstitute:
         out = substitute(ANBN, {"Z": finite_cfg(AB, ["a"])})
         assert enumerate_cfg(out, 4) == ["ab", "aabb"]
 
+    def test_graft_terminal_that_is_a_host_variable_rejected(self):
+        # the result is built unchecked, so substitute itself refuses a
+        # graft whose terminals name a variable of the host
+        graft = Cfg(("a", "S"), ("R",), [("R", ("a", "S"))], "R")
+        with pytest.raises(ValueError, match="both terminal and variable"):
+            substitute(ANBN, {"a": graft})
+
 
 class TestSeamMarkers:
     def test_word_ins_shape(self):
@@ -507,6 +521,11 @@ class TestGeneralized:
         assert flat.start == "T"
         assert set(enumerate_cfg(flat, 3)) == {"a", "aa", "aaa"}
 
+    def test_kral_single_start_among_terminals_rejected(self):
+        rhs = Cfg(("a", "T"), ("S",), [("S", ("a", "T"))], "S")
+        with pytest.raises(ValueError, match="both terminal and variable"):
+            kral_single(GeneralizedCfg(("a", "T"), ("T",), "T", (("T", rhs),)))
+
     def test_kral_single_language(self):
         g = self.appendix_example()
         flat = kral_single(g)
@@ -682,6 +701,18 @@ class TestKralEliminate:
         assert steps == ["trim"]
 
 
+def grammar_cases(g: Cfg, minlen: dict) -> dict[str, bool]:
+    """Which of the shapes the fixpoints must get right ``g`` has."""
+    reach = cfg_trim(g).variables
+    units = {(h, b[0]) for h, b in g.productions if len(b) == 1 and b[0] in g.varset}
+    return {
+        "nullable": 0 in minlen.values(),
+        "non-generating": None in minlen.values(),
+        "unreachable": any(minlen[v] is not None and v not in reach for v in g.variables),
+        "unit cycle": any((b, a) in units or a == b for a, b in units),
+    }
+
+
 def as_generalized(g: Cfg) -> GeneralizedCfg:
     """The same grammar with each variable's bodies as its right-hand-side
     language, for the lazy sentential-form oracle."""
@@ -752,17 +783,9 @@ class TestRandomGrammars:
             assert got == sorted(set(got), key=lambda t: (len(t), t)), g
             expected = lazy_generalized_words(as_generalized(copy), max_len)
             assert {"".join(single[s] for s in t) for t in got} == expected, (g, max_len)
-            minlen = grammar._min_lengths(g)
-            reach = cfg_trim(g).variables
-            units = {(h, b[0]) for h, b in prods if len(b) == 1 and b[0] in g.varset}
-            seen.update({
-                "nullable": 0 in minlen.values(),
-                "non-generating": None in minlen.values(),
-                "unreachable": any(minlen[v] is not None and v not in reach for v in variables),
-                "unit cycle": any((b, a) in units or a == b for a, b in units),
-                "composite": any(len(s) > 1 for t in got for s in t),
-                "words": bool(got),
-            })
+            cases = grammar_cases(g, grammar._min_lengths(g))
+            cases.update(composite=any(len(s) > 1 for t in got for s in t), words=bool(got))
+            seen.update(case for case, holds in cases.items() if holds)
         for case in ("nullable", "non-generating", "unreachable", "unit cycle", "composite", "words"):
             assert seen[case] >= 20, (case, seen)
 
@@ -788,6 +811,71 @@ class TestRandomGrammars:
                 }
                 assert pairs[v] == expected, (g, v)
             checked += 1
+
+
+class TestSettleOnce:
+    """The fixpoints that settle each fact once (least lengths from a heap,
+    semi-naive triples and pairs, lazily projected rows) against the
+    round-robin oracles in helpers, over 400 seeded random grammars."""
+
+    def test_against_round_robin_oracles(self):
+        rng = random.Random(28)
+        tracker = _first_last_dfa(AB)
+        patterns = [pattern_dfa(AB, a, b) for a in AB for b in AB]
+        seen = Counter()
+        for _ in range(400):
+            g = random_cfg(rng, max_body=3)
+            minlen = _min_lengths(g)
+            assert minlen == naive_min_lengths(g), g
+            assert list(minlen) == list(g.variables)
+            assert cfg_empty(g) == (minlen[g.start] is None), g
+            seen.update(case for case, holds in grammar_cases(g, minlen).items() if holds)
+            b = _binarize(g)
+            tracked = _generating_ends(b, tracker)
+            assert tracked == naive_generating_ends(b, tracker), g
+            for d in patterns:
+                expected = naive_generating_ends(b, d)
+                assert _generating_ends(b, d) == expected, (g, d)
+                projected = _projected_ends(tracked, tracker, d)
+                rows = {v: [projected[v][p] for p in range(d.n_states)] for v in projected}
+                assert rows == expected, (g, d)
+            if minlen[g.start] not in (None, 0):
+                h = cfg_trim(_remove_epsilon(b))
+                assert _first_last(h) == naive_first_last(h), g
+                seen["pairs"] += 1
+        for case in ("nullable", "non-generating", "unreachable", "unit cycle", "pairs"):
+            assert seen[case] >= 20, (case, seen)
+
+    def test_kernel_copies_equal_validated_grammars(self, monkeypatch):
+        # every grammar the kernel builds through its private constructor
+        # is the grammar Cfg(...) builds from the same parts: no duplicate
+        # variable or production, every symbol declared, the same varset
+        built = Counter()
+        trusted = Cfg._trusted.__func__
+
+        def checked(cls, *parts):
+            out = trusted(cls, *parts)
+            again = Cfg(out.terminals, out.variables, out.productions, out.start)
+            assert out == again and repr(out) == repr(again) and out.varset == again.varset, parts
+            built[sys._getframe(1).f_code.co_name] += 1
+            return out
+
+        monkeypatch.setattr(Cfg, "_trusted", classmethod(checked))
+        rng = random.Random(28)
+        graft = Cfg(("b", "c"), ("S", "T"), [("S", ("c", "T")), ("T", ()), ("T", ("b", "S"))], "S")
+        for i in range(400):
+            g = random_cfg(rng, max_body=3)
+            cfg_canonical(cfg_simplify(g))
+            bar_hillel(g, pattern_dfa(AB, *rng.choice([("a", "b"), ("b", "b"), ("", "a")])))
+            substitute(g, {rng.choice(AB): graft})
+            if _min_lengths(g)[g.start] not in (None, 0):
+                ins_image(g)
+                split_first_last(InitialSet.contextfree(g), Alphabet("ab"))
+            kral_eliminate(random_generalized(rng, CASES[i % 3]))
+        sites = ("cfg_trim", "cfg_simplify", "cfg_canonical", "_binarize", "_product",
+                 "substitute", "kral_single", "kral_eliminate", "ins_image")
+        assert set(built) == set(sites), built
+        assert all(built[site] >= 20 for site in sites), built
 
 
 def unit_heavy_cfg(rng: random.Random) -> Cfg:
