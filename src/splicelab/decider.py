@@ -171,9 +171,9 @@ class _RuleImages:
 
     def step(self, state: int, word: str) -> int:
         """The K state ``word`` leads ``state`` to."""
-        K = self.K
+        rows, index = self.K.transitions, self.K.letter_index
         for ch in word:
-            state = K.transitions[state][K.alphabet.index(ch)]
+            state = rows[state][index[ch]]
         return state
 
     def cuts(self, rule: SplicingRule) -> dict[int, list[int]]:

@@ -108,11 +108,6 @@ def finite_cfg(terminals, words: Iterable[str]) -> Cfg:
     return Cfg(terminals, (start,), prods, start)
 
 
-def cfg_rename(g: Cfg, mapping: dict[str, str]) -> Cfg:
-    """Rename variables; ``mapping`` may be partial."""
-    return Cfg(*_renamed(g, mapping))
-
-
 def _renamed(g: Cfg, mapping: dict[str, str]) -> tuple:
     """The parts of ``g`` with its variables renamed by ``mapping``."""
 
@@ -772,25 +767,33 @@ def kral_single(g: GeneralizedCfg) -> Cfg:
     of H."""
     if len(g.variables) != 1:
         raise ValueError("kral_single requires exactly one variable")
-    s = g.start
     [(_, h)] = g.rhs_languages
-    if s in g.terminals:
-        raise ValueError(f"symbols both terminal and variable: [{s!r}]")
-    forbidden = {s} | set(g.terminals)
+    if g.start in g.terminals:
+        raise ValueError(f"symbols both terminal and variable: [{g.start!r}]")
+    return _closure(g.start, h, g.terminals)
+
+
+def _closure(x: str, h: Cfg, terminals: tuple[str, ...]) -> Cfg:
+    """The flattened closure of ``x`` with right-hand side ``h``, declaring
+    ``terminals``, which must hold every symbol of ``h`` but ``x``: ``h``'s
+    variables named ``x`` or a terminal are renamed apart, and x → start
+    of ``h`` is added."""
+    forbidden = {x, *terminals}
     avoid = forbidden | set(h.variables)
     mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
     m = mapping.get
-    prods = [(s, (m(h.start, h.start),))]
-    prods += [(m(head, head), tuple([m(x, x) for x in body])) for head, body in h.productions]
-    variables = (s, *[m(v, v) for v in h.variables])
-    return Cfg._trusted(g.terminals, variables, tuple(prods), s)
+    prods = [(x, (m(h.start, h.start),))]
+    prods += [(m(head, head), tuple([m(s, s) for s in body])) for head, body in h.productions]
+    variables = (x, *[m(v, v) for v in h.variables])
+    return Cfg._trusted(terminals, variables, tuple(prods), x)
 
 
 def kral_eliminate(g: GeneralizedCfg) -> Cfg:
     """Flatten a generalized grammar to an ordinary one by eliminating
-    non-start variables in declaration order: each variable's own closure
-    is flattened with kral_single and substituted into the remaining
-    right-hand-side languages; the start is flattened last.
+    non-start variables in declaration order: a variable's closure is built
+    once the first remaining right-hand side uses it, over its own
+    right-hand side's symbols, and grafted into each one that uses it; the
+    start is flattened last, over the grammar's terminals.
 
     A right-hand side that declares x but uses it in no production only
     drops x from its terminals.  One that uses x takes the closure with no
@@ -801,34 +804,25 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
     rhs = {v: c for v, c in g.rhs_languages}
     remaining = list(g.variables)
     for x in [v for v in g.variables if v != g.start]:
-        others = [v for v in remaining if v != x]
-        closure = kral_single(
-            GeneralizedCfg(
-                tuple(g.terminals) + tuple(others),
-                (x,),
-                x,
-                ((x, rhs[x]),),
-            )
-        )
-        empty = cfg_empty(closure)
-        for v in others:
+        remaining.remove(x)
+        own = rhs.pop(x)
+        closure = None
+        for v in remaining:
             h = rhs[v]
             if x not in h.terminals:
                 continue
             kept = [(head, body) for head, body in h.productions if x not in body]
             used = len(kept) < len(h.productions)
+            if used and closure is None:
+                closure = _closure(x, own, tuple(t for t in own.terminals if t != x))
+                empty = cfg_empty(closure)
             if used and not empty:
                 rhs[v] = substitute(h, {x: closure})
             else:
                 terminals = tuple(t for t in h.terminals if t != x)
                 rest = Cfg._trusted(terminals, h.variables, tuple(kept), h.start, h.varset)
                 rhs[v] = cfg_trim(rest) if used else rest
-        remaining.remove(x)
-        del rhs[x]
-    final = kral_single(
-        GeneralizedCfg(g.terminals, (g.start,), g.start, ((g.start, rhs[g.start]),))
-    )
-    return cfg_simplify(final)
+    return cfg_simplify(_closure(g.start, rhs[g.start], g.terminals))
 
 
 # --------------------------------------------------------------------------

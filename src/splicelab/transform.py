@@ -50,17 +50,16 @@ def is_complete(rules: Iterable[SplicingRule], alphabet: Alphabet) -> bool:
     """Whether ``complete(rules, alphabet) == rules``, without building the
     completion: a set holding every one-letter filling of an empty handle
     of each of its rules holds, one handle at a time, every filling."""
-    rules = frozenset(rules)
+    present = set()
     for rule in rules:
         if not rule.is_alphabetic:
             raise ValueError(f"completion needs alphabetic rules, got {rule}")
-    for rule in rules:
-        handles = rule.handles
+        present.add((rule.usage, rule.handles))
+    for usage, handles in present:
         for i, h in enumerate(handles):
             if not h:
                 for x in alphabet.letters:
-                    filled = handles[:i] + (x,) + handles[i + 1 :]
-                    if SplicingRule(*filled, usage=rule.usage) not in rules:
+                    if (usage, handles[:i] + (x,) + handles[i + 1 :]) not in present:
                         return False
     return True
 

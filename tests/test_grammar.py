@@ -610,6 +610,63 @@ def trimmed_rhs(g: GeneralizedCfg) -> GeneralizedCfg:
 CASES = ("non-generating", "unused", "mutual")
 
 
+def oracle_kral_single(g: GeneralizedCfg) -> Cfg:
+    """The closure step of the oracle below: ``kral_single`` with its
+    argument checks, building a validated grammar."""
+    if len(g.variables) != 1:
+        raise ValueError("kral_single requires exactly one variable")
+    s = g.start
+    [(_, h)] = g.rhs_languages
+    if s in g.terminals:
+        raise ValueError(f"symbols both terminal and variable: [{s!r}]")
+    forbidden = {s} | set(g.terminals)
+    avoid = forbidden | set(h.variables)
+    mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
+    m = mapping.get
+    prods = [(s, (m(h.start, h.start),))]
+    prods += [(m(head, head), tuple([m(x, x) for x in body])) for head, body in h.productions]
+    variables = (s, *[m(v, v) for v in h.variables])
+    return Cfg(g.terminals, variables, tuple(prods), s)
+
+
+def oracle_kral_eliminate(g: GeneralizedCfg) -> Cfg:
+    """Elimination that closes every non-start variable, used or not, and
+    declares in each closure the grammar's terminals and every remaining
+    variable: the oracle for the closures ``kral_eliminate`` builds only
+    where a right-hand side uses them, over that side's own symbols."""
+    rhs = {v: c for v, c in g.rhs_languages}
+    remaining = list(g.variables)
+    for x in [v for v in g.variables if v != g.start]:
+        others = [v for v in remaining if v != x]
+        closure = oracle_kral_single(
+            GeneralizedCfg(
+                tuple(g.terminals) + tuple(others),
+                (x,),
+                x,
+                ((x, rhs[x]),),
+            )
+        )
+        empty = cfg_empty(closure)
+        for v in others:
+            h = rhs[v]
+            if x not in h.terminals:
+                continue
+            kept = [(head, body) for head, body in h.productions if x not in body]
+            used = len(kept) < len(h.productions)
+            if used and not empty:
+                rhs[v] = substitute(h, {x: closure})
+            else:
+                terminals = tuple(t for t in h.terminals if t != x)
+                rest = Cfg(terminals, h.variables, tuple(kept), h.start)
+                rhs[v] = cfg_trim(rest) if used else rest
+        remaining.remove(x)
+        del rhs[x]
+    final = oracle_kral_single(
+        GeneralizedCfg(g.terminals, (g.start,), g.start, ((g.start, rhs[g.start]),))
+    )
+    return cfg_simplify(final)
+
+
 class TestKralEliminate:
     """Variable elimination against sentential-form expansion, and the
     shape of its steps: a right-hand side takes a closure only where it
@@ -617,13 +674,13 @@ class TestKralEliminate:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        """Record every graft and trim that ``kral_eliminate`` makes, and
-        check that each graft goes into a host using the variable and
-        leaves a trimmed grammar, and that each right-hand side flattened
-        is trimmed.  The checks hold when the right-hand sides given are
-        trimmed."""
+        """Record every closure, graft and trim that ``kral_eliminate``
+        makes, and check that each graft goes into a host using the
+        variable and leaves a trimmed grammar, and that each right-hand
+        side closed is trimmed.  The checks hold when the right-hand sides
+        given are trimmed."""
         log = []
-        real_substitute, real_single, real_trim = substitute, kral_single, cfg_trim
+        real_substitute, real_closure, real_trim = substitute, grammar._closure, cfg_trim
 
         def graft(h, sigma):
             [x] = sigma
@@ -633,17 +690,17 @@ class TestKralEliminate:
             log.append("graft")
             return out
 
-        def single(g):
-            [(_, h)] = g.rhs_languages
+        def closure(x, h, terminals):
             assert h == real_trim(h), h
-            return real_single(g)
+            log.append("closure")
+            return real_closure(x, h, terminals)
 
         def trim(g):
             log.append("trim")
             return real_trim(g)
 
         monkeypatch.setattr(grammar, "substitute", graft)
-        monkeypatch.setattr(grammar, "kral_single", single)
+        monkeypatch.setattr(grammar, "_closure", closure)
         monkeypatch.setattr(grammar, "cfg_trim", trim)
         return log
 
@@ -660,6 +717,60 @@ class TestKralEliminate:
         for i in range(240):
             kral_eliminate(trimmed_rhs(random_generalized(rng, CASES[i % 3])))
         assert steps.count("graft") >= 100, Counter(steps)
+        assert steps.count("closure") >= 240 + 100, Counter(steps)
+
+    def test_against_closing_every_variable(self):
+        # the same grammar, up to the names of minted variables, as the
+        # oracle that closes every variable over every remaining symbol
+        rng = random.Random(1988)
+        for i in range(240):
+            g = random_generalized(rng, CASES[i % 3])
+            for case in (g, trimmed_rhs(g)):
+                expected = cfg_canonical(oracle_kral_eliminate(case))
+                assert cfg_canonical(kral_eliminate(case)) == expected, case
+
+    def test_one_closure_per_used_variable(self, monkeypatch):
+        # the oracle's steps between two of its emptiness tests belong to
+        # one eliminated variable, and graft or trim only where a remaining
+        # right-hand side uses it; elimination closes exactly those
+        # variables, tests each closure for emptiness once, and closes the
+        # start
+        def logged(real, log, name):
+            def call(*args):
+                log.append(name)
+                return real(*args)
+            return call
+
+        oracle_log, log = [], []
+        for name in ("cfg_empty", "substitute", "cfg_trim"):
+            monkeypatch.setitem(globals(), name, logged(globals()[name], oracle_log, name))
+        for name in ("_closure", "cfg_empty"):
+            monkeypatch.setattr(grammar, name, logged(getattr(grammar, name), log, name))
+        rng = random.Random(1988)
+        skipped = 0
+        for _ in range(240):
+            g = random_generalized(rng, "unused")
+            oracle_log.clear()
+            oracle_kral_eliminate(g)
+            turns = " ".join(oracle_log).split("cfg_empty")[1:]
+            assert len(turns) == len(g.variables) - 1, oracle_log
+            used = sum("substitute" in turn or "cfg_trim" in turn for turn in turns)
+            log.clear()
+            kral_eliminate(g)
+            assert Counter(log) == Counter(_closure=used + 1, cfg_empty=used), (g, log)
+            skipped += len(turns) - used
+        assert skipped >= 300, skipped
+
+    def test_local_variable_named_like_a_generalized_one(self):
+        # S's right-hand side has a local variable X and uses only Y, so
+        # Y's closure, grafted into it, must not declare X a terminal
+        g = GeneralizedCfg(AB, ("S", "Y", "X"), "S", (
+            ("S", Cfg(("a", "Y"), ("X",), [("X", ("a", "Y"))], "X")),
+            ("Y", finite_cfg(("b",), ["b"])),
+            ("X", finite_cfg(("a",), ["a"])),
+        ))
+        assert lazy_generalized_words(g, 4) == {"ab"}
+        assert set(enumerate_cfg(kral_eliminate(g), 4)) == {"ab"}
 
     def test_long_right_hand_word_with_nullable_variables(self):
         # S's one right-hand word has 7 symbols, but each X may vanish, so
@@ -683,9 +794,10 @@ class TestKralEliminate:
         out = kral_eliminate(g)
         assert out == Cfg(AB, ("S",), [("S", ("b",))], "S")
         assert lazy_generalized_words(g, 6) == {"b"}
-        # no graft; one trim drops T from S's right-hand side, and the
-        # other is the one cfg_simplify makes before it inlines
-        assert steps == ["trim"] * 2
+        # no graft; X's closure is empty, so one trim drops T from S's
+        # right-hand side, and the other is the one cfg_simplify makes
+        # before it inlines the closed start
+        assert steps == ["closure", "trim"] * 2
 
     def test_unused_variable(self, steps):
         # S declares X (b*) among its terminals but only derives a+
@@ -697,8 +809,9 @@ class TestKralEliminate:
         out = kral_eliminate(g)
         assert set(enumerate_cfg(out, 6)) == {"a" * n for n in range(1, 7)}
         assert set(out.terminals) == set(AB)
-        # no graft; the one trim is the one cfg_simplify makes
-        assert steps == ["trim"]
+        # no closure of X and no graft; the one trim is the one
+        # cfg_simplify makes
+        assert steps == ["closure", "trim"]
 
 
 def grammar_cases(g: Cfg, minlen: dict) -> dict[str, bool]:
@@ -873,7 +986,7 @@ class TestSettleOnce:
                 split_first_last(InitialSet.contextfree(g), Alphabet("ab"))
             kral_eliminate(random_generalized(rng, CASES[i % 3]))
         sites = ("cfg_trim", "cfg_simplify", "cfg_canonical", "_binarize", "_product",
-                 "substitute", "kral_single", "kral_eliminate", "ins_image")
+                 "substitute", "_closure", "kral_eliminate", "ins_image")
         assert set(built) == set(sites), built
         assert all(built[site] >= 20 for site in sites), built
 
