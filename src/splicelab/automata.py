@@ -12,14 +12,14 @@ progress, product state pairs, or the states of a concatenation or a
 rotation closure.  No construction has ε-moves to follow.  ``_reach``
 numbers the nodes and minimizes nothing; ``_explore`` is ``_reach``
 followed by ``_normalize``, and every public function returns through it.
-The private builders behind ``pattern_dfa``, ``dfa_from_words``,
-``dfa_boolean`` and ``conjugacy_closure`` return their walks, so that the
-decider can ``_reach`` an automaton it only searches: minimizing pays only
-where the result is returned or a new automaton is built from it, since a
-product or a subset walk grows with the states of its operands.  Difference
-witnesses, here and in the decider, come from one breadth-first walk,
-``_least_word``, over the same kind of implicit DFA; it stops at the first
-node found, with no automaton built.
+The walks behind ``pattern_dfa``, ``dfa_from_words`` and
+``conjugacy_closure`` are private builders, and every boolean product of
+two automata is ``_product_walk`` over two walks (``_walk`` makes a ``Dfa``
+one), so the decider can search a walk, or ``_reach`` it, unminimized:
+minimizing pays only where the result is returned or a new automaton is
+built from it, since a product or a subset walk grows with the states of
+its operands.  Difference witnesses come from one breadth-first walk,
+``_least_word``, that stops at the first node found, with no automaton built.
 """
 
 from __future__ import annotations
@@ -509,24 +509,28 @@ def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
 
 def dfa_boolean(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Product construction for union / intersect / difference."""
-    return _explore(a.alphabet, *_product_walk(op, a, b))
-
-
-def _product_walk(op: str, a: Dfa, b: Dfa) -> Walk:
-    """The walk of ``dfa_boolean``, over the state pairs of ``a`` and
-    ``b``."""
     _require_same_alphabet(a, b)
-    fa, fb = a.finals, b.finals
+    return _explore(a.alphabet, *_product_walk(op, _walk(a), _walk(b)))
+
+
+def _walk(d: Dfa) -> Walk:
+    """``d`` as a walk over its states."""
+    return d.start, d.transitions.__getitem__, d.finals.__contains__
+
+
+def _product_walk(op: str, a: Walk, b: Walk) -> Walk:
+    """The walk over the node pairs of walks ``a`` and ``b`` over one
+    alphabet, accepting by ``op``: union, intersect or difference."""
+    (start_a, step_a, final_a), (start_b, step_b, final_b) = a, b
     if op == "union":
-        keep = lambda pair: pair[0] in fa or pair[1] in fb
+        keep = lambda pair: final_a(pair[0]) or final_b(pair[1])
     elif op == "intersect":
-        keep = lambda pair: pair[0] in fa and pair[1] in fb
+        keep = lambda pair: final_a(pair[0]) and final_b(pair[1])
     elif op == "difference":
-        keep = lambda pair: pair[0] in fa and pair[1] not in fb
+        keep = lambda pair: final_a(pair[0]) and not final_b(pair[1])
     else:
         raise ValueError(f"unknown boolean op {op!r}")
-    ta, tb = a.transitions, b.transitions
-    return (a.start, b.start), lambda pair: zip(ta[pair[0]], tb[pair[1]]), keep
+    return (start_a, start_b), lambda pair: zip(step_a(pair[0]), step_b(pair[1])), keep
 
 
 def dfa_union(a: Dfa, b: Dfa) -> Dfa:
@@ -583,13 +587,7 @@ def difference_witness(a: Dfa, b: Dfa) -> str | None:
     """Length-lex least word accepted by ``a`` but not ``b``: the least
     word to a state pair accepting in ``a`` and rejecting in ``b``."""
     _require_same_alphabet(a, b)
-    ta, tb, fa, fb = a.transitions, b.transitions, a.finals, b.finals
-    return _least_word(
-        a.alphabet,
-        (a.start, b.start),
-        lambda pair: zip(ta[pair[0]], tb[pair[1]]),
-        lambda pair: pair[0] in fa and pair[1] not in fb,
-    )
+    return _least_word(a.alphabet, *_product_walk("difference", _walk(a), _walk(b)))
 
 
 def dfa_subset(a: Dfa, b: Dfa) -> bool:
@@ -710,6 +708,7 @@ def _rotation_closed(a: Dfa) -> bool:
     first state accepts while the second, after reading x, rejects.  It
     reads only the transitions, so it is exact on any DFA, minimized or
     not."""
+    # its own loop: its finals are shifted by x; via ``_least_word`` it ran 2x slower
     T, finals = a.transitions, a.finals
     for x in range(len(a.alphabet)):
         start = (T[a.start][x], a.start)

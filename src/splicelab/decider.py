@@ -38,11 +38,12 @@ only as far as the witness.  An automaton is minimized only where it is
 returned or a new one is built from it (image walks before
 ``splice_image``'s fold, fold and residue products, P and a walk's words
 outside K before they are rotated), as a product or a subset walk grows
-with the states of what it is built from; pattern automata, their
-intersections with K and the finite axiom automaton are only searched and
-stay unminimized.  A circular K, or a residue, that a pair walk finds
-closed under rotation is not rotated: rotating K and P was nearly all of
-a circular decision's time.
+with the states of what it is built from.  Products are ``_product_walk``
+over two walks, so no pattern automaton is built (the residue, ``reached``
+and ``includes`` keep pair loops of their own, each saying why); K ∩ x A* y
+and the finite axiom automaton stay unminimized.  A circular K, or a
+residue, that a pair walk finds closed under rotation is not rotated:
+rotating K and P was nearly all of a circular decision's time.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
@@ -78,6 +79,7 @@ from .automata import (
     _product_walk,
     _reach,
     _rotation_closed,
+    _walk,
     _words_walk,
 )
 from .core import (
@@ -142,21 +144,10 @@ class _RuleImages:
     def __init__(self, K: Dfa):
         self.K = K
         self.live = _live_distances(K)
-        self._patterns: dict[tuple[str, str], tuple[Dfa, dict[int, int]]] = {}
         self._fitting: dict[tuple[str, str], tuple[Dfa, dict[int, int]]] = {}
         self._reached: dict[tuple[int, str, str], set[int]] = {}
         self._includes: dict[tuple[int, int], bool] = {}
         self._images: dict[SplicingRule, list[Walk]] = {}
-
-    def pattern(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
-        """prefix A* suffix and its live states, not minimized: its walk
-        is minimal or nearly so already, and it is searched and
-        intersected with K."""
-        key = (prefix, suffix)
-        if key not in self._patterns:
-            d = _reach(self.K.alphabet, *_pattern_walk(self.K.alphabet, prefix, suffix))
-            self._patterns[key] = (d, _live_distances(d))
-        return self._patterns[key]
 
     def fitting(self, prefix: str, suffix: str) -> tuple[Dfa, dict[int, int]]:
         """K ∩ prefix A* suffix and its live states, not minimized: the
@@ -164,8 +155,8 @@ class _RuleImages:
         is minimized."""
         key = (prefix, suffix)
         if key not in self._fitting:
-            pattern, _ = self.pattern(prefix, suffix)
-            d = _reach(self.K.alphabet, *_product_walk("intersect", self.K, pattern))
+            pattern = _pattern_walk(self.K.alphabet, prefix, suffix)
+            d = _reach(self.K.alphabet, *_product_walk("intersect", _walk(self.K), pattern))
             self._fitting[key] = (d, _live_distances(d))
         return self._fitting[key]
 
@@ -188,24 +179,24 @@ class _RuleImages:
 
     def reached(self, state: int, prefix: str, suffix: str) -> set[int]:
         """The K states that the words m of K ∩ prefix A* suffix lead
-        ``state`` to: a walk over (state·m, K.start·m, pattern state)
-        triples, which needs no automaton for the intersection."""
+        ``state`` to: a walk over (state·m, fitting state of m) pairs."""
         key = (state, prefix, suffix)
         if key not in self._reached:
-            K, live = self.K, self.live
-            pattern, pattern_live = self.pattern(prefix, suffix)
+            # its own loop: it collects the K state of every final pair, not one word
+            T = self.K.transitions
+            fitting, fitting_live = self.fitting(prefix, suffix)
             out: set[int] = set()
-            start = (state, K.start, pattern.start)
+            start = (state, fitting.start)
             seen = {start}
             stack = [start]
             while stack:
-                k, m, x = stack.pop()
-                if m in K.finals and x in pattern.finals:
+                k, m = stack.pop()
+                if m in fitting.finals:
                     out.add(k)
-                for triple in zip(K.transitions[k], K.transitions[m], pattern.transitions[x]):
-                    if triple[1] in live and triple[2] in pattern_live and triple not in seen:
-                        seen.add(triple)
-                        stack.append(triple)
+                for pair in zip(T[k], fitting.transitions[m]):
+                    if pair[1] in fitting_live and pair not in seen:
+                        seen.add(pair)
+                        stack.append(pair)
             self._reached[key] = out
         return self._reached[key]
 
@@ -214,6 +205,7 @@ class _RuleImages:
         walk over state pairs that stops at the first pair accepting from
         t's side only.  When none is found, every pair walked holds too."""
         if (t, k) not in self._includes:
+            # its own loop: it memoizes every pair it walks
             K, live = self.K, self.live
             seen = {(t, k)}
             stack = [(t, k)]
@@ -300,8 +292,7 @@ class _RuleImages:
             right, _ = self.fitting(rule.gamma, rule.delta)
             if dfa_empty(left) or dfa_empty(right):
                 return []
-            table = dfa_concat(left, right)
-            return [(table.start, table.transitions.__getitem__, table.finals.__contains__)]
+            return [_walk(dfa_concat(left, right))]
         if dfa_empty(self.fitting(rule.gamma, rule.delta)[0]):
             return []
         return [self.resumed_image(rule, t, group) for t, group in sorted(self.cuts(rule).items())]
@@ -330,6 +321,7 @@ class _RuleImages:
         so R is the normalized ``dfa_difference(K, self.union(maximal))``,
         or K itself when there is no walk."""
         R = self.K
+        # its own pair loop: a pair whose R state is dead is one node
         for rule in maximal:
             for walk in self.image(rule):
                 live, T, finals = _live_distances(R), R.transitions, R.finals
@@ -364,13 +356,7 @@ def _least_outside(K: Dfa, walk: Walk, rotate: bool = False) -> str | None:
     ``rotate`` the least rotation of one: a search over (walk node, K
     state) pairs, or over the rotation closure of their automaton, which
     is minimized first because a rotation closure is a construction."""
-    start, step, final = walk
-    T, finals = K.transitions, K.finals
-    outside = (
-        (start, K.start),
-        lambda node: zip(step(node[0]), T[node[1]]),
-        lambda node: node[1] not in finals and final(node[0]),
-    )
+    outside = _product_walk("difference", walk, _walk(K))
     if rotate:
         outside = _conjugacy_walk(_explore(K.alphabet, *outside))
     return _least_word(K.alphabet, *outside)
@@ -431,31 +417,21 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
     if found:
         return Verdict(False, 2, min(found))
 
-    # (3) K⁺-words that no splice produces must be axioms; in circular
-    # mode, rotations of axioms.  Both read only the residue R = K⁺ − P.
-    # (2) put P inside K⁺, so rot(P) = P iff R is closed under rotation;
-    # otherwise the words of R outside rot(P) are searched with the
-    # rotation closure of P walked lazily, as far as the witness
+    # (3) K⁺-words that no splice produces must be axioms (in circular
+    # mode, rotations of axioms): one search of the residue R = K⁺ − P minus
+    # the axioms and, unless R is closed under rotation (then rot(P) = P, as
+    # (2) put P inside K⁺), minus the rotations of P, walked lazily
     R = images.residue(maximal)
     initial = _linearize_initial(system) if system.mode == CIRCULAR else system.initial
     if initial.kind == "finite":
         axioms = _reach(K.alphabet, *_words_walk(K.alphabet, initial.words))
     else:
         axioms = initial.dfa
+    unproduced = _walk(R)
     if system.mode == CIRCULAR and not _rotation_closed(R):
-        P = dfa_difference(core, R)
-        rotated_start, rotated_step, rotated_final = _memoized(_conjugacy_walk(P))
-        T, A = R.transitions, axioms.transitions
-        w = _least_word(
-            K.alphabet,
-            (R.start, rotated_start, axioms.start),
-            lambda node: zip(T[node[0]], rotated_step(node[1]), A[node[2]]),
-            lambda node: (
-                node[0] in R.finals and not rotated_final(node[1]) and node[2] not in axioms.finals
-            ),
-        )
-    else:
-        w = difference_witness(R, axioms)
+        rotated = _memoized(_conjugacy_walk(dfa_difference(core, R)))
+        unproduced = _product_walk("difference", unproduced, rotated)
+    w = _least_word(K.alphabet, *_product_walk("difference", unproduced, _walk(axioms)))
     if w is not None:
         return Verdict(False, 3, w)
     return Verdict(True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator
 
-from .automata import Dfa, _normalize, _reach, pattern_dfa
+from .automata import Dfa, _normalize, _product_walk, _reach, _walk, pattern_dfa
 from .core import Alphabet, InitialSet
 
 Body = tuple[str, ...]
@@ -817,6 +817,10 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
                 closure = _closure(x, own, tuple(t for t in own.terminals if t != x))
                 empty = cfg_empty(closure)
             if used and not empty:
+                clash = h.varset.intersection(closure.terminals)
+                if clash:  # h's local variables named like a closure symbol: rename them apart
+                    avoid = {*h.variables, *h.terminals, *closure.terminals}
+                    h = Cfg._trusted(*_renamed(h, {y: fresh_name("K", avoid) for y in sorted(clash)}))
                 rhs[v] = substitute(h, {x: closure})
             else:
                 terminals = tuple(t for t in h.terminals if t != x)
@@ -979,12 +983,8 @@ def split_first_last(
     if initial.kind == "regular":
         d = initial.dfa
         assert d is not None
-        product = _reach(
-            letters,
-            (d.start, tracker.start),
-            lambda node: zip(d.transitions[node[0]], tracker.transitions[node[1]]),
-            lambda node: node[0] in d.finals,
-        )
+        # the tracker accepts nothing, so the union accepts where d does
+        product = _reach(letters, *_product_walk("union", _walk(d), _walk(tracker)))
         track = [tracker.start] * product.n_states  # each state's tracking state
         for i, row in enumerate(product.transitions):  # states are in discovery order
             for x, j in enumerate(row):

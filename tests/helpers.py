@@ -13,6 +13,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 from functools import lru_cache
 
+from splicelab.automata import _live_distances, pattern_dfa
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -623,3 +624,42 @@ def rank(rows) -> int:
         if any(vec):
             pivots.append(vec)
     return len(pivots)
+
+
+# --------------------------------------------------------------------------
+# Automaton walks read straight off the state tables of Dfas
+
+
+def dfa_product_walk(op: str, a, b) -> tuple:
+    """The walk over the state pairs of the Dfas ``a`` and ``b``,
+    accepting by ``op``: union, intersect or difference."""
+    fa, fb = a.finals, b.finals
+    keep = {
+        "union": lambda pair: pair[0] in fa or pair[1] in fb,
+        "intersect": lambda pair: pair[0] in fa and pair[1] in fb,
+        "difference": lambda pair: pair[0] in fa and pair[1] not in fb,
+    }[op]
+    ta, tb = a.transitions, b.transitions
+    return (a.start, b.start), lambda pair: zip(ta[pair[0]], tb[pair[1]]), keep
+
+
+def naive_reached(K, state: int, prefix: str, suffix: str) -> set[int]:
+    """The K states that the words m of K ∩ prefix A* suffix lead
+    ``state`` to: a walk over (state·m, K.start·m, pattern state)
+    triples, kept to the live states of K and of the pattern automaton."""
+    live = _live_distances(K)
+    pattern = pattern_dfa(K.alphabet, prefix, suffix)
+    pattern_live = _live_distances(pattern)
+    out: set[int] = set()
+    start = (state, K.start, pattern.start)
+    seen = {start}
+    stack = [start]
+    while stack:
+        k, m, x = stack.pop()
+        if m in K.finals and x in pattern.finals:
+            out.add(k)
+        for triple in zip(K.transitions[k], K.transitions[m], pattern.transitions[x]):
+            if triple[1] in live and triple[2] in pattern_live and triple not in seen:
+                seen.add(triple)
+                stack.append(triple)
+    return out

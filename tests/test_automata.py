@@ -38,11 +38,12 @@ from splicelab.automata import (
     _product_walk,
     _reach,
     _rotation_closed,
+    _walk,
 )
 from splicelab.core import ParseError, matches_pattern
 from splicelab.fileformat import parse_system
 
-from helpers import random_regex, regex_matches
+from helpers import dfa_product_walk, random_regex, regex_matches
 
 AB = ("a", "b")
 
@@ -556,6 +557,27 @@ class TestMinimizationContract:
                 assert normalized(d) == d, (text, words, prefix, suffix, a, b)
 
 
+class TestProductWalk:
+    def test_against_dfa_product(self):
+        """The product of two Dfas' walks is, node for node, the product
+        read off their state tables, for every op, on unminimized Dfas."""
+        rng = random.Random(79)
+        for _ in range(300):
+            letters = ("a", "b", "c")[: rng.randint(1, 3)]
+            a, b = (random_dfa(rng, letters) for _ in range(2))
+            for op in ("union", "intersect", "difference"):
+                want = _reach(letters, *dfa_product_walk(op, a, b))
+                assert _reach(letters, *_product_walk(op, _walk(a), _walk(b))) == want, (op, a, b)
+
+
+def random_dfa(rng, letters):
+    """A DFA with a random table and finals, neither trimmed nor minimized."""
+    n = rng.randint(1, 6)
+    rows = tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n))
+    finals = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Dfa(letters, rows, rng.randrange(n), finals)
+
+
 class TestRotationClosed:
     def test_against_conjugacy_closure(self):
         """``_rotation_closed`` says whether the closure adds nothing, on
@@ -574,8 +596,8 @@ class TestRotationClosed:
                 a,
                 b,
                 rot_a,
-                _reach(a.alphabet, *_product_walk(op, a, b)),
-                _reach(a.alphabet, *_product_walk(op, rot_a, rot_b)),
+                _reach(a.alphabet, *_product_walk(op, _walk(a), _walk(b))),
+                _reach(a.alphabet, *_product_walk(op, _walk(rot_a), _walk(rot_b))),
                 _reach(a.alphabet, *_conjugacy_walk(a)),
             ):
                 m = normalized(d)

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,20 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out == "OK\n"
 
+    @pytest.mark.parametrize(
+        "rules, least",
+        [("S -> a T b\nT -> a T b | ab\n", "ab"), ("S -> _ | a S b | ab\n", "_")],
+        ids=["drops ab", "adds the empty word"],
+    )
+    def test_mismatch(self, spl, monkeypatch, capsys, rules, least):
+        # the grammar in place of the synthesized one differs from the
+        # closure of SIR_EX, the words a^n b^n, in one word
+        grammar = parse_grammar("start S\nterminals a b\n" + rules)
+        monkeypatch.setattr(cli, "synthesize", lambda system, **kw: grammar)
+        code = run_command(["check", spl(SIR_EX), "--max-len", "8"])
+        assert code == 1
+        assert capsys.readouterr().out == least + "\n"
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):
@@ -309,6 +327,26 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "line 2" in err
+
+    @pytest.mark.parametrize("kind", ["grammar", "dfa"])
+    def test_malformed_grammar_and_dfa(self, spl, kind, capsys):
+        if kind == "grammar":
+            args = ["enumerate", spl("start S\nS a\n", "bad.cfg"), "--max-len", "4"]
+        else:
+            bad = spl("alphabet a b\nstates 0\n", "bad.dfa")
+            args = ["decide-equal", spl(SIR_EX), "--dfa", bad]
+        code = run_command(args)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_python_dash_m(self, spl):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "splicelab", "member", spl(SIR_EX), "aabb"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "MEMBER\n")
 
     def test_unknown_subcommand(self, capsys):
         code = run_command(["frobnicate"])

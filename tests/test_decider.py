@@ -61,6 +61,7 @@ from splicelab.transform import complete_system
 
 from helpers import (
     in_one_step_image,
+    naive_reached,
     shortenings,
     naive_apply,
     random_regex,
@@ -594,6 +595,25 @@ class TestGenerability:
                 empty_middle += dfa_empty(middle)
         assert min(outcomes.values()) >= 30, outcomes
         assert empty_middle >= 20, empty_middle
+
+    def test_reached_against_triple_walk(self):
+        """The K states the middle words lead a state to, walked over
+        (K state, fitting state) pairs, are those of the walk over (K
+        state, K state, pattern state) triples, for every live state and
+        every pair of handles of up to 2 letters."""
+        rng = random.Random(77)
+        sizes = {"none": 0, "some": 0}
+        for _ in range(200):
+            letters = "ab"[: rng.randint(1, 2)]
+            K = regex_to_dfa(parse_regex(random_regex(rng, letters)), tuple(letters))
+            images = _RuleImages(K)
+            handles = ["".join(h) for n in range(3) for h in itertools.product(letters, repeat=n)]
+            for state in images.live:
+                for gamma, delta in itertools.product(handles, repeat=2):
+                    got = images.reached(state, gamma, delta)
+                    assert got == naive_reached(K, state, gamma, delta), (K, state, gamma, delta)
+                    sizes["some" if got else "none"] += 1
+        assert min(sizes.values()) >= 1000, sizes
 
     def test_admissible_rules_by_domination(self):
         """Testing only the rules with no admissible variant that has one

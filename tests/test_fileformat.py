@@ -88,6 +88,30 @@ class TestSystemFormat:
         with pytest.raises(UnsupportedError):
             serialize_system(empty)
 
+    def test_contextfree_initial_has_no_text_form(self):
+        system = parse_system("alphabet a b\ninitial finite ab\n")
+        grammar = Cfg(("a", "b"), ("S",), [("S", ("a", "b"))], "S")
+        with pytest.raises(UnsupportedError, match="only finite and regular"):
+            serialize_system(replace(system, initial=InitialSet.contextfree(grammar)))
+
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            ("alphabet\ninitial finite a\n", 1, "at least one letter"),
+            ("alphabet a A\ninitial finite a\n", 1, "reserved character 'A'"),
+            ("alphabet a b\ninitial finite abc\n", 2, "unknown letter 'c' in word"),
+            ("alphabet a\ninitial regex\n", 2, "needs a pattern"),
+            ("splice a#b$a#b\nalphabet a b\n", 1, "before any rule"),
+            ("mode flat\n", 0, "missing alphabet"),
+            # a second alphabet line leaves the initial automaton over the first
+            ("alphabet a b\ninitial regex ab\nalphabet a b c\n", 0, "initial automaton not over"),
+        ],
+    )
+    def test_error_rows(self, text, line, fragment):
+        with pytest.raises(ParseError, match=fragment) as err:
+            parse_system(text)
+        assert err.value.line == line
+
     def test_error_lines(self):
         bad = "alphabet a b\ninitial finite ab\nsplice a#b$a\n"
         with pytest.raises(ParseError) as err:
@@ -150,6 +174,22 @@ class TestGrammarFormat:
         with pytest.raises(ParseError):
             parse_grammar("start S\ns -> a\n")
 
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            ("start S T\nS -> a\n", 1, "exactly one variable name"),
+            ("start s\n", 1, "begin with an uppercase letter"),
+            ("terminals ab\nstart S\n", 1, "single lowercase symbols, got 'ab'"),
+            ("start S\nS a\n", 2, "expected a production line"),
+            ("start S\nS -> a |\n", 2, "empty alternative"),
+            ("start S\nterminals a\nS -> b\n", 0, "undeclared symbol 'b'"),
+        ],
+    )
+    def test_error_rows(self, text, line, fragment):
+        with pytest.raises(ParseError, match=fragment) as err:
+            parse_grammar(text)
+        assert err.value.line == line
+
     def test_inferred_terminals_sorted(self):
         g = parse_grammar("start S\nS -> b a\n")
         assert g.terminals == ("a", "b")
@@ -185,6 +225,21 @@ class TestDfaFormat:
         text = "alphabet a\nstates 1\nstart 0\nfinal 0\n0 b 0\n"
         with pytest.raises(ParseError):
             parse_dfa(text)
+
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            ("alphabet a\nstates 1\nstart x\n", 3, "states are numbers, got 'x'"),
+            ("alphabet a\nstates 0\n", 2, "positive count, got '0'"),
+            ("alphabet a\nstates 1\nstart 0\n0 a\n", 4, "expected 'state letter state'"),
+            ("alphabet a\nstates 1\n0 a 0\n", 0, "needs alphabet, states, and start"),
+            ("alphabet a\nstart 3\nstates 1\n0 a 0\n", 0, "start or final state out of range"),
+        ],
+    )
+    def test_error_rows(self, text, line, fragment):
+        with pytest.raises(ParseError, match=fragment) as err:
+            parse_dfa(text)
+        assert err.value.line == line
 
     def test_unreachable_final_state(self):
         # state 2 is final but no path from the start reaches it

@@ -772,6 +772,18 @@ class TestKralEliminate:
         assert lazy_generalized_words(g, 4) == {"ab"}
         assert set(enumerate_cfg(kral_eliminate(g), 4)) == {"ab"}
 
+    def test_local_variable_named_like_a_grafted_symbol(self):
+        # S's right-hand side has a local variable Y and uses X, whose
+        # closure uses the generalized Y: the local Y is renamed apart
+        # before the graft
+        g = GeneralizedCfg(AB, ("S", "X", "Y"), "S", (
+            ("S", Cfg(AB + ("X",), ("Y",), [("Y", ("a", "X"))], "Y")),
+            ("X", Cfg(AB + ("Y",), ("T",), [("T", ("b", "Y"))], "T")),
+            ("Y", Cfg(AB, ("U",), [("U", ("b",))], "U")),
+        ))
+        assert lazy_generalized_words(g, 4) == {"abb"}
+        assert set(enumerate_cfg(kral_eliminate(g), 4)) == {"abb"}
+
     def test_long_right_hand_word_with_nullable_variables(self):
         # S's one right-hand word has 7 symbols, but each X may vanish, so
         # the oracle must erase them before it bounds the length
