@@ -36,6 +36,7 @@ from .synthesis import synthesize
 from .transform import circular_to_flat, complete_system, to_heterogeneous
 
 EPSILON_TOKEN = "_"
+REGEX_FILE_HELP = "read the regex from this file, for one too long for a command line"
 
 
 def _show_word(word: str) -> str:
@@ -53,9 +54,18 @@ def _load_system(path: str) -> SplicingSystem:
     return parse_system(_read(path))
 
 
+def _regex(args) -> str | None:
+    """The ``--regex`` text, or that of the ``--regex-file`` without its
+    trailing newline; None when neither is given."""
+    if args.regex_file is not None:
+        return _read(args.regex_file).removesuffix("\n")
+    return args.regex
+
+
 def _target_dfa(system: SplicingSystem, args):
-    if args.regex is not None:
-        return regex_to_dfa(args.regex, system.alphabet.letters)
+    regex = _regex(args)
+    if regex is not None:
+        return regex_to_dfa(regex, system.alphabet.letters)
     return parse_dfa(_read(args.dfa))
 
 
@@ -126,7 +136,7 @@ def _cmd_decide_equal(args) -> int:
 def _cmd_generable(args) -> int:
     letters = "".join(args.alphabet.split())
     alphabet = Alphabet(letters)
-    system = alphabetic_generability(regex_to_dfa(args.regex, alphabet.letters))
+    system = alphabetic_generability(regex_to_dfa(_regex(args), alphabet.letters))
     if system is None:
         print("NONE")
         return 1
@@ -210,12 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--regex")
+    group.add_argument("--regex-file", metavar="PATH", help=REGEX_FILE_HELP)
     group.add_argument("--dfa", help="automaton file")
     p.set_defaults(func=_cmd_decide_equal)
 
     p = sub.add_parser("generable", help="find a splicing system for a regular language")
     p.add_argument("--alphabet", required=True, help="space-separated letters")
-    p.add_argument("--regex", required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--regex")
+    group.add_argument("--regex-file", metavar="PATH", help=REGEX_FILE_HELP)
     p.set_defaults(func=_cmd_generable)
 
     p = sub.add_parser("complete", help="print the completed system")

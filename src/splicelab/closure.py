@@ -35,12 +35,21 @@ distinct arc of a circular search is canonicalized once.
 Every production keeps both operands whole, so a word of the language
 counts each letter as a sum of initial words does, and a letter weighting
 that sums to 0 on every initial word sums to 0 on it too.  The search
-takes a basis of these weightings from the initial set once per call, and
-a word that breaks one, or uses a letter no initial word uses, is out
+takes a basis of these weightings from the initial set once per system,
+and a word that breaks one, or uses a letter no initial word uses, is out
 with no undo move tried.  A finite set's basis is the integer null space
 of its words' letter counts; a regular set's comes from a spanning tree
 of its automaton and is exact; a context-free set gives none.  Only
 non-members are cut, so every answer and trace stays as it was.
+
+Whatever a search needs from the system alone is built once per system
+and read by every later search of it: the undominated rule order with its
+seams and bounds, the concat rules, the letter-count test, flat
+saturation's context tables and circular saturation's rule patterns.  The
+store holds each system weakly and the tables hold no reference to their
+system, so they go when it does; equal systems share them.  What a search
+learns about words (its memo, cut lists, arcs, rotations and parent
+pointers) lives only as long as the call.
 
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
 word, guaranteed to replay; which one is not fixed.
@@ -53,6 +62,7 @@ from collections import defaultdict, deque
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
+from weakref import WeakKeyDictionary
 
 from .automata import _live_distances
 from .core import (
@@ -147,36 +157,19 @@ class _FlatPairs:
     of the concat rules it may be the left or the right operand of; the
     lowest common bit is the first rule in rule order."""
 
-    def __init__(self, system: SplicingSystem, seen: dict):
-        self.concat = system.concat_rules
-        self.rules = _undo_rules(system)
-        self.gds = list(dict.fromkeys((r.gamma, r.delta) for r in self.rules))
-        # words that match the same (gamma, delta) pairs share one table
-        self._by_gds: dict[tuple, _Contexts] = {}
+    def __init__(self, tables: _Tables, seen: dict):
+        self.tables = tables
+        self.concat = tables.concat
         self.seen = seen
         # table -> host -> the host's cut list for the words of that table
         self.cut_lists: dict[_Contexts, dict[str, list]] = defaultdict(dict)
-
-    def contexts(self, v: str) -> _Contexts:
-        """The merged cut contexts of the splice rules whose gamma and delta
-        ``v`` matches; an (alpha, beta) key keeps its first rule in the
-        order of ``_undo_rules``."""
-        gds = tuple(gd for gd in self.gds if matches_pattern(v, *gd))
-        got = self._by_gds.get(gds)
-        if got is None:
-            ctx: dict[tuple[str, str], SplicingRule] = {}
-            for rule in self.rules:
-                if (rule.gamma, rule.delta) in gds:
-                    ctx.setdefault((rule.alpha, rule.beta), rule)
-            got = self._by_gds[gds] = _Contexts(ctx)
-        return got
 
     @staticmethod
     def admit(s: str) -> str:
         return s
 
     def entry(self, w: str):
-        table = self.contexts(w)
+        table = self.tables.contexts(w)
         lmask = rmask = 0
         for k, rule in enumerate(self.concat):
             if matches_pattern(w, rule.alpha, rule.beta):
@@ -229,18 +222,9 @@ class _CircularPairs:
     suffix ends and prefix starts round the circle, and the pattern must
     fit in the word."""
 
-    def __init__(self, system: SplicingSystem):
-        rules = system.splice_rules
-        ends = [((r.beta, r.alpha), (r.gamma, r.delta)) for r in rules]
-        patterns = list(dict.fromkeys(p for pair in ends for p in pair))
-        index = patterns.index
-        self.rules = [(r, index(lp), index(rp)) for r, (lp, rp) in zip(rules, ends)]
-        # with the operands swapped, a rule whose two patterns are equal
-        # makes y·x for each x·y it made the first way round: a rotation
-        # of a word already admitted
-        self.swapped = [(r, lp, rp) for r, lp, rp in self.rules if lp != rp]
-        self.seams = [(suffix, prefix) for prefix, suffix in patterns]
-        self.widths = [len(prefix) + len(suffix) for prefix, suffix in patterns]
+    def __init__(self, tables: _Tables):
+        self.rules, self.swapped = tables.circular_rules, tables.swapped
+        self.seams, self.widths = tables.pattern_seams, tables.widths
         self.seen: set[str] = set()
         # the rotations of each word admitted and not yet given an entry
         self.rotations: dict[CircularWord, list[str]] = {}
@@ -282,10 +266,11 @@ def _saturate(system: SplicingSystem, max_len: int) -> dict:
     """Parent pointers of every word up to ``max_len``: None for an axiom,
     else (rule, u, v, cut) of the production that first reached it."""
     parents: dict = {}
+    tables = _tables(system)
     if system.mode == CIRCULAR:
-        pairs = _CircularPairs(system)
+        pairs = _CircularPairs(tables)
     else:
-        pairs = _FlatPairs(system, parents)
+        pairs = _FlatPairs(tables, parents)
     admit = pairs.admit
     parents.update(dict.fromkeys(map(admit, system.initial.enumerate(max_len))))
     agenda = deque(parents)
@@ -321,7 +306,9 @@ def closure_bounded(system: SplicingSystem, max_len: int):
     """All words of the system's language up to ``max_len``, length-lex
     sorted; circular systems yield canonical CircularWords.  The empty
     word never appears (it belongs to the language iff it was an axiom,
-    which the loader records separately)."""
+    which the loader records separately).  The system's search tables are
+    built on its first search and reused by later ones; the words found
+    are not kept past the call."""
     if max_len < 1:
         raise ValueError("the length bound must be at least 1")
     words = _saturate(system, max_len)
@@ -367,7 +354,9 @@ def _sequence(parents: dict, word) -> ProductionSequence:
 def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
     """A replayable production sequence for ``word``, reconstructed from
     the bounded closure's parent pointers.  Raises SpliceError when the
-    word is not in the closure within the bound."""
+    word is not in the closure within the bound.  The saturation reads
+    the system's search tables, built once; its parent pointers go with
+    the call."""
     if system.mode == CIRCULAR and isinstance(word, str):
         word = CircularWord(word)
     parents = _saturate(system, max_len)
@@ -437,20 +426,10 @@ class _Undos:
     search ``known`` already holds to be out of the language is left out,
     as the search would turn it down."""
 
-    def __init__(self, system: SplicingSystem, known: dict):
-        self.rules = _undo_rules(system)
-        self.bounds = [
-            (max(1, len(r.alpha) + len(r.beta)), max(1, len(r.gamma) + len(r.delta)))
-            for r in self.rules
-        ]
-        # each rule's two seams, (alpha, gamma) and (delta, beta), as
-        # indices into the distinct seams that each word is scanned for
-        pairs = [(r.alpha, r.gamma) for r in self.rules]
-        pairs += [(r.delta, r.beta) for r in self.rules]
-        index = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
-        self.seams = list(index)
-        self.at = [index[pair] for pair in pairs]
-        self.concat = system.concat_rules
+    def __init__(self, tables: _Tables, known: dict):
+        self.rules, self.bounds = tables.rules, tables.bounds
+        self.seams, self.at = tables.seams, tables.at
+        self.concat = tables.concat
         # arc -> its circular word and the arc's rotation offset in it
         self.arcs: dict[str, tuple[CircularWord, int]] = {}
         self.known = known
@@ -634,6 +613,81 @@ def _breaks_counts(system: SplicingSystem):
     return breaks
 
 
+# --------------------------------------------------------------------------
+# Search tables, once per system
+
+
+class _Tables:
+    """What saturation and the membership search need from a system's
+    rules and initial set alone, built once for the system and read by
+    every later search of it.  It holds rules, handles and letter counts,
+    never the system, so that the system's entry in the table store goes
+    with it."""
+
+    def __init__(self, system: SplicingSystem):
+        # membership's undo moves: the rules, and for each the least
+        # lengths of what an undo move keeps and takes out
+        self.rules = rules = _undo_rules(system)
+        self.bounds = [
+            (max(1, len(r.alpha) + len(r.beta)), max(1, len(r.gamma) + len(r.delta)))
+            for r in rules
+        ]
+        # each rule's two seams, (alpha, gamma) and (delta, beta), as
+        # indices into the distinct seams that each word is scanned for
+        pairs = [(r.alpha, r.gamma) for r in rules]
+        pairs += [(r.delta, r.beta) for r in rules]
+        index = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+        self.seams = list(index)
+        self.at = [index[pair] for pair in pairs]
+        self.concat = system.concat_rules
+        self.breaks = _breaks_counts(system)
+        # flat saturation: words that match the same (gamma, delta) pairs
+        # share one context table, made the first time a word needs it
+        self.gds = list(dict.fromkeys((r.gamma, r.delta) for r in rules))
+        self.by_gds: dict[tuple, _Contexts] = {}
+        # circular saturation: each splice rule with the indices of its
+        # (prefix, suffix) patterns, left (beta, alpha) and right (gamma,
+        # delta), among the distinct patterns
+        splice = system.splice_rules
+        ends = [((r.beta, r.alpha), (r.gamma, r.delta)) for r in splice]
+        patterns = list(dict.fromkeys(p for pair in ends for p in pair))
+        at = patterns.index
+        self.circular_rules = [(r, at(lp), at(rp)) for r, (lp, rp) in zip(splice, ends)]
+        # with the operands swapped, a rule whose two patterns are equal
+        # makes y·x for each x·y it made the first way round: a rotation
+        # of a word already admitted
+        self.swapped = [(r, lp, rp) for r, lp, rp in self.circular_rules if lp != rp]
+        self.pattern_seams = [(suffix, prefix) for prefix, suffix in patterns]
+        self.widths = [len(prefix) + len(suffix) for prefix, suffix in patterns]
+
+    def contexts(self, v: str) -> _Contexts:
+        """The merged cut contexts of the splice rules whose gamma and delta
+        ``v`` matches; an (alpha, beta) key keeps its first rule in the
+        order of ``_undo_rules``."""
+        gds = tuple(gd for gd in self.gds if matches_pattern(v, *gd))
+        got = self.by_gds.get(gds)
+        if got is None:
+            ctx: dict[tuple[str, str], SplicingRule] = {}
+            for rule in self.rules:
+                if (rule.gamma, rule.delta) in gds:
+                    ctx.setdefault((rule.alpha, rule.beta), rule)
+            got = self.by_gds[gds] = _Contexts(ctx)
+        return got
+
+
+# system -> its search tables.  Equal systems share them, as the tables
+# follow from the system's value; an entry goes when the system it was
+# made for does
+_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _tables(system: SplicingSystem) -> _Tables:
+    got = _TABLES.get(system)
+    if got is None:
+        got = _TABLES[system] = _Tables(system)
+    return got
+
+
 def _decide(system: SplicingSystem, word, budget: int) -> dict:
     """What the search learnt deciding ``word``: None for an axiom, the
     first undo move (rule, u, v, cut) whose parts are both in the
@@ -645,8 +699,9 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
     A word whose letter counts break an invariant of the initial set is
     out at once, with no undo move tried."""
     known: dict = {}
-    breaks = _breaks_counts(system)
-    search = _Undos(system, known)
+    tables = _tables(system)
+    breaks = tables.breaks
+    search = _Undos(tables, known)
     undos = search.circular if system.mode == CIRCULAR else search.flat
     stack: list[list] = []  # [word, its undo moves, the move being tried]
 
@@ -695,7 +750,9 @@ def _decide(system: SplicingSystem, word, budget: int) -> dict:
 def member(system: SplicingSystem, word, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether ``word`` belongs to the system's language.  The empty word
     is answered from the loader's ε-flag; BudgetExceededError signals an
-    inconclusive search."""
+    inconclusive search.  The system's search tables are built on its
+    first search and reused by later ones; no word or verdict the search
+    learns outlives the call."""
     if isinstance(word, str) and word == "":
         return system.initial.had_epsilon
     if system.mode == CIRCULAR and isinstance(word, str):
@@ -707,7 +764,8 @@ def derivation(
     system: SplicingSystem, word, budget: int = DEFAULT_BUDGET
 ) -> ProductionSequence | None:
     """A replayable derivation of ``word``, or None when it is not in the
-    language."""
+    language.  It reads the system's search tables as ``member`` does, and
+    keeps nothing of the search past the call."""
     if isinstance(word, str) and word == "":
         raise ValueError("the empty word has no derivation; it is axiom-level")
     if system.mode == CIRCULAR and isinstance(word, str):

@@ -190,6 +190,56 @@ class TestGenerable:
         assert code == 2
         assert capsys.readouterr().err == "error: regex uses letters outside the alphabet: ['c']\n"
 
+    def test_regex_file_beyond_argv_limit(self, tmp_path, capsys):
+        # 200,001 characters: more than one command-line argument may hold
+        path = tmp_path / "deep.re"
+        path.write_text("(" * 100000 + "a" + ")" * 100000 + "\n", encoding="utf-8")
+        code = run_command(["generable", "--alphabet", "a", "--regex-file", str(path)])
+        assert code == 0
+        assert "initial finite a\n" in capsys.readouterr().out
+
+
+class TestRegexFile:
+    @pytest.mark.parametrize("command", ["generable", "decide-equal"])
+    def test_same_answer_as_regex(self, spl, tmp_path, command, capsys):
+        path = tmp_path / "target.re"
+        path.write_text("(ab)+\n", encoding="utf-8")
+        if command == "generable":
+            head = ["generable", "--alphabet", "a b"]
+        else:
+            head = ["decide-equal", spl(SIR_EX)]
+        want = run_command([*head, "--regex", "(ab)+"]), capsys.readouterr()
+        got = run_command([*head, "--regex-file", str(path)]), capsys.readouterr()
+        assert got == want
+
+    @pytest.mark.parametrize("command", ["generable", "decide-equal"])
+    def test_both_flags(self, spl, tmp_path, command, capsys):
+        path = tmp_path / "target.re"
+        path.write_text("a\n", encoding="utf-8")
+        if command == "generable":
+            head = ["generable", "--alphabet", "a"]
+        else:
+            head = ["decide-equal", spl("alphabet a\ninitial finite a\n")]
+        code = run_command([*head, "--regex", "a", "--regex-file", str(path)])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_neither_flag(self, capsys):
+        code = run_command(["generable", "--alphabet", "a"])
+        assert code == 2
+        assert "one of the arguments --regex --regex-file is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generable", "decide-equal"])
+    def test_unreadable_file(self, spl, tmp_path, command, capsys):
+        missing = str(tmp_path / "missing.re")
+        if command == "generable":
+            args = ["generable", "--alphabet", "a", "--regex-file", missing]
+        else:
+            args = ["decide-equal", spl("alphabet a\ninitial finite a\n"), "--regex-file", missing]
+        code = run_command(args)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
 
 class TestRewriteCommands:
     def test_complete_output_parses(self, spl, capsys):

@@ -1,19 +1,24 @@
 """Bounded closures, membership search, and replayable derivations."""
 
+import gc
 import hashlib
 import itertools
+import pickle
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.closure import (
+    _TABLES,
     _breaks_counts,
     _CircularPairs,
     _count_rows,
     _null_space,
     _seams,
+    _Tables,
     _undo_rules,
     _Undos,
     closure_bounded,
@@ -51,7 +56,7 @@ from splicelab.examples import (
     mixed_system,
     nested_insertions,
 )
-from splicelab.fileformat import parse_system
+from splicelab.fileformat import parse_system, serialize_system
 from splicelab.grammar import Cfg, enumerate_cfg
 from splicelab.transform import complete_system
 
@@ -669,7 +674,7 @@ class TestUndoMoves:
             )
             if i % 6 in (0, 3):  # one-letter handles: complete them
                 system = replace(complete_system(replace(system, mode=FLAT)), mode=system.mode)
-            undos = _Undos(system, {})
+            undos = _Undos(_Tables(system), {})
             letters = "".join(system.alphabet.letters)
             for _ in range(8):
                 word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
@@ -761,7 +766,7 @@ class TestOccurrenceScan:
             system = SplicingSystem(
                 Alphabet("ab"), InitialSet.finite(["a"]), frozenset([rule]), CIRCULAR
             )
-            pairs = _CircularPairs(system)
+            pairs = _CircularPairs(_Tables(system))
             text = word(1, 8)
             w = pairs.admit(text)
             _, (got, rots, offsets) = pairs.entry(w)
@@ -772,3 +777,122 @@ class TestOccurrenceScan:
             for at, (prefix, suffix) in ((lp, (rule.beta, rule.alpha)), (rp, (rule.gamma, rule.delta))):
                 want = [i for i, r in enumerate(rots) if matches_pattern(r, prefix, suffix)]
                 assert list(offsets[at]) == want, (text, prefix, suffix)
+
+
+def short_words(letters, max_len: int) -> list[str]:
+    """Every word over ``letters`` up to ``max_len``, in length-lex order."""
+    return [
+        "".join(t) for n in range(1, max_len + 1) for t in itertools.product(letters, repeat=n)
+    ]
+
+
+def table_system(rng: random.Random, i: int) -> SplicingSystem:
+    """A random system: circular, or flat with splice and concat rules,
+    with handles of one or two letters."""
+    if i % 3 == 2:
+        return random_system(rng, max_initial=3, max_rules=3, mode=CIRCULAR, handle_len=1 + i % 2)
+    return random_system(
+        rng, max_initial=3, max_rules=3, usages=(SPLICE, CONCAT), handle_len=1 + i % 2
+    )
+
+
+def twin(system: SplicingSystem) -> SplicingSystem:
+    """A new system equal to ``system``, with no search tables stored for
+    any system."""
+    _TABLES.clear()
+    got = parse_system(serialize_system(system))
+    assert got == system
+    return got
+
+
+def search(system: SplicingSystem, word):
+    return member(system, word), derivation(system, word)
+
+
+class TestSearchTables:
+    """A system's search tables are built once and read by every later
+    search of it, so they must give each search what building them afresh
+    would."""
+
+    def test_tables_never_change_an_answer(self):
+        rng = random.Random(137)
+        systems = [table_system(rng, i) for i in range(60)]
+        fresh, needed = [], 0
+        for system in systems:
+            words = short_words(system.alphabet.letters, 6)
+            naive = naive_circular_closure if system.mode == CIRCULAR else naive_flat_closure
+            closed = naive(system, 6)
+            want = [search(twin(system), w) for w in words]
+            assert [m for m, _ in want] == [w in closed for w in words], system
+            for w, (_, seq) in zip(words, want):
+                if seq is not None:
+                    result = CircularWord(w) if system.mode == CIRCULAR else w
+                    assert replay_sequence(system, seq) == result, (system, w)
+            # one object, every word in length-lex order and then reversed
+            assert [search(system, w) for w in words] == want, system
+            assert [search(system, w) for w in reversed(words)] == want[::-1], system
+            fresh.append((words, want))
+            if len(system.rules) < 2:
+                continue
+            # the system without one of its rules, asked beside it
+            for rule in sorted(system.rules):
+                dropped = replace(system, rules=system.rules - {rule})
+                closed = naive(dropped, 6)
+                got = [(member(system, w), member(dropped, w)) for w in words]
+                assert [m for m, _ in got] == [m for m, _ in want], system
+                assert [d for _, d in got] == [w in closed for w in words], (system, rule)
+                needed += sum(m and not d for m, d in got)
+        assert needed > 100
+        # two systems, asked in turn word by word
+        asked = list(zip(systems, fresh))
+        for (s1, (w1, f1)), (s2, (w2, f2)) in zip(asked[::2], asked[1::2]):
+            got1, got2 = [], []
+            for a, b in itertools.zip_longest(w1, w2):
+                if a is not None:
+                    got1.append(search(s1, a))
+                if b is not None:
+                    got2.append(search(s2, b))
+            assert (got1, got2) == (f1, f2), (s1, s2)
+
+    def test_dropped_rule_is_not_read_from_the_parent(self):
+        # the undominated rule of the parent is -#-$-#-, which inserts ab
+        # anywhere; without it only a#b$a#b is left, which makes a^n b^n
+        insert = SplicingRule("a", "b", "a", "b")
+        system = SplicingSystem(
+            Alphabet("ab"), InitialSet.finite(["ab"]), frozenset([insert, SplicingRule("", "", "", "")])
+        )
+        assert member(system, "abab")
+        dropped = replace(system, rules=frozenset([insert]))
+        assert not member(dropped, "abab")
+        assert derivation(dropped, "abab") is None
+        assert member(dropped, "aabb")
+        assert member(system, "abab")
+
+    def test_closure_at_changing_bounds(self):
+        rng = random.Random(139)
+        for i in range(30):
+            system = table_system(rng, i)
+            got = [closure_bounded(system, n) for n in (6, 4, 6)]
+            assert got == [closure_bounded(twin(system), n) for n in (6, 4, 6)], system
+
+    @pytest.mark.parametrize(
+        "build", [dyck, anbn_circular, nested_insertions, concat_chain, doubling]
+    )
+    def test_search_keeps_system_as_it_was(self, build):
+        system = build()
+        equal = parse_system(serialize_system(system))
+
+        def state():
+            return hash(system), repr(system), serialize_system(system), pickle.dumps(system)
+
+        before = state()
+        words = closure_bounded(system, 8)
+        assert member(system, words[-1]) and derivation(system, words[-1]) is not None
+        assert not member(system, system.alphabet.letters[0] * 7)
+        assert witness(system, words[-1], 8) is not None
+        assert state() == before and system == equal
+        # no table the searches left behind points back at the system
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None

@@ -145,7 +145,7 @@ def call_graph() -> dict[str, set[str]]:
 def test_call_graph_sees_calls():
     graph = call_graph()
     assert "transform._unemitted" in graph["transform.normalize_sequence"]
-    assert "closure._undo_rules" in graph["closure._FlatPairs.__init__"]
+    assert "closure._undo_rules" in graph["closure._Tables.__init__"]
     assert "grammar.enumerate_cfg" in graph["core.InitialSet.enumerate"]
     assert "decider._RuleImages.image" in graph["decider._RuleImages.union"]
 
