@@ -29,7 +29,7 @@ from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import Alphabet, ParseError
+from .core import Alphabet, ParseError, _HashedOnce
 
 # an implicit DFA: (start node, node -> successors in alphabet order,
 # node -> accepts)
@@ -37,7 +37,7 @@ Walk = tuple[Hashable, Callable[[Any], Iterable], Callable[[Any], bool]]
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Dfa(_HashedOnce):
     """A total DFA; ``transitions[state][letter_index]`` is the target."""
 
     alphabet: tuple[str, ...]
@@ -47,6 +47,7 @@ class Dfa:
     # each letter's column in ``transitions``, built once per automaton; it
     # takes no part in equality, hashing or repr
     letter_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "letter_index", {a: i for i, a in enumerate(self.alphabet)})

@@ -13,13 +13,17 @@ and beta, or round a circle a suffix and a prefix), and a word is searched
 once for each seam, with str.find, so the work follows the occurrences and
 not the number of cuts, spans or rotations.
 
-Saturation does per-word work once, not once per pair.  Flat words are
-grouped by the context table of the splice rules they can be inserted by,
-and each host gets one cut list per table it meets, so a pair costs only
-its hits; concat rules are two bit masks per word.  A new circular word
-cuts its rotations once, which give both its canonical rotation and the
-set that later results are tested against, and is scanned once for the
-rotations in each rule pattern.
+Saturation does per-word work once, not once per pair, in one direct
+loop per mode.  A flat word's context table (the merged cut contexts of
+the splice rules it can be inserted by) and two concat bit masks follow
+from its first and last letters, as many as the longest handles tested,
+so a per-call dict keyed by those ends gives them.  A group of words
+with one table keeps its least length, for a word to skip a group it
+cannot fit beside, and each host gets one cut list per table it meets,
+so a pair costs only its hits.  A new circular word cuts its rotations
+once, for its canonical rotation and the set later results are tested
+against; only a word that can still pair keeps the list, to be scanned
+once for its rotations in each rule pattern.
 
 Membership decides each word once.  A word is in the language iff it is an
 axiom or some undo move splits it into two parts that are both in it, so
@@ -139,176 +143,130 @@ class _Contexts:
         return [(i, self.rules[k]) for i, k in _firsts(windows)]
 
 
-# Saturation pairs each word z taken off the agenda with groups of words
-# taken off before it.  A mode's pairing has three parts: ``admit`` turns
-# a result into a word, ``entry`` gives a word's group and what the
-# pairing keeps of it, and ``results`` yields (result, parent) for z
-# against one group, both ways round.
+def _saturate(system: SplicingSystem, max_len: int) -> dict:
+    """Parent pointers of every word up to ``max_len``: None for an axiom,
+    else (rule, u, v, cut) of the production that first reached it.  Each
+    mode's loop pairs every word z, both ways round, with each word before
+    it (z too) that fits beside it, by group and then by length."""
+    initial = system.initial.enumerate(max_len)
+    # a word pairs only with words that fit beside it under the bound, so
+    # one longer than max_len minus the shortest axiom pairs with none
+    room = max_len - min(map(len, initial), default=0)
+    loop = _saturate_circular if system.mode == CIRCULAR else _saturate_flat
+    return loop(_tables(system), initial, max_len, room)
 
 
-class _FlatPairs:
-    """Flat productions, with per-word work done once.
-
-    Each word gets, once, the merged cut contexts of the splice rules whose
-    gamma and delta it matches.  A group holds the words that share one
-    context table, so a host's cut list for that table is built once, the
-    first time the host meets the group, and serves every word in it: a
-    pair then costs only its hits.  Each word also carries two bit masks
-    of the concat rules it may be the left or the right operand of; the
-    lowest common bit is the first rule in rule order."""
-
-    def __init__(self, tables: _Tables, seen: dict):
-        self.tables = tables
-        self.concat = tables.concat
-        self.seen = seen
-        # table -> host -> the host's cut list for the words of that table
-        self.cut_lists: dict[_Contexts, dict[str, list]] = defaultdict(dict)
-
-    @staticmethod
-    def admit(s: str) -> str:
-        return s
-
-    def entry(self, w: str):
-        table = self.tables.contexts(w)
-        lmask = rmask = 0
-        for k, rule in enumerate(self.concat):
-            if matches_pattern(w, rule.alpha, rule.beta):
-                lmask |= 1 << k
-            if matches_pattern(w, rule.gamma, rule.delta):
-                rmask |= 1 << k
-        return table, (w, table, lmask, rmask)
-
-    def results(self, ze, table: _Contexts, ys):
-        z, z_table, zl, zr = ze
-        cuts = self.cut_lists[table]
-        z_cuts = cuts.get(z)
-        if z_cuts is None:
+def _saturate_flat(tables: _Tables, initial: list, max_len: int, room: int) -> dict:
+    parents = dict.fromkeys(initial)
+    agenda = deque(parents)
+    concat = tables.concat
+    entries: dict = {}  # handle signature -> (context table, left mask, right mask)
+    # context table -> [least length, words by length, host -> its cut list]
+    groups: dict[_Contexts, list] = {}
+    while agenda:
+        z = agenda.popleft()
+        n = len(z)
+        if n > room:
+            continue
+        key = tables.signature(z)
+        z_table, zl, zr = entries.get(key) or entries.setdefault(key, tables.entry(z))
+        group = groups.get(z_table)
+        if group is None:
+            group = groups[z_table] = [n, [[] for _ in range(max_len + 1)], {}]
+        elif n < group[0]:
+            group[0] = n
+        group[1][n].append((z, zl, zr))
+        y_cuts = group[2] if z_table.keys else None
+        for table, (least, by_len, cuts) in groups.items():
+            if n + least > max_len:
+                continue
+            # z is new, so none of its cut lists is made yet
             z_cuts = cuts[z] = table.cuts(z)
-        y_cuts = self.cut_lists[z_table] if z_table.keys else None
-        if not (z_cuts or y_cuts is not None or zl or zr):
-            return
-        z_splits = [(z[:i], z[i:], i, rule) for i, rule in z_cuts]
-        seen, concat = self.seen, self.concat
-        for y, _, yl, yr in ys:
-            for head, tail, i, rule in z_splits:
-                s = head + y + tail
-                if s not in seen:
-                    yield s, (rule, z, y, i)
-            m = zl & yr
-            if m and z + y not in seen:
-                yield z + y, (concat[(m & -m).bit_length() - 1], z, y, len(z))
-            if y_cuts is not None:
-                hits = y_cuts.get(y)
-                if hits is None:
-                    hits = y_cuts[y] = z_table.cuts(y)
-                for i, rule in hits:
-                    s = y[:i] + z + y[i:]
-                    if s not in seen:
-                        yield s, (rule, y, z, i)
-            m = yl & zr
-            if m and y + z not in seen:
-                yield y + z, (concat[(m & -m).bit_length() - 1], y, z, len(y))
+            if not (z_cuts or y_cuts is not None or zl or zr):
+                continue
+            z_splits = [(z[:i], z[i:], i, rule) for i, rule in z_cuts]
+            for y, yl, yr in chain.from_iterable(by_len[least : max_len - n + 1]):
+                # y into z, then z y
+                for head, tail, i, rule in z_splits:
+                    s = head + y + tail
+                    if s not in parents:
+                        parents[s] = (rule, z, y, i)
+                        agenda.append(s)
+                m = zl & yr
+                if m and z + y not in parents:
+                    parents[z + y] = (concat[(m & -m).bit_length() - 1], z, y, n)
+                    agenda.append(z + y)
+                # z into y, then y z
+                if y_cuts is not None:
+                    hits = y_cuts.get(y)
+                    if hits is None:
+                        hits = y_cuts[y] = z_table.cuts(y)
+                    for i, rule in hits:
+                        s = y[:i] + z + y[i:]
+                        if s not in parents:
+                            parents[s] = (rule, y, z, i)
+                            agenda.append(s)
+                m = yl & zr
+                if m and y + z not in parents:
+                    parents[y + z] = (concat[(m & -m).bit_length() - 1], y, z, len(y))
+                    agenda.append(y + z)
+    return parents
 
 
-class _CircularPairs:
-    """Circular productions, with per-word work done once.
+def _saturate_circular(tables: _Tables, initial: list, max_len: int, room: int) -> dict:
+    rules, swapped = tables.circular_rules, tables.swapped
+    parents: dict = {}
+    seen: set[str] = set()  # every rotation of every word admitted
+    rotations: dict[CircularWord, list[str]] = {}  # of each word yet to pair
+    agenda: deque = deque()
 
-    A new word's n windows of ``s + s`` are cut once: they are the set
-    of its rotations that every later result ``left + right`` is tested
-    against, their least is its canonical rotation, and from there they
-    are its rotations by offset.  Each word is then scanned once, with the
-    occurrence scan of ``_seams``, for every distinct (prefix, suffix)
-    pattern of the rules: a rotation in ``prefix A* suffix`` starts where
-    suffix ends and prefix starts round the circle, and the pattern must
-    fit in the word."""
+    def admit(s: str, parent) -> None:
+        rots = _rotations(s)
+        seen.update(rots)
+        w = CircularWord._of_least(rots[0])
+        parents[w] = parent
+        if len(s) <= room:
+            rotations[w] = rots
+            agenda.append(w)
 
-    def __init__(self, tables: _Tables):
-        self.rules, self.swapped = tables.circular_rules, tables.swapped
-        self.seams, self.widths = tables.pattern_seams, tables.widths
-        self.seen: set[str] = set()
-        # the rotations of each word admitted and not yet given an entry
-        self.rotations: dict[CircularWord, list[str]] = {}
-
-    def admit(self, s: str) -> CircularWord:
-        n, ring = len(s), s + s
-        windows = [ring[i : i + n] for i in range(n)]
-        rep = min(windows)
-        self.seen.update(windows)
-        i = windows.index(rep)
-        w = CircularWord._of_least(rep)
-        self.rotations[w] = windows[i:] + windows[:i]
-        return w
-
-    def entry(self, w: CircularWord):
-        rots = self.rotations.pop(w)
-        rep = rots[0]
-        n = len(rep)
-        found = _seams(rep + rep, n, self.seams, cyclic=True)
-        offsets = [ps if width <= n else [] for ps, width in zip(found, self.widths)]
-        return None, (w, rots, offsets)
-
-    def results(self, ze, _, ys):
-        seen = self.seen
-        for ye in ys:
-            pairings = ((ze, ye, self.rules), (ye, ze, self.swapped))
-            for (u, u_rots, u_offsets), (v, v_rots, v_offsets), rules in pairings:
-                for rule, lp, rp in rules:
+    for s in initial:
+        if s not in seen:
+            admit(s, None)
+    by_len: list[list] = [[] for _ in range(max_len + 1)]
+    while agenda:
+        z = agenda.popleft()
+        z_rots = rotations.pop(z)
+        n = len(z_rots)
+        ze = (z, z_rots, tables.offsets(z_rots[0]))
+        by_len[n].append(ze)
+        for ye in chain.from_iterable(by_len[1 : max_len - n + 1]):
+            pairings = ((ze, ye, rules), (ye, ze, swapped))
+            for (u, u_rots, u_offsets), (v, v_rots, v_offsets), pairing in pairings:
+                for rule, lp, rp in pairing:
                     rights = v_offsets[rp]
                     for i in u_offsets[lp]:
                         left = u_rots[i]
                         for j in rights:
                             s = left + v_rots[j]
                             if s not in seen:
-                                yield s, (rule, u, v, (i, j))
-
-
-def _saturate(system: SplicingSystem, max_len: int) -> dict:
-    """Parent pointers of every word up to ``max_len``: None for an axiom,
-    else (rule, u, v, cut) of the production that first reached it."""
-    parents: dict = {}
-    tables = _tables(system)
-    if system.mode == CIRCULAR:
-        pairs = _CircularPairs(tables)
-    else:
-        pairs = _FlatPairs(tables, parents)
-    admit = pairs.admit
-    parents.update(dict.fromkeys(map(admit, system.initial.enumerate(max_len))))
-    agenda = deque(parents)
-    # a word pairs only with words that fit beside it under the bound, so
-    # one longer than max_len minus the shortest axiom pairs with none
-    room = max_len - min(map(len, parents), default=0)
-    # the words off the agenda by group, then by length; z pairs with each
-    # of them (itself included) that fits beside it, so every result does.
-    # A result comes out only while it is new.
-    done: dict = {}
-    while agenda:
-        z = agenda.popleft()
-        n = len(z)
-        if n > room:
-            continue
-        key, ze = pairs.entry(z)
-        by_len = done.get(key)
-        if by_len is None:
-            by_len = done[key] = [[] for _ in range(max_len + 1)]
-        by_len[n].append(ze)
-        fits = slice(1, max_len - n + 1)
-        for key, lengths in done.items():
-            group = lengths[fits]
-            if any(group):
-                for s, parent in pairs.results(ze, key, chain.from_iterable(group)):
-                    w = admit(s)
-                    parents[w] = parent
-                    agenda.append(w)
+                                admit(s, (rule, u, v, (i, j)))
     return parents
+
+
+def _rotations(s: str) -> list[str]:
+    """The rotations of ``s``, from its least one on."""
+    n, ring = len(s), s + s
+    windows = [ring[i : i + n] for i in range(n)]
+    i = windows.index(min(windows))
+    return windows[i:] + windows[:i]
 
 
 def closure_bounded(system: SplicingSystem, max_len: int):
     """All words of the system's language up to ``max_len``, length-lex
     sorted; circular systems yield canonical CircularWords.  The empty
     word never appears (it belongs to the language iff it was an axiom,
-    which the loader records separately).  The system's search tables are
-    built on its first search and reused by later ones; the words found
-    are not kept past the call."""
+    which the loader records separately).  It reads the system's search
+    tables, built once, and keeps no word past the call."""
     if max_len < 1:
         raise ValueError("the length bound must be at least 1")
     words = _saturate(system, max_len)
@@ -354,9 +312,8 @@ def _sequence(parents: dict, word) -> ProductionSequence:
 def witness(system: SplicingSystem, word, max_len: int) -> ProductionSequence:
     """A replayable production sequence for ``word``, reconstructed from
     the bounded closure's parent pointers.  Raises SpliceError when the
-    word is not in the closure within the bound.  The saturation reads
-    the system's search tables, built once; its parent pointers go with
-    the call."""
+    word is not in the closure within the bound.  The parent pointers go
+    with the call."""
     if system.mode == CIRCULAR and isinstance(word, str):
         word = CircularWord(word)
     parents = _saturate(system, max_len)
@@ -645,6 +602,9 @@ class _Tables:
         # share one context table, made the first time a word needs it
         self.gds = list(dict.fromkeys((r.gamma, r.delta) for r in rules))
         self.by_gds: dict[tuple, _Contexts] = {}
+        # P and S, the longest prefix and suffix handles a flat entry tests
+        hs = self.gds + [h for r in self.concat for h in (r.handles[:2], r.handles[2:])]
+        self.ends = [max((len(h[i]) for h in hs), default=0) for i in (0, 1)]
         # circular saturation: each splice rule with the indices of its
         # (prefix, suffix) patterns, left (beta, alpha) and right (gamma,
         # delta), among the distinct patterns
@@ -659,6 +619,28 @@ class _Tables:
         self.swapped = [(r, lp, rp) for r, lp, rp in self.circular_rules if lp != rp]
         self.pattern_seams = [(suffix, prefix) for prefix, suffix in patterns]
         self.widths = [len(prefix) + len(suffix) for prefix, suffix in patterns]
+
+    def signature(self, w: str):
+        """What a flat word's ``entry`` follows from: its first P and last S
+        letters (P and S as ``ends``), or the word when shorter than both."""
+        (p, s), n = self.ends, len(w)
+        return (w[:p], w[n - s :]) if n >= p + s else w
+
+    def entry(self, w: str) -> tuple[_Contexts, int, int]:
+        """A flat word's context table, and bit masks of the concat rules it
+        may be the left and the right operand of, first rule lowest."""
+        rules = list(enumerate(self.concat))
+        lmask = sum(1 << k for k, r in rules if matches_pattern(w, r.alpha, r.beta))
+        rmask = sum(1 << k for k, r in rules if matches_pattern(w, r.gamma, r.delta))
+        return self.contexts(w), lmask, rmask
+
+    def offsets(self, rep: str) -> list:
+        """For each rule pattern, the offsets from ``rep``, ascending, of
+        the rotations in ``prefix A* suffix``: where suffix ends and
+        prefix starts round the circle, if the pattern fits in the word."""
+        n = len(rep)
+        found = _seams(rep + rep, n, self.pattern_seams, cyclic=True)
+        return [ps if width <= n else [] for ps, width in zip(found, self.widths)]
 
     def contexts(self, v: str) -> _Contexts:
         """The merged cut contexts of the splice rules whose gamma and delta

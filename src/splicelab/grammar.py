@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator
 
 from .automata import Dfa, _normalize, _product_walk, _reach, _walk, pattern_dfa
-from .core import Alphabet, InitialSet
+from .core import Alphabet, InitialSet, _HashedOnce
 
 Body = tuple[str, ...]
 
@@ -37,7 +37,7 @@ def fresh_name(base: str, avoid: Iterable[str] = ()) -> str:
 
 
 @dataclass(frozen=True)
-class Cfg:
+class Cfg(_HashedOnce):
     """An immutable context-free grammar.
 
     ``variables`` is ordered (declaration order drives elimination order and
@@ -52,6 +52,7 @@ class Cfg:
     productions: tuple[tuple[str, Body], ...]
     start: str
     varset: frozenset[str] = field(init=False, repr=False, compare=False)
+    __hash__ = _HashedOnce.__hash__
 
     def __init__(self, terminals, variables, productions, start):
         terminals = tuple(terminals)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict, deque
+from itertools import chain
 from fractions import Fraction
 from functools import lru_cache
 
 from splicelab.automata import _live_distances, pattern_dfa
+from splicelab.closure import _seams, _tables
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -22,8 +24,10 @@ from splicelab.core import (
     Alphabet,
     InitialSet,
     SplicingRule,
+    CircularWord,
     SplicingSystem,
     _handles,
+    matches_pattern,
 )
 from splicelab.grammar import Cfg, GeneralizedCfg, cfg_trim, enumerate_cfg_tuples
 
@@ -260,6 +264,157 @@ def naive_circular_closure(system: SplicingSystem, max_len: int) -> set[str]:
         if not fresh:
             return words
         words |= fresh
+
+
+# --------------------------------------------------------------------------
+# Reference saturation: the generic pairing protocol that one direct loop
+# per mode replaced, kept to pin every parent pointer.  It reads the
+# system's search tables but none of the saturation loops.
+#
+# Saturation pairs each word z taken off the agenda with groups of words
+# taken off before it.  A mode's pairing has three parts: ``admit`` turns
+# a result into a word, ``entry`` gives a word's group and what the
+# pairing keeps of it, and ``results`` yields (result, parent) for z
+# against one group, both ways round.
+
+
+class _FlatPairs:
+    """Flat productions: words grouped by context table, a host's cut list
+    built once per table it meets, concat rules as two bit masks."""
+
+    def __init__(self, tables, seen: dict):
+        self.tables = tables
+        self.concat = tables.concat
+        self.seen = seen
+        # table -> host -> the host's cut list for the words of that table
+        self.cut_lists: dict = defaultdict(dict)
+
+    @staticmethod
+    def admit(s: str) -> str:
+        return s
+
+    def entry(self, w: str):
+        table = self.tables.contexts(w)
+        lmask = rmask = 0
+        for k, rule in enumerate(self.concat):
+            if matches_pattern(w, rule.alpha, rule.beta):
+                lmask |= 1 << k
+            if matches_pattern(w, rule.gamma, rule.delta):
+                rmask |= 1 << k
+        return table, (w, table, lmask, rmask)
+
+    def results(self, ze, table, ys):
+        z, z_table, zl, zr = ze
+        cuts = self.cut_lists[table]
+        z_cuts = cuts.get(z)
+        if z_cuts is None:
+            z_cuts = cuts[z] = table.cuts(z)
+        y_cuts = self.cut_lists[z_table] if z_table.keys else None
+        if not (z_cuts or y_cuts is not None or zl or zr):
+            return
+        z_splits = [(z[:i], z[i:], i, rule) for i, rule in z_cuts]
+        seen, concat = self.seen, self.concat
+        for y, _, yl, yr in ys:
+            for head, tail, i, rule in z_splits:
+                s = head + y + tail
+                if s not in seen:
+                    yield s, (rule, z, y, i)
+            m = zl & yr
+            if m and z + y not in seen:
+                yield z + y, (concat[(m & -m).bit_length() - 1], z, y, len(z))
+            if y_cuts is not None:
+                hits = y_cuts.get(y)
+                if hits is None:
+                    hits = y_cuts[y] = z_table.cuts(y)
+                for i, rule in hits:
+                    s = y[:i] + z + y[i:]
+                    if s not in seen:
+                        yield s, (rule, y, z, i)
+            m = yl & zr
+            if m and y + z not in seen:
+                yield y + z, (concat[(m & -m).bit_length() - 1], y, z, len(y))
+
+
+class _CircularPairs:
+    """Circular productions: a new word's rotations cut once, and its
+    offsets in every rule pattern found with one seam scan."""
+
+    def __init__(self, tables):
+        self.rules, self.swapped = tables.circular_rules, tables.swapped
+        self.seams, self.widths = tables.pattern_seams, tables.widths
+        self.seen: set[str] = set()
+        # the rotations of each word admitted and not yet given an entry
+        self.rotations: dict = {}
+
+    def admit(self, s: str) -> CircularWord:
+        n, ring = len(s), s + s
+        windows = [ring[i : i + n] for i in range(n)]
+        rep = min(windows)
+        self.seen.update(windows)
+        i = windows.index(rep)
+        w = CircularWord._of_least(rep)
+        self.rotations[w] = windows[i:] + windows[:i]
+        return w
+
+    def entry(self, w: CircularWord):
+        rots = self.rotations.pop(w)
+        rep = rots[0]
+        n = len(rep)
+        found = _seams(rep + rep, n, self.seams, cyclic=True)
+        offsets = [ps if width <= n else [] for ps, width in zip(found, self.widths)]
+        return None, (w, rots, offsets)
+
+    def results(self, ze, _, ys):
+        seen = self.seen
+        for ye in ys:
+            pairings = ((ze, ye, self.rules), (ye, ze, self.swapped))
+            for (u, u_rots, u_offsets), (v, v_rots, v_offsets), rules in pairings:
+                for rule, lp, rp in rules:
+                    rights = v_offsets[rp]
+                    for i in u_offsets[lp]:
+                        left = u_rots[i]
+                        for j in rights:
+                            s = left + v_rots[j]
+                            if s not in seen:
+                                yield s, (rule, u, v, (i, j))
+
+
+def reference_saturate(system: SplicingSystem, max_len: int) -> dict:
+    """Parent pointers of every word up to ``max_len``, as
+    ``splicelab.closure._saturate`` must give them: None for an axiom,
+    else (rule, u, v, cut) of the production that first reached it."""
+    parents: dict = {}
+    tables = _tables(system)
+    if system.mode == CIRCULAR:
+        pairs = _CircularPairs(tables)
+    else:
+        pairs = _FlatPairs(tables, parents)
+    admit = pairs.admit
+    parents.update(dict.fromkeys(map(admit, system.initial.enumerate(max_len))))
+    agenda = deque(parents)
+    room = max_len - min(map(len, parents), default=0)
+    # the words off the agenda by group, then by length; z pairs with each
+    # of them (itself included) that fits beside it, so every result does
+    done: dict = {}
+    while agenda:
+        z = agenda.popleft()
+        n = len(z)
+        if n > room:
+            continue
+        key, ze = pairs.entry(z)
+        by_len = done.get(key)
+        if by_len is None:
+            by_len = done[key] = [[] for _ in range(max_len + 1)]
+        by_len[n].append(ze)
+        fits = slice(1, max_len - n + 1)
+        for key, lengths in done.items():
+            group = lengths[fits]
+            if any(group):
+                for s, parent in pairs.results(ze, key, chain.from_iterable(group)):
+                    w = admit(s)
+                    parents[w] = parent
+                    agenda.append(w)
+    return parents
 
 
 # --------------------------------------------------------------------------

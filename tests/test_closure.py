@@ -14,9 +14,10 @@ from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.closure import (
     _TABLES,
     _breaks_counts,
-    _CircularPairs,
     _count_rows,
     _null_space,
+    _rotations,
+    _saturate,
     _seams,
     _Tables,
     _undo_rules,
@@ -71,6 +72,7 @@ from helpers import (
     random_system,
     random_word,
     rank,
+    reference_saturate,
 )
 
 
@@ -766,17 +768,89 @@ class TestOccurrenceScan:
             system = SplicingSystem(
                 Alphabet("ab"), InitialSet.finite(["a"]), frozenset([rule]), CIRCULAR
             )
-            pairs = _CircularPairs(_Tables(system))
+            tables = _Tables(system)
             text = word(1, 8)
-            w = pairs.admit(text)
-            _, (got, rots, offsets) = pairs.entry(w)
+            rots = _rotations(text)
+            offsets = tables.offsets(rots[0])
             rep = canonical_rotation(text)
-            assert got == CircularWord(text) and got.representative == rep
             assert rots == [rep[i:] + rep[:i] for i in range(len(rep))]
-            ((_, lp, rp),) = pairs.rules
+            ((_, lp, rp),) = tables.circular_rules
             for at, (prefix, suffix) in ((lp, (rule.beta, rule.alpha)), (rp, (rule.gamma, rule.delta))):
                 want = [i for i, r in enumerate(rots) if matches_pattern(r, prefix, suffix)]
                 assert list(offsets[at]) == want, (text, prefix, suffix)
+
+
+def saturation_system(rng: random.Random, i: int) -> SplicingSystem:
+    """A random system for the saturation differential: flat with splice
+    and concat rules or circular, with a finite or a regular initial set
+    and handles of 0-2 letters."""
+    circular = i % 3 == 2
+    system = random_system(
+        rng,
+        max_letters=2 if circular else 3,
+        max_initial=3,
+        max_rules=4,
+        usages=(SPLICE,) if circular else (SPLICE, CONCAT),
+        mode=CIRCULAR if circular else FLAT,
+        handle_len=1 + i % 2,
+    )
+    if i % 4 >= 2:
+        letters = system.alphabet.letters
+        dfa = regex_to_dfa(parse_regex(random_regex(rng, "".join(letters))), letters)
+        system = replace(system, initial=InitialSet.regular(dfa))
+    return system
+
+
+class TestSaturationLoops:
+    """The flat and the circular saturation loop admit every word in the
+    order, and with the parent pointer, of the generic pairing in
+    ``helpers.reference_saturate``."""
+
+    def test_parents_against_reference(self):
+        rng = random.Random(149)
+        made = {FLAT: 0, CIRCULAR: 0, CONCAT: 0, "regular": 0}
+        for i in range(450):
+            system = saturation_system(rng, i)
+            got = _saturate(system, 8)
+            assert repr(got) == repr(reference_saturate(system, 8)), system
+            steps = [p for p in got.values() if p is not None]
+            made[system.mode] += len(steps)
+            made[CONCAT] += sum(p[0].usage == CONCAT for p in steps)
+            made["regular"] += len(steps) if system.initial.kind == "regular" else 0
+        assert min(made.values()) > 500, made
+
+    def test_fixture_parents_against_reference(self):
+        for fixture, form, _ in CLOSURE_DIGESTS:
+            system = fixture_form(fixture, form)
+            got = _saturate(system, CLOSURE_BOUND)
+            assert repr(got) == repr(reference_saturate(system, CLOSURE_BOUND)), (fixture, form)
+
+    def test_signature_is_exact(self):
+        # every word with one handle signature gets the entry of the first
+        # word seen with it: the direct context table and concat masks
+        rng = random.Random(151)
+        no_suffix = short = 0
+        for i in range(300):
+            system = random_system(
+                rng, max_rules=4, usages=(SPLICE, CONCAT), handle_len=1 + i % 3
+            )
+            tables = _Tables(system)
+            p, s = tables.ends
+            no_suffix += p > 0 and s == 0
+            cached: dict = {}
+            letters = system.alphabet.letters
+            for w in short_words(letters, 6):
+                masks = [
+                    sum(1 << k for k, r in enumerate(tables.concat) if matches_pattern(w, *h(r)))
+                    for h in (lambda r: (r.alpha, r.beta), lambda r: (r.gamma, r.delta))
+                ]
+                want = (tables.contexts(w), *masks)
+                assert cached.setdefault(tables.signature(w), want) == want, (system, w)
+                short += len(w) < p + s
+            # and it is no finer than the P + S letters it reads
+            long = {tables.signature(w) for w in short_words(letters, 6) if len(w) >= p + s}
+            assert len(long) <= len(letters) ** (p + s), system
+        assert no_suffix > 10 and short > 1000, (no_suffix, short)
 
 
 def short_words(letters, max_len: int) -> list[str]:

@@ -1,7 +1,12 @@
 """Words, rules, pattern matching, and recorded derivations."""
 
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +36,7 @@ from splicelab.core import (
     matches_pattern,
     replay_sequence,
 )
-from splicelab.automata import parse_regex, regex_to_dfa
+from splicelab.automata import Dfa, parse_regex, regex_to_dfa
 from splicelab.grammar import Cfg, cfg_empty, enumerate_cfg
 
 from helpers import naive_apply, random_cfg, random_regex, shortenings
@@ -453,3 +458,69 @@ class TestReplay:
         )
         with pytest.raises(ReplayError):
             replay_sequence(_sir_ex(), seq)
+
+
+# Builds the automaton and the grammar of TestHashedOnce, in this process
+# or in another one under another hash seed.
+HASHED_ONCE = """
+from splicelab.automata import parse_regex, regex_to_dfa
+from splicelab.grammar import Cfg
+
+def build():
+    return (
+        regex_to_dfa(parse_regex("(ab)*a|ba*"), ("a", "b")),
+        Cfg(("a", "b"), ("S", "T"), [("S", ("a", "T", "b")), ("T", ()), ("T", ("S",))], "S"),
+    )
+"""
+
+
+class TestHashedOnce:
+    """``Dfa`` and ``Cfg`` work out their hash on the first ``hash`` and
+    keep it, but never pickle it: a str hash differs under another
+    PYTHONHASHSEED."""
+
+    @staticmethod
+    def build():
+        scope: dict = {}
+        exec(HASHED_ONCE, scope)
+        return scope["build"]()
+
+    def test_equal_objects_hash_equal(self):
+        for x, y in zip(self.build(), self.build()):
+            assert x is not y and x == y
+            assert hash(x) == hash(y) == hash(x)
+            # the hash the dataclass would make, of the fields in equality
+            kept = [f for f in x.__dataclass_fields__ if f not in ("letter_index", "varset")]
+            assert hash(x) == hash(tuple(getattr(x, f) for f in kept))
+        d, g = self.build()
+        assert hash(Dfa(d.alphabet, d.transitions, d.start, d.finals)) == hash(d)
+        assert hash(Cfg._trusted(g.terminals, g.variables, g.productions, g.start)) == hash(g)
+        assert {d: 1, g: 2}[Dfa(d.alphabet, d.transitions, d.start, d.finals)] == 1
+
+    def test_hash_is_not_pickled(self):
+        built = self.build()
+        before = pickle.dumps(built)
+        list(map(hash, built))
+        assert pickle.dumps(built) == before
+        assert pickle.loads(before) == built
+
+    def test_hash_after_pickle_under_another_seed(self):
+        built = self.build()
+        list(map(hash, built))
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        child = HASHED_ONCE + """
+import pickle, sys
+loaded = pickle.loads(sys.stdin.buffer.read())
+print([hash(x) == hash(y) for x, y in zip(loaded, build())], hash(("a", "b")))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(built), capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        same, key = done.stdout.decode().rsplit(" ", 1)
+        # the child hashes strings otherwise, so a kept hash would be wrong
+        assert int(key) != hash(("a", "b"))
+        assert same == "[True, True]"
