@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict, deque
-from itertools import chain
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,9 +21,9 @@ from splicelab.core import (
     FLAT,
     SPLICE,
     Alphabet,
+    CircularWord,
     InitialSet,
     SplicingRule,
-    CircularWord,
     SplicingSystem,
     _handles,
     matches_pattern,
@@ -410,7 +409,7 @@ def reference_saturate(system: SplicingSystem, max_len: int) -> dict:
         for key, lengths in done.items():
             group = lengths[fits]
             if any(group):
-                for s, parent in pairs.results(ze, key, chain.from_iterable(group)):
+                for s, parent in pairs.results(ze, key, itertools.chain.from_iterable(group)):
                     w = admit(s)
                     parents[w] = parent
                     agenda.append(w)
