@@ -18,14 +18,16 @@ two automata is ``_product_walk`` over two walks (``_walk`` makes a ``Dfa``
 one), so the decider can search a walk, or ``_reach`` it, unminimized:
 minimizing pays only where the result is returned or a new automaton is
 built from it, since a product or a subset walk grows with the states of
-its operands.  Difference witnesses come from one breadth-first walk,
-``_least_word``, that stops at the first node found, with no automaton built.
+its operands.  ``_reach`` builds (``_normalize`` renumbers through it),
+``_least_word`` finds the least word to a node, stopping at the first, and
+``_visit`` visits each node once, for searches that collect a set or answer
+yes or no, with no automaton and no words built.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -98,8 +100,8 @@ def _normalize(
     start: int,
     finals: Collection[int],
 ) -> Dfa:
-    """Minimize (partition refinement) and renumber by BFS order from the
-    start, which drops every unreachable state."""
+    """Minimize (partition refinement), then renumber the classes by
+    ``_reach`` from the start's, which drops every unreachable one."""
     part = [1 if s in finals else 0 for s in range(len(delta))]
     classes = len(set(part))
     while True:
@@ -115,22 +117,8 @@ def _normalize(
     cdelta: list = [None] * classes
     for c, row in zip(part, delta):
         cdelta[c] = [part[t] for t in row]
-
-    cstart = part[start]
-    order: dict[int, int] = {cstart: 0}
-    queue = deque([cstart])
-    while queue:
-        for t in cdelta[queue.popleft()]:
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    # ``order`` lists the reachable classes in BFS order
-    return Dfa(
-        alphabet=alphabet,
-        transitions=tuple(tuple(order[t] for t in cdelta[c]) for c in order),
-        start=0,
-        finals=frozenset(order[part[s]] for s in finals if part[s] in order),
-    )
+    final = {part[s] for s in finals}
+    return _reach(alphabet, part[start], cdelta.__getitem__, final.__contains__)
 
 
 def _reach(alphabet: tuple[str, ...], start, step, final) -> Dfa:
@@ -154,6 +142,20 @@ def _reach(alphabet: tuple[str, ...], start, step, final) -> Dfa:
         delta.append(tuple(row))
     finals = frozenset(i for i, node in enumerate(nodes) if final(node))
     return Dfa(alphabet, tuple(delta), 0, finals)
+
+
+def _visit(start, step) -> Iterator:
+    """Each node reachable from ``start`` once, in breadth-first discovery
+    order: ``step(node)`` gives a node's successors.  A caller that stops
+    early walks no further."""
+    seen = {start}
+    nodes = [start]
+    for node in nodes:  # grows as new nodes are found
+        yield node
+        for nxt in step(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                nodes.append(nxt)
 
 
 def _explore(alphabet: tuple[str, ...], start, step, final) -> Dfa:
@@ -604,18 +606,12 @@ def _live_distances(a: Dfa) -> dict[int, int]:
     """The live states, those reachable from the start that reach a final
     state, each with the length of its shortest word to acceptance: a
     reverse breadth-first walk from the reachable finals."""
-    reach = {a.start}
-    stack = [a.start]
-    while stack:
-        for t in a.transitions[stack.pop()]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    rev: dict[int, list[int]] = {s: [] for s in reach}
-    for s in reach:
+    # the reachable states, each with its predecessors
+    rev: dict[int, list[int]] = {s: [] for s in _visit(a.start, a.transitions.__getitem__)}
+    for s in rev:
         for t in a.transitions[s]:
             rev[t].append(s)
-    dist = {f: 0 for f in a.finals if f in reach}
+    dist = {f: 0 for f in a.finals if f in rev}
     queue = deque(dist)
     while queue:
         s = queue.popleft()
@@ -709,20 +705,12 @@ def _rotation_closed(a: Dfa) -> bool:
     first state accepts while the second, after reading x, rejects.  It
     reads only the transitions, so it is exact on any DFA, minimized or
     not."""
-    # its own loop: its finals are shifted by x; via ``_least_word`` it ran 2x slower
     T, finals = a.transitions, a.finals
+    step = lambda pair: zip(T[pair[0]], T[pair[1]])
     for x in range(len(a.alphabet)):
-        start = (T[a.start][x], a.start)
-        seen = {start}
-        stack = [start]
-        while stack:
-            p, q = stack.pop()
+        for p, q in _visit((T[a.start][x], a.start), step):
             if p in finals and T[q][x] not in finals:
                 return False
-            for pair in zip(T[p], T[q]):
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
     return True
 
 

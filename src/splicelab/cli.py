@@ -164,7 +164,10 @@ def _cmd_synthesize(args) -> int:
     grammar = synthesize(_load_system(args.file), method=args.method)
     text = serialize_grammar(grammar)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -39,11 +39,12 @@ returned or a new one is built from it (image walks before
 ``splice_image``'s fold, fold and residue products, P and a walk's words
 outside K before they are rotated), as a product or a subset walk grows
 with the states of what it is built from.  Products are ``_product_walk``
-over two walks, so no pattern automaton is built (the residue, ``reached``
-and ``includes`` keep pair loops of their own, each saying why); K ∩ x A* y
-and the finite axiom automaton stay unminimized.  A circular K, or a
-residue, that a pair walk finds closed under rotation is not rotated:
-rotating K and P was nearly all of a circular decision's time.
+over two walks, so no pattern automaton is built; K ∩ x A* y and the
+finite axiom automaton stay unminimized.  The other searches over state
+pairs (``reached``, ``includes``, the rotation test) are ``_visit``
+walks.  A circular K, or a residue, that a pair walk finds closed under
+rotation is not rotated: rotating K and P was nearly all of a circular
+decision's time.
 ``alphabetic_generability`` inverts the question: it looks for a finite
 alphabetic system generating K, using the maximal admissible rule set; a
 candidate rule is admissible when, at every cut, each word K⁺ accepts
@@ -79,6 +80,7 @@ from .automata import (
     _product_walk,
     _reach,
     _rotation_closed,
+    _visit,
     _walk,
     _words_walk,
 )
@@ -182,22 +184,15 @@ class _RuleImages:
         ``state`` to: a walk over (state·m, fitting state of m) pairs."""
         key = (state, prefix, suffix)
         if key not in self._reached:
-            # its own loop: it collects the K state of every final pair, not one word
             T = self.K.transitions
             fitting, fitting_live = self.fitting(prefix, suffix)
-            out: set[int] = set()
-            start = (state, fitting.start)
-            seen = {start}
-            stack = [start]
-            while stack:
-                k, m = stack.pop()
-                if m in fitting.finals:
-                    out.add(k)
-                for pair in zip(T[k], fitting.transitions[m]):
-                    if pair[1] in fitting_live and pair not in seen:
-                        seen.add(pair)
-                        stack.append(pair)
-            self._reached[key] = out
+            M, finals = fitting.transitions, fitting.finals
+
+            def step(pair):
+                return [(k, m) for k, m in zip(T[pair[0]], M[pair[1]]) if m in fitting_live]
+
+            walk = _visit((state, fitting.start), step)
+            self._reached[key] = {k for k, m in walk if m in finals}
         return self._reached[key]
 
     def includes(self, t: int, k: int) -> bool:
@@ -205,21 +200,19 @@ class _RuleImages:
         walk over state pairs that stops at the first pair accepting from
         t's side only.  When none is found, every pair walked holds too."""
         if (t, k) not in self._includes:
-            # its own loop: it memoizes every pair it walks
-            K, live = self.K, self.live
-            seen = {(t, k)}
-            stack = [(t, k)]
-            while stack:
-                x, y = stack.pop()
-                if x in K.finals and y not in K.finals:
+            T, finals, live = self.K.transitions, self.K.finals, self.live
+
+            def step(pair):
+                return [(x, y) for x, y in zip(T[pair[0]], T[pair[1]]) if x in live and x != y]
+
+            walked = []
+            for x, y in _visit((t, k), step):
+                if x in finals and y not in finals:
                     self._includes[(t, k)] = False
                     break
-                for pair in zip(K.transitions[x], K.transitions[y]):
-                    if pair[0] in live and pair[0] != pair[1] and pair not in seen:
-                        seen.add(pair)
-                        stack.append(pair)
+                walked.append((x, y))
             else:
-                self._includes.update(dict.fromkeys(seen, True))
+                self._includes.update(dict.fromkeys(walked, True))
         return self._includes[(t, k)]
 
     def keeps_inside(self, rule: SplicingRule) -> bool:
@@ -321,7 +314,7 @@ class _RuleImages:
         so R is the normalized ``dfa_difference(K, self.union(maximal))``,
         or K itself when there is no walk."""
         R = self.K
-        # its own pair loop: a pair whose R state is dead is one node
+        # its own pair step, not ``_product_walk``: a pair with a dead R state is one node
         for rule in maximal:
             for walk in self.image(rule):
                 live, T, finals = _live_distances(R), R.transitions, R.finals

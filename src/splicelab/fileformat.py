@@ -196,12 +196,12 @@ def _is_variable_token(tok: str) -> bool:
 
 
 def parse_grammar(text: str) -> Cfg:
-    """Read a grammar from its text form."""
+    """Read a grammar from its text form, its productions grouped by head
+    (the start's first, the others by first line) as ``serialize_grammar``
+    writes them, so that text parses back to an equal grammar."""
     start: str | None = None
     declared_terminals: list[str] | None = None
-    heads: list[str] = []
-    body_vars: list[str] = []
-    productions: list[tuple[str, tuple[str, ...]]] = []
+    bodies: dict[str, list[tuple[str, ...]]] = {}  # per head, in order of first use
     seen_terminals: list[str] = []
     for lineno, line in _significant_lines(text):
         keyword, _, rest = line.partition(" ")
@@ -216,7 +216,7 @@ def parse_grammar(text: str) -> Cfg:
         if keyword == "terminals":
             declared_terminals = rest.split()
             for t in declared_terminals:
-                if len(t) != 1 or _is_variable_token(t):
+                if len(t) != 1 or _is_variable_token(t) or t == "_":
                     raise ParseError(f"terminals are single lowercase symbols, got {t!r}", lineno)
             continue
         if "->" not in line:
@@ -225,8 +225,7 @@ def parse_grammar(text: str) -> Cfg:
         head = head.strip()
         if not head or not _is_variable_token(head):
             raise ParseError(f"production head must be a variable, got {head!r}", lineno)
-        if head not in heads:
-            heads.append(head)
+        bodies.setdefault(head, [])
         for alt in rhs.split("|"):
             tokens = alt.split()
             if not tokens:
@@ -237,8 +236,6 @@ def parse_grammar(text: str) -> Cfg:
                     continue
                 elif _is_variable_token(tok):
                     body.append(tok)
-                    if tok not in body_vars:
-                        body_vars.append(tok)
                 else:
                     for ch in tok:
                         if _is_variable_token(ch) or ch == "_":
@@ -250,11 +247,13 @@ def parse_grammar(text: str) -> Cfg:
                         body.append(ch)
                         if ch not in seen_terminals:
                             seen_terminals.append(ch)
-            productions.append((head, tuple(body)))
+            bodies[head].append(tuple(body))
     if start is None:
         raise ParseError("missing start line", 0)
-    variables = [start] + [v for v in heads if v != start]
-    variables += [v for v in body_vars if v not in variables]
+    heads = list(dict.fromkeys([start, *bodies]))
+    productions = [(h, b) for h in heads for b in bodies.get(h, ())]
+    # ``Cfg`` keeps the first of each repeated variable
+    variables = heads + [s for _, b in productions for s in b if _is_variable_token(s)]
     terminals = declared_terminals if declared_terminals is not None else sorted(seen_terminals)
     try:
         return Cfg(tuple(terminals), tuple(variables), tuple(productions), start)
@@ -306,7 +305,10 @@ def parse_dfa(text: str) -> Dfa:
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "alphabet":
-            alphabet = tuple(sorted(rest.split()))
+            try:  # letters as in a system file, so the text form round-trips
+                alphabet = Alphabet("".join(rest.split())).letters
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
         elif keyword == "states":
             if not rest.isdigit() or int(rest) <= 0:
                 raise ParseError(f"states line needs a positive count, got {rest!r}", lineno)

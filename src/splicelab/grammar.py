@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator
 
-from .automata import Dfa, _normalize, _product_walk, _reach, _walk, pattern_dfa
+from .automata import (
+    Dfa, _normalize, _product_walk, _reach, _require_same_alphabet, _visit, _walk, pattern_dfa,
+)
 from .core import Alphabet, InitialSet, _HashedOnce
 
 Body = tuple[str, ...]
@@ -144,12 +146,7 @@ def cfg_trim(g: Cfg) -> Cfg:
     below: dict[str, set[str]] = defaultdict(set)  # terminals too: they lead nowhere
     for head, body in useful:
         below[head].update(body)
-    reach = {g.start}
-    stack = [g.start]
-    while stack:
-        new = below[stack.pop()] - reach
-        reach |= new
-        stack += new
+    reach = set(_visit(g.start, below.__getitem__))
     keep = [v for v in g.variables if v in reach and v in gen]
     if g.start not in keep:
         keep = [g.start] + keep
@@ -1055,16 +1052,11 @@ def _projected_ends(tracked: dict[str, list], tracker: Dfa, d: Dfa) -> dict[str,
     ``d`` reaches on a word must depend only on the word's tracking state,
     as it does for ``pattern_dfa``; then image[t], the state ``d`` reaches
     on the words of tracking state t, maps each tracked set onto its
-    counterpart in ``d``.  A row is mapped only when ``_product``'s walk
-    down reads it."""
-    index = {x: n for n, x in enumerate(d.alphabet)}
-    image = {tracker.start: d.start}
-    queue = [tracker.start]
-    for t in queue:
-        for x, u in zip(tracker.alphabet, tracker.transitions[t]):
-            if u not in image:
-                image[u] = d.transitions[image[t]][index[x]]
-                queue.append(u)
+    counterpart in ``d``.  The walk over (t, image[t]) pairs zips the rows
+    of both by position, so their alphabets must be equal.  A row is
+    mapped only when ``_product``'s walk down reads it."""
+    _require_same_alphabet(tracker, d)
+    image = dict(_visit(*_product_walk("union", _walk(tracker), _walk(d))[:2]))
     pick: dict[int, int] = {}  # a tracking state for each state of d
     for t, p in image.items():
         pick.setdefault(p, t)

@@ -293,6 +293,15 @@ class TestSynthesize:
         g = parse_grammar(out.read_text(encoding="utf-8"))
         assert enumerate_cfg(g, 4) == ["ab", "aabb"]
 
+    def test_unwritable_output(self, spl, tmp_path, capsys):
+        # exit 1 would read as a negative answer
+        out = str(tmp_path / "missing" / "grammar.cfg")
+        code = run_command(["synthesize", spl(SIR_EX), "-o", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_methods_agree_on_language(self, spl, capsys):
         run_command(["synthesize", spl(EX_PURE)])
         graft = parse_grammar(capsys.readouterr().out)

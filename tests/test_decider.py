@@ -615,6 +615,41 @@ class TestGenerability:
                     sizes["some" if got else "none"] += 1
         assert min(sizes.values()) >= 1000, sizes
 
+    def test_includes_against_difference_witness(self):
+        """State-language inclusion, walked over state pairs, agrees with
+        the difference witness of K started at the two states, on raw DFAs
+        with dead and unreachable states, for half the pairs of a live t
+        and any k, in random order; every pair the walks memoize, asked
+        for or not, holds as recorded."""
+        rng = random.Random(83)
+        outcomes = {True: 0, False: 0}
+        unasked = not_live = 0
+        for _ in range(150):
+            letters = tuple("abc"[: rng.randint(1, 3)])
+            n = rng.randint(1, 7)
+            T = tuple(tuple(rng.randrange(n) for _ in letters) for _ in range(n))
+            density = rng.random()
+            F = frozenset(s for s in range(n) if rng.random() < density)
+            images = _RuleImages(Dfa(letters, T, rng.randrange(n), F))
+
+            def includes(t, k):
+                return difference_witness(Dfa(letters, T, t, F), Dfa(letters, T, k, F)) is None
+
+            pairs = [(t, k) for t in images.live for k in range(n)]
+            rng.shuffle(pairs)
+            del pairs[len(pairs) // 2 + 1 :]
+            for t, k in pairs:
+                want = includes(t, k)
+                assert images.includes(t, k) == want, (T, F, t, k)
+                outcomes[want] += 1
+            for (t, k), held in images._includes.items():
+                assert held == includes(t, k), (T, F, t, k)
+            unasked += len(images._includes.keys() - pairs)
+            not_live += len(images.live) < n
+        assert min(outcomes.values()) >= 300, outcomes
+        assert unasked >= 100, unasked
+        assert not_live >= 50, not_live
+
     def test_admissible_rules_by_domination(self):
         """Testing only the rules with no admissible variant that has one
         handle emptied gives every admissible rule and, as the tested ones

@@ -183,12 +183,22 @@ class TestGrammarFormat:
             ("start S\nS a\n", 2, "expected a production line"),
             ("start S\nS -> a |\n", 2, "empty alternative"),
             ("start S\nterminals a\nS -> b\n", 0, "undeclared symbol 'b'"),
+            ("start S\nterminals a _\nS -> a\n", 2, "single lowercase symbols, got '_'"),
         ],
     )
     def test_error_rows(self, text, line, fragment):
         with pytest.raises(ParseError, match=fragment) as err:
             parse_grammar(text)
         assert err.value.line == line
+
+    def test_interleaved_heads_round_trip(self):
+        # the text form writes each head's bodies on one line, start first
+        g = parse_grammar("start S\nA -> C\nS -> A B\nA -> a\nS -> D\n")
+        assert g.variables == ("S", "A", "B", "D", "C")
+        assert g.productions == (
+            ("S", ("A", "B")), ("S", ("D",)), ("A", ("C",)), ("A", ("a",)),
+        )
+        assert parse_grammar(serialize_grammar(g)) == g
 
     def test_inferred_terminals_sorted(self):
         g = parse_grammar("start S\nS -> b a\n")
@@ -234,12 +244,26 @@ class TestDfaFormat:
             ("alphabet a\nstates 1\nstart 0\n0 a\n", 4, "expected 'state letter state'"),
             ("alphabet a\nstates 1\n0 a 0\n", 0, "needs alphabet, states, and start"),
             ("alphabet a\nstart 3\nstates 1\n0 a 0\n", 0, "start or final state out of range"),
+            ("alphabet\nstates 1\nstart 0\n", 1, "alphabet must be nonempty"),
+            ("# a comment\nalphabet a #\nstates 1\n", 2, "reserved character '#'"),
+            ("alphabet a -\nstates 1\n", 1, "reserved character '-'"),
+            ("alphabet a A\nstates 1\n", 1, "reserved character 'A'"),
         ],
     )
     def test_error_rows(self, text, line, fragment):
         with pytest.raises(ParseError, match=fragment) as err:
             parse_dfa(text)
         assert err.value.line == line
+
+    def test_alphabet_line_reads_letters(self):
+        # letters are single characters, as in a system file: a repeated
+        # letter counts once and a run of letters is split
+        moves = "0 a 0\n0 b 1\n1 a 1\n1 b 1\n"
+        for line in ("alphabet a b b", "alphabet ab", "alphabet b a"):
+            d = parse_dfa(f"{line}\nstates 2\nstart 0\nfinal 1\n{moves}")
+            assert d.alphabet == ("a", "b")
+            assert d == regex_to_dfa("a*b(a|b)*", ("a", "b"))
+            assert parse_dfa(serialize_dfa(d)) == d
 
     def test_unreachable_final_state(self):
         # state 2 is final but no path from the start reaches it

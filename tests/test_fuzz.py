@@ -1,6 +1,8 @@
 """Every command ends in one of the documented exit codes 0–3, on random
-systems and on system files with random damage: no exception escapes
-``run_command`` and no run hangs."""
+systems and on system, automaton and grammar files with random damage: no
+exception escapes ``run_command`` and no run hangs.  An automaton or
+grammar file that parses serializes to text that parses back to an equal
+object."""
 
 import random
 import signal
@@ -9,10 +11,16 @@ import pytest
 
 from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.cli import run_command
-from splicelab.core import CIRCULAR, CONCAT, FLAT, SPLICE, InitialSet, SplicingSystem
-from splicelab.fileformat import serialize_system
+from splicelab.core import CIRCULAR, CONCAT, FLAT, SPLICE, InitialSet, ParseError, SplicingSystem
+from splicelab.fileformat import (
+    parse_dfa,
+    parse_grammar,
+    serialize_dfa,
+    serialize_grammar,
+    serialize_system,
+)
 
-from helpers import random_regex, random_system, random_word
+from helpers import random_cfg, random_regex, random_system, random_word
 
 CASES = 300
 ALARM_S = 5  # a hang, not a slow host: every case here takes milliseconds
@@ -43,9 +51,15 @@ def random_text(rng):
 def mutate(rng, text):
     """One random edit: a character dropped, doubled or replaced by a
     letter, a format character or a stray one, a line dropped or
-    repeated, or the text cut short."""
+    repeated, a token repeated in its line, or the text cut short."""
     lines = text.splitlines(keepends=True)
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
+    if kind == 6:
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split() or [""]
+        j = rng.randrange(len(tokens))
+        lines[i] = " ".join(tokens[: j + 1] + tokens[j:]) + "\n"
+        return "".join(lines)
     if kind == 3 and len(lines) > 1:
         del lines[rng.randrange(len(lines))]
         return "".join(lines)
@@ -131,3 +145,58 @@ def test_exit_codes(tmp_path, capsys):
         codes[code] += 1
         capsys.readouterr()
     assert min(codes.values()) >= 3, codes
+
+
+def dfa_case(rng, tmp_path):
+    """A serialized random automaton, its parser and serializer, and the
+    start of a ``decide-equal`` run of a random system over the same
+    letters against it."""
+    system = random_system(rng, max_letters=3)
+    letters = system.alphabet.letters
+    regex = random_regex(rng, "".join(letters))
+    text = serialize_dfa(regex_to_dfa(parse_regex(regex), letters))
+    spl = tmp_path / "system.spl"
+    spl.write_text(serialize_system(system), encoding="utf-8")
+    return text, parse_dfa, serialize_dfa, ["decide-equal", str(spl), "--dfa"]
+
+
+def grammar_case(rng, tmp_path):
+    """A serialized random grammar, its parser and serializer, and the
+    start of an ``enumerate`` run of it."""
+    letters = ("a", "b", "c")[: rng.randint(1, 3)]
+    text = serialize_grammar(random_cfg(rng, letters, max_body=3))
+    argv = ["enumerate", "--max-len", str(rng.randint(0, 6))]
+    return text, parse_grammar, serialize_grammar, argv
+
+
+@pytest.mark.usefixtures("alarm")
+@pytest.mark.parametrize("case_of", [dfa_case, grammar_case])
+def test_other_formats(tmp_path, capsys, case_of):
+    """Half the files are damaged; each one that parses round-trips."""
+    rng = random.Random(101)
+    path = str(tmp_path / "input.txt")
+    codes = dict.fromkeys(range(4), 0)
+    for case in range(CASES):
+        text, parse, serialize, argv = case_of(rng, tmp_path)
+        if rng.random() < 0.5:
+            text = mutate(rng, text)
+        try:
+            parsed = parse(text)
+        except ParseError:
+            pass
+        else:
+            assert parse(serialize(parsed)) == parsed, (case, text)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        argv = argv + [path]
+        signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+        try:
+            code = run_command(argv)
+        except Hang:
+            pytest.fail(f"case {case} ran past {ALARM_S} s: {argv[0]} on {text!r}")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        assert code in codes, (case, argv, text, code)
+        codes[code] += 1
+        capsys.readouterr()
+    assert codes[0] >= 3 and codes[2] >= 3, codes
