@@ -31,7 +31,7 @@ from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, 
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import Alphabet, ParseError, _HashedOnce
+from .core import Alphabet, ParseError
 
 # an implicit DFA: (start node, node -> successors in alphabet order,
 # node -> accepts)
@@ -39,7 +39,7 @@ Walk = tuple[Hashable, Callable[[Any], Iterable], Callable[[Any], bool]]
 
 
 @dataclass(frozen=True)
-class Dfa(_HashedOnce):
+class Dfa:
     """A total DFA; ``transitions[state][letter_index]`` is the target."""
 
     alphabet: tuple[str, ...]
@@ -49,7 +49,6 @@ class Dfa(_HashedOnce):
     # each letter's column in ``transitions``, built once per automaton; it
     # takes no part in equality, hashing or repr
     letter_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "letter_index", {a: i for i, a in enumerate(self.alphabet)})

@@ -50,9 +50,9 @@ Whatever a search needs from the system alone is built once per system
 and read by every later search of it: the undominated rule order with its
 seams and bounds, the concat rules, the letter-count test, flat
 saturation's context tables and circular saturation's rule patterns.  The
-store holds each system weakly and the tables hold no reference to their
-system, so they go when it does; equal systems share them.  What a search
-learns about words (its memo, cut lists, arcs, rotations and parent
+system object keeps its tables and the tables hold no reference to it, so
+they go when it does; an equal but distinct system builds its own.  What a
+search learns about words (its memo, cut lists, arcs, rotations and parent
 pointers) lives only as long as the call.
 
 A trace from ``witness`` or ``derivation`` is one valid derivation of the
@@ -66,7 +66,6 @@ from collections import defaultdict, deque
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
-from weakref import WeakKeyDictionary
 
 from .automata import _live_distances
 from .core import (
@@ -577,9 +576,9 @@ def _breaks_counts(system: SplicingSystem):
 class _Tables:
     """What saturation and the membership search need from a system's
     rules and initial set alone, built once for the system and read by
-    every later search of it.  It holds rules, handles and letter counts,
-    never the system, so that the system's entry in the table store goes
-    with it."""
+    every later search of it, which keeps it on the system.  It holds
+    rules, handles and letter counts, never the system, so the two form
+    no cycle."""
 
     def __init__(self, system: SplicingSystem):
         # membership's undo moves: the rules, and for each the least
@@ -657,16 +656,11 @@ class _Tables:
         return got
 
 
-# system -> its search tables.  Equal systems share them, as the tables
-# follow from the system's value; an entry goes when the system it was
-# made for does
-_TABLES: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _tables(system: SplicingSystem) -> _Tables:
-    got = _TABLES.get(system)
+    got = system.__dict__.get("_search_tables")
     if got is None:
-        got = _TABLES[system] = _Tables(system)
+        # a frozen dataclass blocks setattr, not its __dict__
+        got = system.__dict__["_search_tables"] = _Tables(system)
     return got
 
 

@@ -305,22 +305,6 @@ def _sorted_repr(obj, **keys) -> str:
     return f"{type(obj).__qualname__}({body})"
 
 
-class _HashedOnce:
-    """A frozen dataclass costly to hash keeps its hash from the first
-    ``hash`` on but never pickles it, as a str hash moves with PYTHONHASHSEED.
-    It sets ``__hash__ = _HashedOnce.__hash__``, or dataclass makes its own."""
-
-    def __hash__(self) -> int:
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
-            self.__dict__["_hash"] = got
-        return got
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-
 @dataclass(frozen=True)
 class InitialSet:
     """The axiom language of a system: finite, regular, or context-free.
@@ -447,6 +431,11 @@ class SplicingSystem:
 
     def __repr__(self) -> str:
         return _sorted_repr(self, rules=lambda r: (r.usage, r.handles))
+
+    def __getstate__(self) -> dict:
+        # what a search caches on the system is no part of its value, and
+        # holds functions that do not pickle
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def splice_rules(self) -> list[SplicingRule]:

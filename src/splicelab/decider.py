@@ -26,15 +26,14 @@ shortest word of P − K: the circular witness is the least rotation of
 the words outside K of the walks whose least such word is that short.
 Only ``splice_image`` folds P: each walk is minimized and folded into
 it by ``dfa_union``.  (3) and generability read only the residue
-R = K⁺ − P, built from K⁺ by subtracting one raw walk at a time, with the
-walk's steps memoized for that product and each product minimized before
-the next; a pair whose R state is dead is one dead node, so a walk is
-explored only under R's live states.  (3) looks for the least word of R
-outside the axioms; in circular mode the axioms are every rotation of the
-initial words, and P is rotated.  (2) put P inside K⁺, so P is closed
-under rotation iff R is, and then R stands for K⁺ − rot(P); otherwise the
-rotation closure of P = K⁺ − R is walked, its steps memoized per node,
-only as far as the witness.  An automaton is minimized only where it is
+R = K⁺ − P, built from K⁺ by subtracting one raw walk at a time, each
+product minimized before the next; a pair whose R state is dead is one
+dead node, so a walk is explored only under R's live states.  (3) looks
+for the least word of R outside the axioms; in circular mode the axioms
+are every rotation of the initial words, and P is rotated.  (2) put P
+inside K⁺, so P is closed under rotation iff R is, and then R stands for
+K⁺ − rot(P); otherwise the rotation closure of P = K⁺ − R is walked only
+as far as the witness.  An automaton is minimized only where it is
 returned or a new one is built from it (image walks before
 ``splice_image``'s fold, fold and residue products, P and a walk's words
 outside K before they are rotated), as a product or a subset walk grows
@@ -127,13 +126,6 @@ def _maximal(rules) -> list[SplicingRule]:
         for h, usage, r in keyed
         if not any(u == usage and dominates(usage, h2, h) for h2, u, _ in keyed)
     ]
-
-
-def _memoized(walk: Walk) -> Walk:
-    """The same walk, with each node's successors made once: a product
-    reaches a node once per state it is paired with."""
-    start, step, final = walk
-    return start, functools.cache(lambda node: tuple(step(node))), final
 
 
 class _RuleImages:
@@ -318,7 +310,7 @@ class _RuleImages:
         for rule in maximal:
             for walk in self.image(rule):
                 live, T, finals = _live_distances(R), R.transitions, R.finals
-                start, step, final = _memoized(walk)
+                start, step, final = walk
                 dead = (None,) * len(R.alphabet)
 
                 def pair_step(pair):
@@ -422,7 +414,7 @@ def decide_equal(system: SplicingSystem, K: Dfa) -> Verdict:
         axioms = initial.dfa
     unproduced = _walk(R)
     if system.mode == CIRCULAR and not _rotation_closed(R):
-        rotated = _memoized(_conjugacy_walk(dfa_difference(core, R)))
+        rotated = _conjugacy_walk(dfa_difference(core, R))
         unproduced = _product_walk("difference", unproduced, rotated)
     w = _least_word(K.alphabet, *_product_walk("difference", unproduced, _walk(axioms)))
     if w is not None:

@@ -344,7 +344,16 @@ def parse_dfa(text: str) -> Dfa:
 
 
 def serialize_dfa(d: Dfa) -> str:
-    """Text form of an automaton."""
+    """Text form of an automaton whose letters an alphabet may hold, sorted
+    and distinct: other letters would not read back as they were."""
+    try:
+        same = Alphabet(d.alphabet).letters == d.alphabet
+    except ValueError:
+        same = False
+    if not same:
+        raise UnsupportedError(
+            f"automaton text form needs sorted, distinct alphabet letters, got {d.alphabet!r}"
+        )
     lines = [
         "alphabet " + " ".join(d.alphabet),
         f"states {d.n_states}",

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from .automata import (
     Dfa, _normalize, _product_walk, _reach, _require_same_alphabet, _visit, _walk, pattern_dfa,
 )
-from .core import Alphabet, InitialSet, _HashedOnce
+from .core import Alphabet, InitialSet
 
 Body = tuple[str, ...]
 
@@ -39,7 +39,7 @@ def fresh_name(base: str, avoid: Iterable[str] = ()) -> str:
 
 
 @dataclass(frozen=True)
-class Cfg(_HashedOnce):
+class Cfg:
     """An immutable context-free grammar.
 
     ``variables`` is ordered (declaration order drives elimination order and
@@ -54,7 +54,6 @@ class Cfg(_HashedOnce):
     productions: tuple[tuple[str, Body], ...]
     start: str
     varset: frozenset[str] = field(init=False, repr=False, compare=False)
-    __hash__ = _HashedOnce.__hash__
 
     def __init__(self, terminals, variables, productions, start):
         terminals = tuple(terminals)

@@ -25,7 +25,6 @@ from .grammar import (
     GeneralizedCfg,
     cfg_canonical,
     cfg_simplify,
-    finite_cfg,
     fresh_name,
     ins_image,
     kral_eliminate,
@@ -50,10 +49,6 @@ def letter_var(a: str) -> str:
 
 def _axiom_term(a: str, b: str) -> str:
     return f"WI_{a}_{b}"
-
-
-def _single_term(a: str) -> str:
-    return f"SI_{a}"
 
 
 def _body_language(bodies) -> Cfg:
@@ -155,9 +150,9 @@ def pure_grammar(system: SplicingSystem, method: str = "graft") -> Cfg:
 
 def concat_grammar(system: SplicingSystem) -> Cfg:
     """Grammar for the language of a complete alphabetic concatenation
-    system: axioms enter via pseudo-terminals substituted by the split
-    initial components; each rule contributes one production pairing the
-    shapes of its two operands."""
+    system: longer axioms enter via pseudo-terminals substituted by the
+    split initial components, one-letter axioms as letters; each rule
+    contributes one production pairing the shapes of its two operands."""
     _check_common(system, kind="concatenation")
     if system.splice_rules:
         raise ValueError("concatenation grammars accept concat-usage rules only")
@@ -182,10 +177,7 @@ def concat_grammar(system: SplicingSystem) -> Cfg:
         sigma[term] = comp
         prods.append((word_var(a, b), (term,)))
     for a in sorted(singles):
-        term = _single_term(a)
-        terminals.append(term)
-        sigma[term] = finite_cfg(letters, [a])
-        prods.append((letter_var(a), (term,)))
+        prods.append((letter_var(a), (a,)))
 
     def classify(h1: str, h2: str) -> tuple[str, str] | None:
         """Symbol standing for an operand matching ``h1 A* h2``, plus the

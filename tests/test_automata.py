@@ -39,8 +39,10 @@ from splicelab.automata import (
     _reach,
     _rotation_closed,
     _walk,
+    cat,
+    union,
 )
-from splicelab.core import ParseError, matches_pattern
+from splicelab.core import Alphabet, ParseError, matches_pattern
 from splicelab.fileformat import parse_system
 
 from helpers import dfa_product_walk, random_regex, regex_matches
@@ -606,3 +608,28 @@ class TestRotationClosed:
                 seen["closed" if closed else "not closed"] += 1
                 seen["unminimized"] += m != d
         assert min(seen.values()) >= 50, seen
+
+
+class TestEdgeRows:
+    """Guards and edge cases the other tests never reach."""
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: render_regex(("plus", ("lit", "a"))), "cannot render"),
+            (
+                lambda: _product_walk("xor", _walk(dfa_none(AB)), _walk(dfa_none(AB))),
+                "unknown boolean op",
+            ),
+        ],
+        ids=["render-bad-node", "product-unknown-op"],
+    )
+    def test_error_rows(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
+    def test_empty_parts(self):
+        assert union() == union(EMPTY, EMPTY) == EMPTY
+        assert cat(lit("a"), EMPTY, lit("b")) == EMPTY
+        assert dfa_to_regex(dfa_none(AB)) == EMPTY
+        assert dfa_none(Alphabet("ba")) == dfa_none(AB)

@@ -1,18 +1,22 @@
 """Bounded closures, membership search, and replayable derivations."""
 
+import copy
 import gc
 import hashlib
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from splicelab.automata import parse_regex, regex_to_dfa
 from splicelab.closure import (
-    _TABLES,
     _breaks_counts,
     _count_rows,
     _null_space,
@@ -871,9 +875,8 @@ def table_system(rng: random.Random, i: int) -> SplicingSystem:
 
 
 def twin(system: SplicingSystem) -> SplicingSystem:
-    """A new system equal to ``system``, with no search tables stored for
-    any system."""
-    _TABLES.clear()
+    """A new system equal to ``system``, with no search tables of its
+    own yet."""
     got = parse_system(serialize_system(system))
     assert got == system
     return got
@@ -970,3 +973,45 @@ class TestSearchTables:
         del system
         gc.collect()
         assert ref() is None
+
+    def test_searched_system_pickles_and_copies(self):
+        # a searched system, copied or loaded under another hash seed, is
+        # equal to and hashes as a fresh one, and searches afresh
+        builds = (dyck, anbn_circular, nested_insertions, concat_chain, doubling)
+        systems, cases = [build() for build in builds], []
+        for system in systems:
+            assert "_search_tables" not in vars(system)
+            words = closure_bounded(system, 8)
+            asked = words + [system.alphabet.letters[0] * 7]
+            answers = [member(system, w) for w in asked]
+            assert "_search_tables" in vars(system)
+            cases.append((serialize_system(system), words, asked, answers))
+            copied = copy.deepcopy(system)
+            assert copied == system and hash(copied) == hash(system)
+            assert "_search_tables" not in vars(copied)
+            assert [member(copied, w) for w in asked] == answers
+            assert closure_bounded(copied, 8) == words
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        child = """
+import pickle, sys
+from splicelab.closure import closure_bounded, member
+from splicelab.fileformat import parse_system
+systems, cases = pickle.loads(sys.stdin.buffer.read())
+for system, (text, words, asked, answers) in zip(systems, cases):
+    fresh = parse_system(text)
+    assert system == fresh and hash(system) == hash(fresh), text
+    assert "_search_tables" not in vars(system), text
+    assert [member(system, w) for w in asked] == answers, text
+    assert closure_bounded(system, 8) == words, text
+    assert "_search_tables" in vars(system), text
+print(hash(("a", "b")))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps((systems, cases)), capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        # the child hashes strings otherwise, so a pickled hash would be wrong
+        assert int(done.stdout) != hash(("a", "b"))

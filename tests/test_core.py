@@ -35,6 +35,7 @@ from splicelab.core import (
     iter_splice_cuts,
     matches_pattern,
     replay_sequence,
+    iter_circular_splices,
 )
 from splicelab.automata import Dfa, parse_regex, regex_to_dfa
 from splicelab.grammar import Cfg, cfg_empty, enumerate_cfg
@@ -475,9 +476,9 @@ def build():
 
 
 class TestHashedOnce:
-    """``Dfa`` and ``Cfg`` work out their hash on the first ``hash`` and
-    keep it, but never pickle it: a str hash differs under another
-    PYTHONHASHSEED."""
+    """``Dfa`` and ``Cfg`` hash as plain frozen dataclasses, over the
+    fields that take part in equality, and a pickle carries no hash: a str
+    hash differs under another PYTHONHASHSEED."""
 
     @staticmethod
     def build():
@@ -524,3 +525,32 @@ print([hash(x) == hash(y) for x, y in zip(loaded, build())], hash(("a", "b")))
         # the child hashes strings otherwise, so a kept hash would be wrong
         assert int(key) != hash(("a", "b"))
         assert same == "[True, True]"
+
+
+class TestEdgeRows:
+    """Guards and edge cases the other tests never reach."""
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: Alphabet(["a", "bc"]), "letters are single characters, got 'bc'"),
+            (lambda: list(iter_circular_splices(GLUE, C("ab"), C("ab"))), "splice-usage rule"),
+            (lambda: ProductionSequence().result, "empty sequence with no seed word"),
+        ],
+        ids=["multi-letter", "circular-concat", "no-seed"],
+    )
+    def test_error_rows(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
+    def test_alphabet_container(self):
+        letters = Alphabet("ba")
+        assert "a" in letters and "c" not in letters
+        assert len(letters) == 2
+
+    def test_no_rotation_of_the_empty_word(self):
+        assert not InitialSet.finite(["ab"])._contains_rotation("")
+
+    def test_sequence_result(self):
+        assert ProductionSequence((FLAT_OK,)).result == "aabb"
+        assert ProductionSequence(seed="ab").result == "ab"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicelab.automata import dfa_equivalent, dfa_none, parse_regex, regex_to_dfa
+from splicelab.automata import Dfa, dfa_equivalent, dfa_none, parse_regex, regex_to_dfa
 from splicelab.core import (
     CIRCULAR,
     CONCAT,
@@ -254,6 +254,17 @@ class TestDfaFormat:
         with pytest.raises(ParseError, match=fragment) as err:
             parse_dfa(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [("A",), ("#",), ("_",), ("ab",), ("b", "a"), ("a", "a"), ()],
+        ids=["capital", "reserved", "epsilon", "multi", "unsorted", "repeated", "empty"],
+    )
+    def test_unwritable_alphabet_rows(self, alphabet):
+        # text that would not parse, or would parse back to another automaton
+        d = Dfa(alphabet, (tuple(0 for _ in alphabet),), 0, frozenset([0]))
+        with pytest.raises(UnsupportedError, match="sorted, distinct alphabet letters"):
+            serialize_dfa(d)
 
     def test_alphabet_line_reads_letters(self):
         # letters are single characters, as in a system file: a repeated

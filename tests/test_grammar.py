@@ -1079,3 +1079,38 @@ class TestFreshName:
         b = fresh_name("Q")
         assert a != b
         assert a.startswith("Q") and b.startswith("Q")
+
+
+A = finite_cfg(AB, ["a"])
+
+
+class TestEdgeRows:
+    """Guards the other tests never reach."""
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (
+                lambda: bar_hillel(ANBN, pattern_dfa(("a", "b", "c"))),
+                "does not match automaton alphabet",
+            ),
+            (
+                lambda: GeneralizedCfg(AB, ("S",), "T", (("S", A),)),
+                "start symbol 'T' is not a variable",
+            ),
+            (
+                lambda: kral_single(GeneralizedCfg(AB, ("S", "T"), "S", (("S", A), ("T", A)))),
+                "exactly one variable",
+            ),
+            (
+                lambda: split_first_last(
+                    InitialSet.contextfree(finite_cfg(("a", "c"), ["ac"])), Alphabet("ab")
+                ),
+                "letters outside the alphabet",
+            ),
+        ],
+        ids=["bar-hillel", "generalized-start", "kral-two-variables", "split-stray-letter"],
+    )
+    def test_error_rows(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()

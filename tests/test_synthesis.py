@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from splicelab.automata import regex_to_dfa
 from splicelab.closure import closure_bounded
 from splicelab.core import (
     CIRCULAR,
@@ -77,6 +78,24 @@ class TestGuards:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             pure_grammar(complete_system(anbn()), method="magic")
+
+    @pytest.mark.parametrize(
+        "rule, initial, fragment",
+        [
+            (SplicingRule("ab", "", "", ""), InitialSet.finite(["ab"]), "alphabetic rules"),
+            (
+                SplicingRule("a", "b", "a", "b"),
+                InitialSet.regular(regex_to_dfa("(ab)*", ("a", "b"))),
+                "contains the empty word",
+            ),
+        ],
+        ids=["not-alphabetic", "epsilon"],
+    )
+    def test_error_rows(self, rule, initial, fragment):
+        system = SplicingSystem(Alphabet("ab"), initial, frozenset([rule]))
+        for build in (pure_grammar, concat_grammar):
+            with pytest.raises(ValueError, match=fragment):
+                build(system)
 
 
 class TestPureGrammar:

@@ -353,3 +353,27 @@ class TestNormalizeSequence:
                 normalize_sequence(system, seq)
         else:
             pytest.skip("witness avoided the impure rule")
+
+
+class TestEdgeRows:
+    """Guards the other tests never reach: a flat system whose rule is not
+    alphabetic."""
+
+    SYSTEM = SplicingSystem(
+        Alphabet("ab"), InitialSet.finite(["ab"]), frozenset([SplicingRule("ab", "", "", "")])
+    )
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda s: to_heterogeneous(s), "heterogeneous splitting needs alphabetic rules"),
+            (
+                lambda s: normalize_sequence(s, ProductionSequence(seed="ab")),
+                "needs an alphabetic system",
+            ),
+        ],
+        ids=["heterogeneous", "normalize"],
+    )
+    def test_error_rows(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call(self.SYSTEM)
