@@ -726,10 +726,11 @@ def enumerate_dfa(a: Dfa, max_len: int) -> list[str]:
         for row in a.transitions
     ]
     out: list[str] = []
+    room = max_len
     level = [("", a.start)] if dist.get(a.start, max_len + 1) <= max_len else []
-    for length in range(max_len + 1):
+    while level:
         out.extend(prefix for prefix, s in level if s in a.finals)
-        room = max_len - length - 1
+        room -= 1
         level = [
             (prefix + letter, t)
             for prefix, s in level
@@ -744,8 +745,6 @@ def dfa_to_regex(a: Dfa) -> tuple:
     language.  Each state keeps its own edges in and out, so eliminating
     it reads only those; one elimination adds at most one part to each
     edge, so the text does not depend on the order they are read in."""
-    if dfa_empty(a):
-        return EMPTY
     n = a.n_states
     src, dst = n, n + 1  # fresh outer start / accept
     out: list[dict[int, tuple]] = [{} for _ in range(n + 2)]

@@ -279,6 +279,9 @@ def run_command(argv) -> int:
     except (SpliceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: a bound is too large ({exc})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

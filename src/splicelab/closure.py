@@ -171,10 +171,13 @@ def _saturate_flat(tables: _Tables, initial: list, max_len: int, room: int) -> d
         z_table, zl, zr = entries.get(key) or entries.setdefault(key, tables.entry(z))
         group = groups.get(z_table)
         if group is None:
-            group = groups[z_table] = [n, [[] for _ in range(max_len + 1)], {}]
+            group = groups[z_table] = [n, [], {}]
         elif n < group[0]:
             group[0] = n
-        group[1][n].append((z, zl, zr))
+        z_by_len = group[1]
+        while len(z_by_len) <= n:
+            z_by_len.append([])
+        z_by_len[n].append((z, zl, zr))
         y_cuts = group[2] if z_table.keys else None
         for table, (least, by_len, cuts) in groups.items():
             if n + least > max_len:
@@ -231,12 +234,14 @@ def _saturate_circular(tables: _Tables, initial: list, max_len: int, room: int) 
     for s in initial:
         if s not in seen:
             admit(s, None)
-    by_len: list[list] = [[] for _ in range(max_len + 1)]
+    by_len: list[list] = []
     while agenda:
         z = agenda.popleft()
         z_rots = rotations.pop(z)
         n = len(z_rots)
         ze = (z, z_rots, tables.offsets(z_rots[0]))
+        while len(by_len) <= n:
+            by_len.append([])
         by_len[n].append(ze)
         for ye in chain.from_iterable(by_len[1 : max_len - n + 1]):
             pairings = ((ze, ye, rules), (ye, ze, swapped))

@@ -358,26 +358,20 @@ class InitialSet:
             return word in self.words
         if self.kind == "regular":
             return self.dfa.accepts(word)
-        from . import grammar as _g
-
-        return word in set(_g.enumerate_cfg(self.cfg, len(word)))
+        return word in self.enumerate(len(word))
 
     def _contains_rotation(self, word: str) -> bool:
         """Whether some rotation of ``word`` is an axiom.  A regular set
-        decides all rotations in one pass of transition maps; a context-free
-        set enumerates its words of up to that length once."""
+        decides all rotations in one pass of transition maps; any other set
+        meets them with its words of up to that length."""
         if not word:
             return False
         if self.kind == "regular":
             from . import automata as _a
 
             return _a._accepts_rotation(self.dfa, word)
-        if self.kind == "contextfree":
-            from . import grammar as _g
-
-            found = set(_g.enumerate_cfg(self.cfg, len(word)))
-            return any(c in found for c in conjugates(word))
-        return any(self.contains(c) for c in conjugates(word))
+        found = self.words if self.kind == "finite" else set(self.enumerate(len(word)))
+        return not found.isdisjoint(conjugates(word))
 
     def enumerate(self, max_len: int) -> list[str]:
         """Axioms of length <= max_len in length-lex order (never epsilon)."""

@@ -190,21 +190,18 @@ class _RuleImages:
     def includes(self, t: int, k: int) -> bool:
         """Whether K accepts from state k every word it accepts from t: a
         walk over state pairs that stops at the first pair accepting from
-        t's side only.  When none is found, every pair walked holds too."""
+        t's side only.  Only the pair asked is remembered."""
         if (t, k) not in self._includes:
             T, finals, live = self.K.transitions, self.K.finals, self.live
 
             def step(pair):
                 return [(x, y) for x, y in zip(T[pair[0]], T[pair[1]]) if x in live and x != y]
 
-            walked = []
+            self._includes[(t, k)] = True
             for x, y in _visit((t, k), step):
                 if x in finals and y not in finals:
                     self._includes[(t, k)] = False
                     break
-                walked.append((x, y))
-            else:
-                self._includes.update(dict.fromkeys(walked, True))
         return self._includes[(t, k)]
 
     def keeps_inside(self, rule: SplicingRule) -> bool:

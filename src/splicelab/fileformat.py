@@ -32,7 +32,9 @@ for every state and letter::
 
 Parsers raise ParseError with a line number; serializers produce text
 that parses back to an equal object (systems are normalized: sorted
-letters, words, and rules).
+letters, words, and rules).  One exception: a finite initial set that
+holds the empty word is written as a regex, ``(w1|w2|...)?`` or ``_``,
+so it parses back as a regular set with the same language.
 """
 
 from __future__ import annotations
@@ -159,6 +161,9 @@ def _rule_text(rule: SplicingRule) -> str:
 def _initial_lines(initial: InitialSet) -> str:
     if initial.kind == "finite":
         words = sorted(initial.words, key=lambda w: (len(w), w))
+        if initial.had_epsilon:
+            # the finite form has no token for the empty word
+            return f"initial regex ({'|'.join(words)})?" if words else "initial regex _"
         return ("initial finite " + " ".join(words)).rstrip()
     if initial.kind == "regular":
         if initial.source_regex is not None:

@@ -82,19 +82,18 @@ class Cfg:
         object.__setattr__(self, "varset", varset)
 
     @classmethod
-    def _trusted(cls, terminals, variables, productions, start, varset=None) -> Cfg:
+    def _trusted(cls, terminals, variables, productions, start) -> Cfg:
         """The kernel's constructor for a grammar it builds from grammars it
         already holds, by filtering, renaming apart or grafting them: the
         parts are taken as given, tuples with no duplicate variable or
         production and every symbol declared, and nothing is checked.
-        ``varset`` passes the variables' frozenset through when they are
-        unchanged.  Grammars from outside go through ``Cfg(...)``."""
+        Grammars from outside go through ``Cfg(...)``."""
         self = object.__new__(cls)
         object.__setattr__(self, "terminals", terminals)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "productions", productions)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "varset", frozenset(variables) if varset is None else varset)
+        object.__setattr__(self, "varset", frozenset(variables))
         return self
 
     def bodies(self, var: str) -> list[Body]:
@@ -821,7 +820,7 @@ def kral_eliminate(g: GeneralizedCfg) -> Cfg:
                 rhs[v] = substitute(h, {x: closure})
             else:
                 terminals = tuple(t for t in h.terminals if t != x)
-                rest = Cfg._trusted(terminals, h.variables, tuple(kept), h.start, h.varset)
+                rest = Cfg._trusted(terminals, h.variables, tuple(kept), h.start)
                 rhs[v] = cfg_trim(rest) if used else rest
     return cfg_simplify(_closure(g.start, rhs[g.start], g.terminals))
 

@@ -311,6 +311,12 @@ class TestQueries:
         d = regex_to_dfa(parse_regex("a*b"), AB)
         assert enumerate_dfa(d, 3) == ["b", "ab", "aab"]
 
+    def test_enumerate_dfa_huge_bound(self):
+        """A finite language is enumerated in time set by its longest word,
+        not by the bound: the walk stops at the first empty level."""
+        d = regex_to_dfa(parse_regex("b|ab|_"), AB)
+        assert enumerate_dfa(d, 10**18) == ["", "b", "ab"]
+
     def test_long_word_automaton(self):
         """A 1502-state automaton is walked without recursion."""
         d = regex_to_dfa(parse_regex("a" * 1500), AB)

@@ -185,6 +185,15 @@ class TestGenerable:
         assert code == 1
         assert capsys.readouterr().out == "NONE\n"
 
+    @pytest.mark.parametrize("regex", ["b*", "_", "(ab)*"])
+    def test_epsilon_target_round_trip(self, spl, regex, capsys):
+        """The printed system, read back, equals its target, the empty word
+        included."""
+        assert run_command(["generable", "--alphabet", "a b", "--regex", regex]) == 0
+        path = spl(capsys.readouterr().out)
+        assert run_command(["decide-equal", path, "--regex", regex]) == 0
+        assert capsys.readouterr().out == "EQUAL\n"
+
     def test_regex_outside_alphabet(self, capsys):
         code = run_command(["generable", "--alphabet", "a b", "--regex", "c*"])
         assert code == 2
@@ -330,6 +339,14 @@ class TestEnumerate:
         code = run_command(["enumerate", str(path), "--max-len", "1"])
         assert code == 0
         assert capsys.readouterr().out == "_\na\n"
+
+    def test_huge_bound(self, tmp_path, capsys):
+        path = tmp_path / "grammar.cfg"
+        path.write_text("start S\nS -> a\n", encoding="utf-8")
+        code = run_command(["enumerate", str(path), "--max-len", str(10**20)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: a bound is too large (")
 
     def test_long_body(self, tmp_path, capsys):
         path = tmp_path / "grammar.cfg"

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -119,6 +120,21 @@ class TestBoundedClosure:
         got = set(closure_bounded(doubling(), 14))
         assert "x0123y" in got
         assert "x01230123y" in got
+
+    @pytest.mark.parametrize("mode", [FLAT, CIRCULAR])
+    def test_huge_bound_costs_no_table(self, mode):
+        """The saturation loops keep words by length only up to the longest
+        word seen, so a one-word closure at bound 10**6 peaks under 1 MB."""
+        system = parse_system(f"alphabet a\nmode {mode}\ninitial finite a\n")
+        closure_bounded(system, 1)  # the search tables, built outside the trace
+        tracemalloc.start()
+        try:
+            got = closure_bounded(system, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1
+        assert peak < 1 << 20, peak
 
 
 class TestCircularClosure:

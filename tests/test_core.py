@@ -1,5 +1,6 @@
 """Words, rules, pattern matching, and recorded derivations."""
 
+import itertools
 import os
 import pickle
 import random
@@ -252,6 +253,21 @@ class TestInitialSet:
     def test_enumerate_is_length_lex(self):
         init = InitialSet.finite(["b", "ab", "a", "aaa"])
         assert init.enumerate(2) == ["a", "b", "ab"]
+
+    def test_rotation_against_each_rotation(self):
+        """Whether some rotation is an axiom agrees with ``contains`` run
+        on every rotation, for finite and context-free sets."""
+        rng = random.Random(35)
+        words = [w for n in range(1, 5) for w in map("".join, itertools.product("ab", repeat=n))]
+        seen = dict.fromkeys(itertools.product(("finite", "contextfree"), (True, False)), 0)
+        for _ in range(100):
+            axioms = rng.sample(words, rng.randint(0, 4))
+            for init in (InitialSet.finite(axioms), InitialSet.contextfree(random_cfg(rng))):
+                for word in words:
+                    want = any(init.contains(c) for c in conjugates(word))
+                    assert init._contains_rotation(word) == want, (init, word)
+                    seen[init.kind, want] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestSystem:

@@ -619,11 +619,11 @@ class TestGenerability:
         """State-language inclusion, walked over state pairs, agrees with
         the difference witness of K started at the two states, on raw DFAs
         with dead and unreachable states, for half the pairs of a live t
-        and any k, in random order; every pair the walks memoize, asked
-        for or not, holds as recorded."""
+        and any k, in random order; the memo holds only the pairs asked,
+        each as recorded."""
         rng = random.Random(83)
         outcomes = {True: 0, False: 0}
-        unasked = not_live = 0
+        not_live = 0
         for _ in range(150):
             letters = tuple("abc"[: rng.randint(1, 3)])
             n = rng.randint(1, 7)
@@ -644,10 +644,9 @@ class TestGenerability:
                 outcomes[want] += 1
             for (t, k), held in images._includes.items():
                 assert held == includes(t, k), (T, F, t, k)
-            unasked += len(images._includes.keys() - pairs)
+            assert images._includes.keys() <= set(pairs), (T, F)
             not_live += len(images.live) < n
         assert min(outcomes.values()) >= 300, outcomes
-        assert unasked >= 100, unasked
         assert not_live >= 50, not_live
 
     def test_admissible_rules_by_domination(self):

@@ -11,9 +11,11 @@ from splicelab.core import (
     CIRCULAR,
     CONCAT,
     SPLICE,
+    Alphabet,
     InitialSet,
     ParseError,
     SplicingRule,
+    SplicingSystem,
     UnsupportedError,
 )
 from splicelab.examples import ALL_EXAMPLES
@@ -33,6 +35,20 @@ class TestSystemFormat:
     def test_round_trip(self, name):
         system = ALL_EXAMPLES[name]()
         assert parse_system(serialize_system(system)) == system
+
+    @pytest.mark.parametrize(
+        "words, line", [(("b", "ab", "a"), "initial regex (a|b|ab)?"), ((), "initial regex _")]
+    )
+    def test_finite_set_with_epsilon(self, words, line):
+        """A finite set that holds the empty word is written as a regex and
+        reads back as a regular set with the same language."""
+        initial = InitialSet(kind="finite", words=frozenset(words), had_epsilon=True)
+        system = SplicingSystem(Alphabet("ab"), initial, frozenset())
+        text = serialize_system(system)
+        assert line in text.splitlines()
+        back = parse_system(text).initial
+        assert back.kind == "regular" and back.had_epsilon
+        assert back.enumerate(3) == initial.enumerate(3)
 
     def test_serialization_is_stable(self):
         system = ALL_EXAMPLES["mixed_system"]()
