@@ -273,14 +273,17 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:  # resource limits
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (SpliceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"error: a bound is too large ({exc})", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not read as a negative verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -105,12 +105,13 @@ def conjugates(word: str) -> set[str]:
 
 def canonical_rotation(word: str) -> str:
     """The lexicographically least rotation of ``word``: the least
-    ``len(word)``-letter window of ``word + word``."""
+    ``len(word)``-letter window of ``word + word``, taken one window at a
+    time, so that it holds linear memory (its time is still quadratic)."""
     if not word:
         return word
     n = len(word)
     ww = word + word
-    return min([ww[i : i + n] for i in range(n)])
+    return min(ww[i : i + n] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,8 @@ class InitialSet:
 
             return _a._accepts_rotation(self.dfa, word)
         found = self.words if self.kind == "finite" else set(self.enumerate(len(word)))
-        return not found.isdisjoint(conjugates(word))
+        ww, n = word + word, len(word)
+        return not found.isdisjoint(ww[i : i + n] for i in range(n))
 
     def enumerate(self, max_len: int) -> list[str]:
         """Axioms of length <= max_len in length-lex order (never epsilon)."""

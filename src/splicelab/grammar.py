@@ -298,20 +298,6 @@ def _binarize(g: Cfg) -> Cfg:
     return Cfg._trusted(g.terminals, tuple(variables), tuple(prods), g.start)
 
 
-def bar_hillel(g: Cfg, d: Dfa) -> Cfg:
-    """Grammar for L(g) ∩ L(d) by the triple construction on a binarized
-    copy of ``g``, built over the triples that survive a trim only: the
-    generating-triple fixpoint of ``_generating_ends``, then the walk down
-    of ``_product``."""
-    if set(g.terminals) != set(d.alphabet):
-        raise ValueError(
-            f"terminal alphabet {sorted(g.terminals)} does not match "
-            f"automaton alphabet {sorted(d.alphabet)}"
-        )
-    g = _binarize(g)
-    return _product(g, d, _generating_ends(g, d))
-
-
 def _letter_ends(d: Dfa) -> dict[str, list]:
     """``ends`` entries of the letters: each leads p to its one successor."""
     return {a: [(row[i],) for row in d.transitions] for i, a in enumerate(d.alphabet)}
@@ -770,18 +756,14 @@ def kral_single(g: GeneralizedCfg) -> Cfg:
 
 
 def _closure(x: str, h: Cfg, terminals: tuple[str, ...]) -> Cfg:
-    """The flattened closure of ``x`` with right-hand side ``h``, declaring
-    ``terminals``, which must hold every symbol of ``h`` but ``x``: ``h``'s
-    variables named ``x`` or a terminal are renamed apart, and x → start
-    of ``h`` is added."""
+    """The flattened closure of ``x`` with right-hand side ``h`` over
+    ``terminals``, every symbol of ``h`` but ``x``: ``h``'s variables named
+    ``x`` or a terminal are renamed apart, and x → start of ``h`` is added."""
     forbidden = {x, *terminals}
     avoid = forbidden | set(h.variables)
     mapping = {v: fresh_name("K", avoid) for v in h.variables if v in forbidden}
-    m = mapping.get
-    prods = [(x, (m(h.start, h.start),))]
-    prods += [(m(head, head), tuple([m(s, s) for s in body])) for head, body in h.productions]
-    variables = (x, *[m(v, v) for v in h.variables])
-    return Cfg._trusted(terminals, variables, tuple(prods), x)
+    _, variables, prods, start = _renamed(h, mapping)
+    return Cfg._trusted(terminals, (x, *variables), ((x, (start,)), *prods), x)
 
 
 def kral_eliminate(g: GeneralizedCfg) -> Cfg:
@@ -835,18 +817,6 @@ def marker(a: str, b: str) -> str:
     return f"M_{a}_{b}"
 
 
-def word_ins(w: str) -> Body:
-    """Interleave seam markers between adjacent letters:
-    ``abc`` → ``a M_a_b b M_b_c c``.  Single letters map to themselves."""
-    if not w:
-        raise ValueError("the empty word has no marker image")
-    out: list[str] = [w[0]]
-    for x, y in zip(w, w[1:]):
-        out.append(marker(x, y))
-        out.append(y)
-    return tuple(out)
-
-
 def _remove_epsilon(g: Cfg) -> Cfg:
     nullable = {v for v, n in _min_lengths(g).items() if n == 0}
     if g.start in nullable:
@@ -896,10 +866,10 @@ def _first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:
 
 
 def ins_image(g: Cfg) -> Cfg:
-    """Grammar for { word_ins(w) : w ∈ L(g) } over the alphabet extended
-    with seam markers.  Each variable is annotated with the (first, last)
-    letters of the words it derives, so markers can be placed at every
-    seam of every binarized rule."""
+    """Grammar for L(g) with the seam marker ``marker(x, y)`` between each
+    two adjacent letters x y, over the letters and the markers used.  Each
+    variable is annotated with the (first, last) letters of the words it
+    derives, so markers are placed at every seam of every binarized rule."""
     g = cfg_trim(_remove_epsilon(_binarize(g)))
 
     pairs = _first_last(g)
@@ -958,9 +928,8 @@ def split_first_last(
     the set's words in ``pattern_dfa(letters, a, b)``, which ``_normalize``
     numbers canonically, so it is the automaton ``dfa_intersect`` builds
     for the pair.  A context-free set is binarized once and runs one
-    generating-triple fixpoint against the tracker.  Each pair builds the
-    product with ``pattern_dfa(letters, a, b)`` from that table projected
-    onto it, the same grammar ``bar_hillel`` builds for the pair."""
+    generating-triple fixpoint against the tracker; each pair's grammar is
+    its triple product with ``pattern_dfa(letters, a, b)``, from that table."""
     letters = alphabet.letters
     components: dict[tuple[str, str], Cfg] = {}
     singletons: set[str] = set()

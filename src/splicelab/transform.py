@@ -81,28 +81,29 @@ def to_heterogeneous(system: SplicingSystem) -> SplicingSystem:
     letterized siblings when the cut sits at the very end of the word —
     which is a concatenation.  So pure rules stay; a rule with beta empty
     becomes the concatenation <eps#alpha $ gamma#delta>; a rule with alpha
-    empty becomes <gamma#delta $ beta#eps>; the emitted concatenation set
-    is completed."""
+    empty becomes <gamma#delta $ beta#eps>.  Each is emitted with every
+    filling of its new empty handle: the input is complete, so siblings
+    derive every filling of its other handles, and the result is complete."""
     if system.mode != FLAT:
         raise ValueError("heterogeneous splitting applies to flat systems")
     if not system.is_alphabetic:
         raise ValueError("heterogeneous splitting needs alphabetic rules")
     if not is_complete(system.rules, system.alphabet):
         raise ValueError("rule set must be completed first")
-    pure: set[SplicingRule] = set()
-    concat: set[SplicingRule] = set(system.concat_rules)
+    fillings = ("", *system.alphabet.letters)
+    rules: set[SplicingRule] = set(system.concat_rules)
     for rule in system.splice_rules:
+        a, b, g, d = rule.handles
         if rule.is_pure:
-            pure.add(rule)
-        if not rule.beta:
-            concat.add(SplicingRule("", rule.alpha, rule.gamma, rule.delta, usage=CONCAT))
-        if not rule.alpha:
-            concat.add(SplicingRule(rule.gamma, rule.delta, rule.beta, "", usage=CONCAT))
-    rules = frozenset(pure) | complete(concat, system.alphabet)
+            rules.add(rule)
+        if not b:
+            rules.update(SplicingRule(x, a, g, d, usage=CONCAT) for x in fillings)
+        if not a:
+            rules.update(SplicingRule(g, d, b, x, usage=CONCAT) for x in fillings)
     return SplicingSystem(
         alphabet=system.alphabet,
         initial=system.initial,
-        rules=rules,
+        rules=frozenset(rules),
         mode=FLAT,
     )
 

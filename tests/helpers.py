@@ -28,7 +28,16 @@ from splicelab.core import (
     _handles,
     matches_pattern,
 )
-from splicelab.grammar import Cfg, GeneralizedCfg, cfg_trim, enumerate_cfg_tuples
+from splicelab.grammar import (
+    Cfg,
+    GeneralizedCfg,
+    _binarize,
+    _generating_ends,
+    _product,
+    cfg_trim,
+    enumerate_cfg_tuples,
+    marker,
+)
 
 # --------------------------------------------------------------------------
 # Independent regex matcher (over the parsed AST)
@@ -464,6 +473,27 @@ def random_system(
     )
 
 
+def naive_heterogeneous_rules(system: SplicingSystem) -> frozenset[SplicingRule]:
+    """The rules of the heterogeneous split of a complete flat system,
+    derived as first defined: the pure splice rules stay, a rule with beta
+    empty adds <eps#alpha $ gamma#delta>, one with alpha empty adds
+    <gamma#delta $ beta#eps>, and every concatenation rule, old or added,
+    is then re-completed with each filling of each of its empty handles."""
+    pure = {r for r in system.splice_rules if r.alpha and r.beta}
+    concat = set(system.concat_rules)
+    for r in system.splice_rules:
+        if not r.beta:
+            concat.add(SplicingRule("", r.alpha, r.gamma, r.delta, usage=CONCAT))
+        if not r.alpha:
+            concat.add(SplicingRule(r.gamma, r.delta, r.beta, "", usage=CONCAT))
+    fillings = ["", *system.alphabet.letters]
+    completed = set()
+    for r in concat:
+        choices = [[h] if h else fillings for h in r.handles]
+        completed.update(SplicingRule(*hs, usage=CONCAT) for hs in itertools.product(*choices))
+    return frozenset(pure | completed)
+
+
 def random_cfg(rng: random.Random, letters: tuple[str, ...] = ("a", "b"), max_body: int = 2) -> Cfg:
     """A small grammar over ``letters``: 2–4 variables, each with 0–3
     bodies of 0 to ``max_body`` symbols drawn from the letters and the
@@ -682,6 +712,34 @@ def naive_generating_ends(g: Cfg, d) -> dict[str, list]:
 
     naive_fixpoint(g, update)
     return ends
+
+
+def bar_hillel(g: Cfg, d) -> Cfg:
+    """Grammar for L(g) ∩ L(d) by the triple construction on a binarized
+    copy of ``g``, built over the triples that survive a trim only: the
+    generating-triple fixpoint of ``_generating_ends``, then the walk down
+    of ``_product``.  ``split_first_last`` builds each pair's grammar from
+    a projected table instead, and is tested against this."""
+    if set(g.terminals) != set(d.alphabet):
+        raise ValueError(
+            f"terminal alphabet {sorted(g.terminals)} does not match "
+            f"automaton alphabet {sorted(d.alphabet)}"
+        )
+    g = _binarize(g)
+    return _product(g, d, _generating_ends(g, d))
+
+
+def word_ins(w: str) -> tuple[str, ...]:
+    """Interleave seam markers between adjacent letters:
+    ``abc`` → ``a M_a_b b M_b_c c``.  Single letters map to themselves.
+    ``ins_image`` maps a grammar's words this way."""
+    if not w:
+        raise ValueError("the empty word has no marker image")
+    out: list[str] = [w[0]]
+    for x, y in zip(w, w[1:]):
+        out.append(marker(x, y))
+        out.append(y)
+    return tuple(out)
 
 
 def naive_first_last(g: Cfg) -> dict[str, set[tuple[str, str]]]:

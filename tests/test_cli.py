@@ -468,3 +468,20 @@ class TestErrorHandling:
         assert capsys.readouterr() == (
             "", "error: an empty regular initial set has no text form\n"
         )
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(MemoryError, 3), (RuntimeError("boom"), 2)],
+        ids=["memory", "crash"],
+    )
+    def test_unexpected_error_is_not_a_verdict(self, spl, monkeypatch, capsys, error, code):
+        # exit 1 is member's negative verdict, so no crash may end with it
+        def crash(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_member", crash)
+        assert run_command(["member", spl(SIR_EX), "ab"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,28 @@ class TestCircularWords:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CircularWord("")
+
+    def test_long_word_in_linear_memory(self):
+        """A least rotation and a rotation test hold one window of the
+        word at a time: all 8,000 windows at once would be 64 MB."""
+        import tracemalloc
+
+        rng = random.Random(36)
+        word = "".join(rng.choice("ab") for _ in range(8000))
+        rotated = word[4000:] + word[:4000]
+        init = InitialSet.finite(["ab", "b" * 8000, rotated])
+        tracemalloc.start()
+        try:
+            assert CircularWord(word) == CircularWord(rotated)
+            peak_word = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert init._contains_rotation(word)
+            assert not init._contains_rotation(word[:-1] + "c")
+            peak_rotation = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_word < 1 << 20, peak_word
+        assert peak_rotation < 1 << 20, peak_rotation
 
     @given(WORDS.filter(bool))
     @settings(max_examples=60)

@@ -32,7 +32,6 @@ from splicelab.grammar import (
     _min_lengths,
     _projected_ends,
     _remove_epsilon,
-    bar_hillel,
     cfg_canonical,
     cfg_empty,
     cfg_from_dfa,
@@ -48,10 +47,10 @@ from splicelab.grammar import (
     marker,
     split_first_last,
     substitute,
-    word_ins,
 )
 
 from helpers import (
+    bar_hillel,
     cfg_isomorphic,
     lazy_generalized_words,
     naive_cfg_simplify,
@@ -60,6 +59,7 @@ from helpers import (
     naive_min_lengths,
     random_cfg,
     random_regex,
+    word_ins,
 )
 
 AB = ("a", "b")

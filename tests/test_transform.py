@@ -33,7 +33,7 @@ from splicelab.transform import (
     to_heterogeneous,
 )
 
-from helpers import random_system
+from helpers import naive_heterogeneous_rules, random_rule, random_system
 
 ABC = Alphabet("abc")
 
@@ -135,6 +135,31 @@ class TestHeterogeneousSplit:
             system = complete_system(random_system(rng, usages=(SPLICE, CONCAT)))
             split = to_heterogeneous(system)
             assert set(closure_bounded(system, 7)) == set(closure_bounded(split, 7))
+
+    @pytest.mark.parametrize("mode", [FLAT, CIRCULAR])
+    def test_rules_match_recompleted_split(self, mode):
+        """The split's rules are the old split's, which re-completed every
+        derived concatenation rule, on complete systems of 1-4 letters with
+        both usages (a circular system is flattened before completion)."""
+        rng = random.Random(36)
+        for _ in range(150):
+            letters = "abcd"[: rng.randint(1, 4)]
+            usages = (SPLICE,) if mode == CIRCULAR else (SPLICE, CONCAT)
+            rules = {random_rule(rng, letters, rng.choice(usages)) for _ in range(rng.randint(1, 3))}
+            system = SplicingSystem(
+                alphabet=Alphabet(letters),
+                initial=InitialSet.finite([letters]),
+                rules=frozenset(rules),
+                mode=mode,
+            )
+            if mode == CIRCULAR:
+                system = circular_to_flat(system)
+            system = complete_system(system)
+            split = to_heterogeneous(system)
+            assert split.rules == naive_heterogeneous_rules(system), system
+            assert (split.alphabet, split.initial, split.mode) == (
+                system.alphabet, system.initial, FLAT
+            )
 
     def test_pure_system_passes_through(self):
         system = complete_system(anbn())
